@@ -81,6 +81,7 @@ from .simulate import (
 from .falsify import (
     FalsificationReport,
     falsify_roa,
+    falsify_sets,
     gamma_empirical,
     lyapunov_decrease_check,
     sample_in_set,

@@ -203,26 +203,21 @@ def run_falsify(cfg: ScenarioConfig, samples: int | None = None, seed: int | Non
     gains, cert = _design(cfg)
     plant = msd_plant(cfg.plant, cfg.domain)
     estimates = _estimates(cfg, gains, cert)
-    count = samples if samples is not None else (cfg.falsify_samples or 500)
-    base_seed = seed if seed is not None else cfg.falsify_seed
-    reports = {}
     controller_of = {"MFC1": "MFC", "MFC2": "MFC", "SL": "SL", "SLHG": "SLHG"}
-    for kind, est in estimates.items():
-        if not est.valid:
-            reports[kind] = {"kind": kind, "valid": False, "reason": est.reason}
-            continue
-        rep = falsify_mod.falsify_roa(
-            est,
-            plant,
-            gains,
-            controller_of[kind],
-            count=count,
-            horizon=cfg.horizon,
-            h=cfg.step,
-            seed=base_seed,
-        )
-        reports[kind] = rep.to_dict()
-        reports[kind]["valid"] = True
+    valid = [kind for kind, est in estimates.items() if est.valid]
+    batch = falsify_mod.falsify_sets(
+        [(estimates[kind], controller_of[kind]) for kind in valid],
+        plant,
+        gains,
+        count=samples if samples is not None else (cfg.falsify_samples or 500),
+        horizon=cfg.horizon,
+        h=cfg.step,
+        seed=seed if seed is not None else cfg.falsify_seed,
+    )
+    reports = {kind: {"kind": kind, "valid": False, "reason": est.reason}
+               for kind, est in estimates.items()}
+    for kind, rep in zip(valid, batch):
+        reports[kind] = {**rep.to_dict(), "valid": True}
     return reports
 
 

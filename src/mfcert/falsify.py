@@ -1,11 +1,12 @@
 """Brute-force validation of the certificates by batched Monte-Carlo runs.
 
-Initial states are sampled uniformly inside a certified level set (slightly
-shrunk, since the certified sets are open), all samples are integrated as one
-vectorised batch, and each run is classified: converged to the analytic
-equilibrium, diverged, settled elsewhere, or Lyapunov increase while inside
-the set.  Sampling uses a counter-based generator, so reports are
-byte-for-byte reproducible for a fixed seed.
+Initial states are sampled uniformly inside each certified level set
+(slightly shrunk, since the certified sets are open).  The samples of every
+set of one design are integrated together as one stacked batch, and each run
+is classified: converged to the analytic equilibrium, diverged, settled
+elsewhere, or Lyapunov increase while inside its set.  Sampling uses a
+counter-based generator, so reports are byte-for-byte reproducible for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "DecreaseCheck",
     "sample_in_set",
     "falsify_roa",
+    "falsify_sets",
     "gamma_empirical",
     "lyapunov_decrease_check",
 ]
@@ -105,6 +107,17 @@ class DecreaseCheck:
     exit_time: float | None
 
 
+def _decrease_step(v_prev, v_new, level, floor, tolerance):
+    """One step of the online Lyapunov-decrease test: (increase, still inside).
+
+    The step increases when V(t_{k+1}) > V(t_k) (1 + tolerance) from a value
+    above ``floor``, which keeps the rounding noise of a numerically
+    converged run from counting.  The test holds while V stays within
+    ``level``; a non-finite V leaves the set.  Works on floats and arrays.
+    """
+    return (v_new > v_prev * (1.0 + tolerance)) & (v_prev > floor), v_new <= level
+
+
 def lyapunov_decrease_check(
     traj: Trajectory,
     tolerance: float = 1e-9,
@@ -113,19 +126,22 @@ def lyapunov_decrease_check(
 ) -> DecreaseCheck:
     """Check V(t_{k+1}) <= V(t_k) (1 + tolerance) while the state stays certified.
 
-    The scan exits vacuously once the Lyapunov value leaves the level set (or
-    drops below ``floor``, which guards against rounding noise after the run
-    has numerically converged).
+    The scan applies the online test of the Monte-Carlo batch to one
+    trajectory and exits vacuously once the Lyapunov value leaves the level
+    set; steps from below ``floor`` are not tested.
     """
-    V = traj.V
+    V = np.asarray(traj.V, dtype=float)
     t = traj.t
-    for k in range(len(V)):
-        vk = float(V[k])
-        if not math.isfinite(vk) or (level is not None and vk > level) or vk < floor:
-            return DecreaseCheck(True, None, float(t[k]))
-        if k + 1 < len(V) and float(V[k + 1]) > vk * (1.0 + tolerance):
-            return DecreaseCheck(False, float(t[k + 1]), None)
-    return DecreaseCheck(True, None, None)
+    bound = np.finfo(float).max if level is None else level
+    if len(V) and not V[0] <= bound:
+        return DecreaseCheck(True, None, float(t[0]))
+    increase, inside = _decrease_step(V[:-1], V[1:], bound, floor, tolerance)
+    stops = np.flatnonzero(increase | ~inside)
+    if len(stops) == 0:
+        return DecreaseCheck(True, None, None)
+    k = stops[0]
+    time = float(t[k + 1])
+    return DecreaseCheck(False, time, None) if increase[k] else DecreaseCheck(True, None, time)
 
 
 def gamma_empirical(p: MsdParams, region: Box, pairs: int, seed: int) -> float:
@@ -174,21 +190,9 @@ class FalsificationReport:
     h: float
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "level": self.level,
-            "samples": self.samples,
-            "converged": self.converged,
-            "violations": [
-                {"x0": list(x0), "mode": mode, "time": time}
-                for x0, mode, time in self.violations
-            ],
-            "empirical_gamma": self.empirical_gamma,
-            "analytic_gamma": self.analytic_gamma,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "h": self.h,
-        }
+        violations = [{"x0": list(x0), "mode": mode, "time": time}
+                      for x0, mode, time in self.violations]
+        return {**vars(self), "violations": violations}
 
 
 def falsify_roa(
@@ -203,91 +207,115 @@ def falsify_roa(
     decrease_tolerance: float = 1e-9,
     lipschitz_pairs: int = 10_000,
 ) -> FalsificationReport:
-    """Simulate sampled initial states from a certified set and tally failures.
+    """Simulate sampled initial states from one certified set: ``falsify_sets`` of one."""
+    return falsify_sets(
+        [(estimate, controller_kind)], plant, gains, count, horizon, h, seed,
+        decrease_tolerance, lipschitz_pairs,
+    )[0]
 
-    A run converges when its final state lies within one percent of its
-    initial distance to the analytic equilibrium (0.01 absolute when starting
-    on it).  Lyapunov increase is monitored online while the combined state
-    remains inside the set.  Violations are data, not errors.
+
+def falsify_sets(
+    sets,
+    plant: MsdPlant,
+    gains: GainSet,
+    count: int,
+    horizon: float,
+    h: float,
+    seed: int,
+    decrease_tolerance: float = 1e-9,
+    lipschitz_pairs: int = 10_000,
+) -> list[FalsificationReport]:
+    """Falsify several certified sets of one design in one stacked batch.
+
+    ``sets`` pairs each estimate with its controller kind, MFC, SL or SLHG.
+    Each set gets ``count`` samples drawn with ``seed``; all columns run under
+    one law (see ``build_closed_loop``) with their set's level, centre and
+    Lyapunov scaling.  A run converges when its final state lies
+    within one percent of its initial distance to the analytic equilibrium
+    (0.01 absolute when starting on it).  Lyapunov increase is monitored
+    online while the state remains inside its set.  Violations are data, not
+    errors.  Returns one report per set, in order.
     """
-    x0, x0_star = sample_in_set(estimate, count, seed)
-    y_d = float(estimate.x_d[0])
-    spec = ControllerSpec(kind=controller_kind, gains=gains, reference=SetPoint(y_d))
-    loop = build_closed_loop(plant, spec, estimate.vartheta)
-    n = loop.n
-
-    P = np.asarray(estimate.P)
-    x_s = np.asarray(estimate.x_s)
-    v_of = loop.make_v(P, tuple(float(v) for v in x_s))
-    level = float(estimate.level)
-    floor = 1e-12 * level
-
-    x0_cols = tuple(np.ascontiguousarray(x0[:, i]) for i in range(n))
-    if controller_kind == "MFC":
-        if x0_star is None:
+    if not sets:
+        return []
+    estimates = [est for est, _ in sets]
+    first = estimates[0]
+    if any(not (np.array_equal(est.x_d, first.x_d) and np.array_equal(est.P, first.P))
+           for est in estimates):
+        raise ValueError("a batch needs sets of one set-point and one Lyapunov matrix")
+    n = first.n
+    x_d = np.asarray(first.x_d, dtype=float)
+    x0, x0_star = [], []
+    for est, kind in sets:
+        x, star = sample_in_set(est, count, seed)
+        if kind == "MFC" and star is None:
             raise ValueError("two-loop falsification needs sampled model states")
-        star_cols = tuple(np.ascontiguousarray(x0_star[:, i]) for i in range(n))
-        comps = loop.assemble(x0_cols, star_cols)
-    else:
-        comps = loop.assemble(x0_cols, None)
+        x0.append(x)
+        x0_star.append(star if kind == "MFC" else np.tile(x_d, (count, 1)))
+    x0 = np.concatenate(x0)
+    total = len(x0)
 
+    def per_column(values):
+        return np.repeat(np.asarray(values, dtype=float), count, axis=0)
+
+    level = per_column([est.level for est in estimates])
+    floor = 1e-12 * level
+    x_s = per_column([est.x_s for est in estimates])
+    spec = ControllerSpec(kind="MFC", gains=gains, reference=SetPoint(float(x_d[0])))
+    loop = build_closed_loop(plant, spec, per_column([est.vartheta for est in estimates]),
+                             columns=[(kind, count) for _, kind in sets])
+    v_of = loop.make_v(first.P, tuple(x_s.T.copy()))
+    comps = tuple(x0.T.copy())
+    if any(kind == "MFC" for _, kind in sets):
+        comps = tuple(np.concatenate(x0_star).T.copy()) + comps
     steps = int(round(horizon / h))
-    alive = np.ones(count, dtype=bool)
-    fail_time = np.full(count, np.nan)
-    viol_v = np.zeros(count, dtype=bool)
-    viol_v_time = np.full(count, np.nan)
+    alive = np.ones(total, dtype=bool)
+    fail_time = np.full(total, np.nan)
+    viol_v = np.zeros(total, dtype=bool)
+    viol_v_time = np.full(total, np.nan)
 
     with np.errstate(all="ignore"):
-        v_prev = np.asarray(v_of(0.0, comps), dtype=float)
+        v_prev = v_of(0.0, comps)
         in_set = v_prev <= level * (1.0 + 1e-12)
-        rhs = loop.rhs
         for k in range(steps):
             t = k * h
-            comps = _rk4_components(rhs, t, comps, h)
-            finite = np.ones(count, dtype=bool)
-            for c in comps:
-                finite &= np.isfinite(c)
+            comps = _rk4_components(loop.rhs, t, comps, h)
+            finite = np.logical_and.reduce([np.isfinite(c) for c in comps])
             newly_dead = alive & ~finite
             if np.any(newly_dead):
                 fail_time[newly_dead] = (k + 1) * h
                 alive &= finite
-            v_new = np.asarray(v_of(t + h, comps), dtype=float)
-            inc = in_set & (v_new > v_prev * (1.0 + decrease_tolerance)) & (v_prev > floor)
+            v_new = v_of(t + h, comps)
+            increase, inside = _decrease_step(v_prev, v_new, level, floor, decrease_tolerance)
+            inc = in_set & increase
             fresh = inc & ~viol_v
             if np.any(fresh):
                 viol_v_time[fresh] = (k + 1) * h
                 viol_v |= inc
-            in_set &= v_new <= level
+            in_set &= inside
             v_prev = v_new
 
-    x_final = np.stack([comps[(n if controller_kind == "MFC" else 0) + i]
-                        for i in range(n)], axis=1)
-    with np.errstate(all="ignore"):
-        dist = np.linalg.norm(x_final - x_s, axis=1)
-    d0 = np.linalg.norm(x0 - x_s, axis=1)
-    threshold = np.maximum(0.01 * d0, 0.01)
-    near = alive & np.asarray(dist <= threshold)
+        dist = np.linalg.norm(np.stack(comps[-n:], axis=1) - x_s, axis=1)
+    threshold = np.maximum(0.01 * np.linalg.norm(x0 - x_s, axis=1), 0.01)
+    near = alive & (dist <= threshold)
 
-    violations = []
-    for i in range(count):
-        if not alive[i]:
-            violations.append((tuple(x0[i]), "diverged", float(fail_time[i])))
-        elif not near[i]:
-            violations.append((tuple(x0[i]), "wrong-equilibrium", None))
-        elif viol_v[i]:
-            violations.append((tuple(x0[i]), "V-increase", float(viol_v_time[i])))
-    violations.sort(key=lambda item: item[0])
-    converged = count - len(violations)
-
-    return FalsificationReport(
-        kind=estimate.kind,
-        level=level,
-        samples=count,
-        converged=converged,
-        violations=tuple(violations),
-        empirical_gamma=gamma_empirical(plant.params, plant.domain, lipschitz_pairs, seed + 1),
-        analytic_gamma=phi_lipschitz_sup(plant.params, plant.domain),
-        seed=seed,
-        horizon=horizon,
-        h=h,
-    )
+    empirical = gamma_empirical(plant.params, plant.domain, lipschitz_pairs, seed + 1)
+    analytic = phi_lipschitz_sup(plant.params, plant.domain)
+    reports = []
+    for j, est in enumerate(estimates):
+        violations = []
+        for i in range(j * count, (j + 1) * count):
+            if not alive[i]:
+                violations.append((tuple(x0[i]), "diverged", float(fail_time[i])))
+            elif not near[i]:
+                violations.append((tuple(x0[i]), "wrong-equilibrium", None))
+            elif viol_v[i]:
+                violations.append((tuple(x0[i]), "V-increase", float(viol_v_time[i])))
+        violations.sort(key=lambda item: item[0])
+        reports.append(FalsificationReport(
+            kind=est.kind, level=float(est.level), samples=count,
+            converged=count - len(violations), violations=tuple(violations),
+            empirical_gamma=empirical, analytic_gamma=analytic,
+            seed=seed, horizon=horizon, h=h,
+        ))
+    return reports

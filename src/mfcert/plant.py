@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -129,6 +130,17 @@ class MsdParams:
             if getattr(self, name) <= 0:
                 raise ValueError(f"MsdParams.{name} must be positive")
 
+    @cached_property
+    def _coef(self) -> tuple:
+        """Precomputed coefficients of ``msd_f`` (three) and ``msd_phi`` (four)."""
+        km = self.k / self.m
+        return (
+            -km * self.alpha * self.alpha, -km, -self.c_d / self.m,
+            -(self.dk / self.m) * (self.alpha + self.dalpha) ** 2,
+            km * self.dalpha * (2.0 * self.alpha + self.dalpha),
+            self.dk / self.m, self.dc_d / self.m,
+        )
+
     def to_dict(self) -> dict:
         return {
             "k": self.k,
@@ -156,9 +168,10 @@ class MsdParams:
 
 
 def msd_f(p: MsdParams, x: Sequence):
-    """Nominal drift -k/m (1 + alpha^2 x1^2) x1 - c_d/m x2 - g0."""
-    x1, x2 = x[0], x[1]
-    return -(p.k / p.m) * (1.0 + p.alpha * p.alpha * x1 * x1) * x1 - (p.c_d / p.m) * x2 - p.g0
+    """Nominal drift -k/m (1 + alpha^2 x1^2) x1 - c_d/m x2 - g0, in Horner form."""
+    x1 = x[0]
+    c3, c1, c2 = p._coef[:3]
+    return (c3 * (x1 * x1) + c1) * x1 + c2 * x[1] - p.g0
 
 
 def msd_g(p: MsdParams, x: Sequence | None = None):
@@ -171,15 +184,14 @@ def msd_phi(p: MsdParams, x: Sequence):
 
     phi(x) = -dk/m (alpha+dalpha)^2 x1^3 - k/m dalpha (2 alpha+dalpha) x1^3
              - dk/m x1 - dc_d/m x2
+
+    Summed term by term as written, so that ``gamma_empirical``'s difference
+    quotients, which amplify rounding, are reproducible to the last bit.
     """
-    x1, x2 = x[0], x[1]
+    x1 = x[0]
     x1c = x1 * x1 * x1
-    return (
-        -(p.dk / p.m) * (p.alpha + p.dalpha) ** 2 * x1c
-        - (p.k / p.m) * p.dalpha * (2.0 * p.alpha + p.dalpha) * x1c
-        - (p.dk / p.m) * x1
-        - (p.dc_d / p.m) * x2
-    )
+    a3, b3, c1, c2 = p._coef[3:]
+    return a3 * x1c - b3 * x1c - c1 * x1 - c2 * x[1]
 
 
 def sigma1(p: MsdParams) -> float:

@@ -135,16 +135,53 @@ class Trajectory:
 def _nonzero_gain(g):
     if np.any(np.asarray(g) == 0):
         raise ZeroDivisionError("input gain g vanishes at the evaluated state")
-    return g
+
+
+# One law per controller kind; ``d`` is (x_d, y_d^(n)).  A law returns its input
+# with the f and g it evaluated, reused in x_n' = f(x) + g(x) u + phi(x).
+
+
+def _single_loop_law(f, g, k, d, x):
+    """(-f(x) + y_d^(n) + k'(x - x_d)) / g(x), with f(x) and g(x)."""
+    fx = f(x)
+    gv = g(x)
+    acc = d[len(k)] - fx
+    for i in range(len(k)):
+        acc = acc + k[i] * (x[i] - d[i])
+    return acc / gv, fx, gv
+
+
+def _two_loop_law(f, g, k_star, k_tilde, d, x_star, x):
+    """Model input (-f(x*) + y_d^(n) + k*'(x* - x_d)) / g(x*) and process input
+    (-f(x) + y_d^(n) + k*'(x* - x_d) + k~'(x - x*)) / g(x), each with its f, g.
+
+    With k* = 0 and x* = x_d the process input is the single-loop law with
+    gain k~, bit for bit.
+    """
+    n = len(k_star)
+    shared = k_star[0] * (x_star[0] - d[0])
+    for i in range(1, n):
+        shared = shared + k_star[i] * (x_star[i] - d[i])
+    fs = f(x_star)
+    gs = g(x_star)
+    fx = f(x)
+    gv = g(x)
+    acc = d[n] - fx + shared
+    for i in range(n):
+        acc = acc + k_tilde[i] * (x[i] - x_star[i])
+    return ((d[n] - fs + shared) / gs, fs, gs), (acc / gv, fx, gv)
+
+
+def _fflin_law(f, g, d, v_fb):
+    """(-f(x_d) + y_d^(n) + v_fb) / g(x_d)."""
+    x_d = d[:-1]
+    return (d[-1] - f(x_d) + v_fb) / g(x_d)
 
 
 def control_sl(x, x_d, y_d_n, k: Sequence[float], plant: PlantModel):
     """Single-loop feedback linearising law (-f(x) + y_d^(n) + k'(x - x_d)) / g(x)."""
-    gv = _nonzero_gain(plant.g(x))
-    acc = y_d_n - plant.f(x)
-    for i in range(len(k)):
-        acc = acc + k[i] * (x[i] - x_d[i])
-    return acc / gv
+    _nonzero_gain(plant.g(x))
+    return _single_loop_law(plant.f, plant.g, k, tuple(x_d) + (y_d_n,), x)[0]
 
 
 def control_mfc(
@@ -159,49 +196,40 @@ def control_mfc(
     """Two-loop control: model law at the model state plus the process correction.
 
     Returns (u, u_star, u_tilde).  The model law linearises the nominal model
-    about the reference; the process law cancels the drift and gain mismatch
-    between process and model states.  The sum equals the one-line form
-    (-f(x) + y_d^(n) + k_star'(x* - x_d) + k_tilde'(x - x*)) / g(x) up to
-    rounding.
+    about the reference; the correction u_tilde = u - u_star cancels the drift
+    and gain mismatch between process and model states, and is exactly 0 when
+    they coincide.
     """
-    gs = _nonzero_gain(plant.g(x_star))
-    gv = _nonzero_gain(plant.g(x))
-    n = len(k_star)
-    acc = y_d_n - plant.f(x_star)
-    for i in range(n):
-        acc = acc + k_star[i] * (x_star[i] - x_d[i])
-    u_star = acc / gs
-    f_tilde = plant.f(x) - plant.f(x_star) + (gv - gs) * u_star
-    acc = -f_tilde
-    for i in range(n):
-        acc = acc + k_tilde[i] * (x[i] - x_star[i])
-    u_tilde = acc / gv
-    return u_star + u_tilde, u_star, u_tilde
+    _nonzero_gain(plant.g(x_star))
+    _nonzero_gain(plant.g(x))
+    d = tuple(x_d) + (y_d_n,)
+    (u_star, _, _), (u, _, _) = _two_loop_law(
+        plant.f, plant.g, k_star, k_tilde, d, x_star, x
+    )
+    return u, u_star, u - u_star
 
 
 def control_fflin(x_d, y_d_n, v_fb, plant: PlantModel):
     """Feedforward linearising law (-f(x_d) + y_d^(n) + v_fb) / g(x_d)."""
-    gd = _nonzero_gain(plant.g(x_d))
-    return (y_d_n - plant.f(x_d) + v_fb) / gd
+    _nonzero_gain(plant.g(x_d))
+    return _fflin_law(plant.f, plant.g, tuple(x_d) + (y_d_n,), v_fb)
 
 
 def step_rk4(dynamics: Callable, state, h: float):
     """One classical four-stage Runge-Kutta step for an autonomous system."""
     if h <= 0:
         raise ValueError("step size must be positive")
-    k1 = dynamics(state)
-    k2 = dynamics(state + 0.5 * h * k1)
-    k3 = dynamics(state + 0.5 * h * k2)
-    k4 = dynamics(state + h * k3)
-    result = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    (result,) = _rk4_components(lambda t, y: (dynamics(y[0]),), 0.0, (state,), h)
     if not np.all(np.isfinite(result)):
         raise IntegrationError("integration step produced a non-finite state")
     return result
 
 
-def _rk4_components(rhs, t, y, h):
+def _rk4_components(rhs, t, y, h, k1=None):
+    """One RK4 step on a tuple of components; ``k1`` is rhs(t, y) if known."""
     h2 = 0.5 * h
-    k1 = rhs(t, y)
+    if k1 is None:
+        k1 = rhs(t, y)
     k2 = rhs(t + h2, tuple(a + h2 * b for a, b in zip(y, k1)))
     k3 = rhs(t + h2, tuple(a + h2 * b for a, b in zip(y, k2)))
     k4 = rhs(t + h, tuple(a + h * b for a, b in zip(y, k3)))
@@ -211,36 +239,50 @@ def _rk4_components(rhs, t, y, h):
     )
 
 
-def _quadform(P: Sequence[Sequence[float]], v) :
-    total = 0.0
+def _quadform(P, v):
+    """v'Pv as sum_i v_i (P_ii v_i + sum_{j>i} (P_ij + P_ji) v_j)."""
+    total = None
     for i in range(len(v)):
-        vi = v[i]
-        row = P[i]
-        for j in range(len(v)):
-            total = total + row[j] * vi * v[j]
+        acc = P[i][i] * v[i]
+        for j in range(i + 1, len(v)):
+            acc = acc + (P[i][j] + P[j][i]) * v[j]
+        total = v[i] * acc if total is None else total + v[i] * acc
     return total
 
 
 @dataclass
 class _Loop:
-    """Assembled closed loop: right-hand side, input readout and bookkeeping."""
+    """Closed loop: ``law(t, y)`` gives (derivative, input), ``rhs`` the first.
+
+    ``dref`` gives the reference derivatives at a time, or as rows on a grid.
+    """
 
     n: int
-    dim: int
-    kind: str
+    law: Callable
     rhs: Callable
-    u_of: Callable
     dref: Callable
-    assemble: Callable
     eq_comps: Callable
-    k1_eff: float
     make_v: Callable
 
 
 def build_closed_loop(
-    plant: PlantModel, controller: ControllerSpec, vartheta: float
+    plant: PlantModel,
+    controller: ControllerSpec,
+    vartheta: float | np.ndarray,
+    columns: Sequence[tuple[str, int]] | None = None,
 ) -> _Loop:
-    """Wire a controller kind into component-wise closed-loop dynamics."""
+    """Wire a controller kind into component-wise closed-loop dynamics.
+
+    The two-loop state lists the model components first; ``vartheta`` weighs
+    the model error in its Lyapunov value.  ``columns``, a sequence of
+    (kind, count) runs of SL, SLHG or MFC, stacks set-point loops into one
+    batch, with ``controller`` giving gains and set-point and ``vartheta`` one
+    value per column.  A batch with MFC columns runs the two-loop law: a
+    single-loop column holds its model at x_d with model gain 0, process gain
+    k* (SL) or k~ (SLHG) and its model derivative masked to exactly 0, so its
+    process rows follow the single-loop law bit for bit.  A batch without MFC
+    columns runs the single-loop law on process rows alone.
+    """
     n = plant.dims.n
     f, g, phi = plant.f, plant.g, plant.phi
     gains = controller.gains
@@ -260,166 +302,97 @@ def build_closed_loop(
     else:
 
         def dref(t):
-            return ref.derivatives(t, n)
+            if np.ndim(t) == 0:
+                return ref.derivatives(t, n)
+            return tuple(np.array(c) for c in zip(*(ref.derivatives(s, n) for s in t)))
 
     inv_eps = 1.0 / gains.epsilon
     dinv_scale = tuple(inv_eps ** (n - 1 - j) for j in range(n))
+    zero, ones = (0.0,) * n, (1.0,) * n
+    scale = dinv_scale if kind in ("SLHG", "MFC") else ones
+    k = kst if kind == "SL" else ktd
+    model = 1.0
+
+    if columns is not None:
+        if not isinstance(ref, SetPoint):
+            raise ValueError("a stacked batch needs a set-point reference")
+        # per kind: model gain, process gain, model-derivative mask, V scaling
+        slots = {
+            "MFC": (kst, ktd, 1.0, dinv_scale),
+            "SLHG": (zero, ktd, 0.0, dinv_scale),
+            "SL": (zero, kst, 0.0, ones),
+        }
+        kinds = {c for c, _ in columns}
+        if kinds - slots.keys():
+            raise ValueError(f"kinds {sorted(kinds - slots.keys())} cannot ride in a stacked batch")
+        counts = [count for _, count in columns]
+        kst, ktd, model, scale = (
+            np.repeat(np.asarray(values, dtype=float), counts, axis=0).T
+            for values in zip(*(slots[c] for c, _ in columns))
+        )
+        k = ktd
+        kind = "MFC" if "MFC" in kinds else "SL"
 
     if kind in ("SL", "SLHG"):
-        k = kst if kind == "SL" else ktd
 
-        def rhs(t, y):
-            d = dref(t)
-            fx = f(y)
-            gv = g(y)
-            acc = d[n] - fx
-            for i in range(n):
-                acc = acc + k[i] * (y[i] - d[i])
-            u = acc / gv
-            return y[1:] + (fx + gv * u + phi(y),)
-
-        def u_of(t, y):
-            d = dref(t)
-            acc = d[n] - f(y)
-            for i in range(n):
-                acc = acc + k[i] * (y[i] - d[i])
-            return acc / g(y)
-
-        def assemble(x0, x0_star):
-            return tuple(x0)
-
-        def eq_comps(s, zero):
-            return (s,) + (zero,) * (n - 1)
-
-        dim = n
-        k1_eff = k[0]
+        def law(t, y):
+            u, fx, gv = _single_loop_law(f, g, k, dref(t), y)
+            return y[1:] + (fx + gv * u + phi(y),), u
 
     elif kind == "MFC":
 
-        def rhs(t, y):
-            d = dref(t)
-            xs = y[:n]
-            x = y[n:]
-            fs = f(xs)
-            gs = g(xs)
-            acc = d[n] - fs
-            for i in range(n):
-                acc = acc + kst[i] * (xs[i] - d[i])
-            u_star = acc / gs
-            fx = f(x)
-            gv = g(x)
-            acc = d[n] - fx
-            for i in range(n):
-                acc = acc + kst[i] * (xs[i] - d[i]) + ktd[i] * (x[i] - xs[i])
-            u = acc / gv
-            return (
-                xs[1:]
-                + (fs + gs * u_star,)
-                + x[1:]
-                + (fx + gv * u + phi(x),)
-            )
-
-        def u_of(t, y):
-            d = dref(t)
-            xs = y[:n]
-            x = y[n:]
-            acc = d[n] - f(x)
-            for i in range(n):
-                acc = acc + kst[i] * (xs[i] - d[i]) + ktd[i] * (x[i] - xs[i])
-            return acc / g(x)
-
-        def assemble(x0, x0_star):
-            return tuple(x0_star) + tuple(x0)
-
-        def eq_comps(s, zero):
-            d = dref(0.0)
-            return tuple(d[:n]) + (s,) + (zero,) * (n - 1)
-
-        dim = 2 * n
-        k1_eff = ktd[0]
+        def law(t, y):
+            xs, x = y[:n], y[n:]
+            (u_star, fs, gs), (u, fx, gv) = _two_loop_law(f, g, kst, ktd, dref(t), xs, x)
+            model_acc = (fs + gs * u_star) * model
+            return xs[1:] + (model_acc,) + x[1:] + (fx + gv * u + phi(x),), u
 
     elif kind == "FFLIN":
         custom = controller.fflin_vfb
 
-        def vfb(t, y, d):
+        def law(t, y):
+            d = dref(t)
             if custom is not None:
-                return custom(t, y, d)
-            acc = 0.0
-            for i in range(n):
-                acc = acc + ktd[i] * (y[i] - d[i])
-            return acc
-
-        def rhs(t, y):
-            d = dref(t)
-            xd = d[:n]
-            u = (d[n] - f(xd) + vfb(t, y, d)) / g(xd)
-            return y[1:] + (f(y) + g(y) * u + phi(y),)
-
-        def u_of(t, y):
-            d = dref(t)
-            xd = d[:n]
-            return (d[n] - f(xd) + vfb(t, y, d)) / g(xd)
-
-        def assemble(x0, x0_star):
-            return tuple(x0)
-
-        def eq_comps(s, zero):
-            return (s,) + (zero,) * (n - 1)
-
-        dim = n
-        k1_eff = ktd[0]
+                v_fb = custom(t, y, d)
+            else:
+                v_fb = 0.0
+                for i in range(n):
+                    v_fb = v_fb + ktd[i] * (y[i] - d[i])
+            u = _fflin_law(f, g, d, v_fb)
+            return y[1:] + (f(y) + g(y) * u + phi(y),), u
 
     else:  # pragma: no cover - guarded by ControllerSpec
         raise ValueError(f"unknown controller kind {kind!r}")
 
-    def make_v(P: np.ndarray, x_s: Sequence[float] | None):
-        P_list = [[float(v) for v in row] for row in np.asarray(P)]
+    def rhs(t, y):
+        return law(t, y)[0]
+
+    def eq_comps(s, zero):
+        """Rest state with output s; the two-loop model rests at the reference."""
+        rest = (s,) + (zero,) * (n - 1)
+        return tuple(dref(0.0)[:n]) + rest if kind == "MFC" else rest
+
+    def make_v(P: np.ndarray, x_s: Sequence | None):
+        P = np.asarray(P, dtype=float).tolist()
         if kind == "MFC":
 
             def v_of(t, y):
                 d = dref(t)
                 center = x_s if x_s is not None else d[:n]
                 es = tuple(y[i] - d[i] for i in range(n))
-                zt = tuple(
-                    ((y[n + i] - center[i]) - es[i]) * dinv_scale[i] for i in range(n)
-                )
-                return vartheta * _quadform(P_list, es) + _quadform(P_list, zt)
+                zt = tuple(((y[n + i] - center[i]) - es[i]) * scale[i] for i in range(n))
+                return vartheta * _quadform(P, es) + _quadform(P, zt)
 
-        elif kind == "SLHG":
-
-            def v_of(t, y):
-                center = x_s if x_s is not None else dref(t)[:n]
-                z = tuple((y[i] - center[i]) * dinv_scale[i] for i in range(n))
-                return _quadform(P_list, z)
-
-        elif kind == "SL":
-
-            def v_of(t, y):
-                center = x_s if x_s is not None else dref(t)[:n]
-                e = tuple(y[i] - center[i] for i in range(n))
-                return _quadform(P_list, e)
-
-        else:  # FFLIN: deviation from the reference state
+        else:  # FFLIN measures the deviation from the reference state
 
             def v_of(t, y):
                 d = dref(t)
-                e = tuple(y[i] - d[i] for i in range(n))
-                return _quadform(P_list, e)
+                center = d[:n] if x_s is None or kind == "FFLIN" else x_s
+                return _quadform(P, tuple((y[i] - center[i]) * scale[i] for i in range(n)))
 
         return v_of
 
-    return _Loop(
-        n=n,
-        dim=dim,
-        kind=kind,
-        rhs=rhs,
-        u_of=u_of,
-        dref=dref,
-        assemble=assemble,
-        eq_comps=eq_comps,
-        k1_eff=k1_eff,
-        make_v=make_v,
-    )
+    return _Loop(n=n, law=law, rhs=rhs, dref=dref, eq_comps=eq_comps, make_v=make_v)
 
 
 def _steady_state_from_loop(loop: _Loop, y_d: float) -> np.ndarray:
@@ -511,60 +484,45 @@ def simulate_closed_loop(
     P = solve_lyapunov(controller.gains.k_star)
     v_of = loop.make_v(P, None if x_s is None else tuple(x_s))
 
-    x0f = tuple(float(v) for v in x0)
+    comps = tuple(float(v) for v in x0)
     if controller.kind == "MFC":
         x0_star = controller.model_initial
         if x0_star is None:
             x0_star = loop.dref(0.0)[:n]
-        comps = loop.assemble(x0f, tuple(float(v) for v in x0_star))
-    else:
-        comps = loop.assemble(x0f, None)
+        comps = tuple(float(v) for v in x0_star) + comps
 
     steps = int(round(horizon / h))
-    t_grid = np.arange(steps + 1) * h
-    x_arr = np.empty((steps + 1, n))
-    xs_arr = np.empty((steps + 1, n))
-    u_arr = np.empty(steps + 1)
-    v_arr = np.empty(steps + 1)
-
-    mfc = controller.kind == "MFC"
+    law = loop.law
     rhs = loop.rhs
-    u_of = loop.u_of
-    dref = loop.dref
+    states = [comps]
+    inputs = []
     fail_time = None
-    last = steps
-    for k in range(steps + 1):
+    for k in range(steps):
         t = k * h
-        if mfc:
-            for i in range(n):
-                xs_arr[k, i] = comps[i]
-                x_arr[k, i] = comps[n + i]
-        else:
-            d = dref(t)
-            for i in range(n):
-                xs_arr[k, i] = d[i]
-                x_arr[k, i] = comps[i]
-        u_arr[k] = u_of(t, comps)
-        v_arr[k] = v_of(t, comps)
-        if k == steps:
-            break
-        comps = _rk4_components(rhs, t, comps, h)
-        ok = True
-        for c in comps:
-            if not math.isfinite(c):
-                ok = False
-                break
-        if not ok:
+        k1, u = law(t, comps)
+        inputs.append(u)
+        comps = _rk4_components(rhs, t, comps, h, k1)
+        if not all(map(math.isfinite, comps)):
             fail_time = (k + 1) * h
-            last = k
             break
+        states.append(comps)
+    else:
+        inputs.append(law(steps * h, comps)[1])
+
+    # V and the single-loop model slot are evaluated on the whole grid at once
+    t_grid = np.arange(len(states)) * h
+    rows = tuple(np.array(states).T)
+    if controller.kind == "MFC":
+        x_star, x = rows[:n], rows[n:]
+    else:
+        x_star, x = loop.dref(t_grid)[:n], rows
 
     traj = Trajectory(
-        t=t_grid[: last + 1],
-        x=x_arr[: last + 1],
-        x_star=xs_arr[: last + 1],
-        u=u_arr[: last + 1],
-        V=v_arr[: last + 1],
+        t=t_grid,
+        x=np.column_stack(x),
+        x_star=np.column_stack(np.broadcast_arrays(*x_star, t_grid)[:n]),
+        u=np.array(inputs, dtype=float),
+        V=np.asarray(v_of(t_grid, rows), dtype=float),
         metadata={
             "kind": controller.kind,
             "step": h,

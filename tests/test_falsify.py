@@ -8,20 +8,35 @@ from mfcert import (
     ControllerSpec,
     SetPoint,
     Trajectory,
+    certify,
+    design_gains,
     estimate_mfc1,
     estimate_mfc2,
     estimate_sl,
     estimate_slhg,
     falsify_roa,
+    falsify_sets,
     gamma_empirical,
     lyapunov_decrease_check,
     mfc_equilibria,
+    msd_plant,
     phi_lipschitz_sup,
+    preset,
     sample_in_set,
     simulate_closed_loop,
     single_loop_equilibria,
 )
+from mfcert.falsify import DecreaseCheck
 from mfcert.roa import RoaEstimate
+
+CONTROLLER_OF = {"MFC1": "MFC", "MFC2": "MFC", "SL": "SL", "SLHG": "SLHG"}
+
+
+def _inflated(est, factor):
+    return RoaEstimate(
+        kind=est.kind, level=factor * est.level, radius_aux=est.radius_aux,
+        x_d=est.x_d, x_s=est.x_s, P=est.P, vartheta=est.vartheta, epsilon=est.epsilon,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +134,59 @@ class TestFalsifyRoa:
         assert rep.empirical_gamma <= rep.analytic_gamma + 1e-9
 
 
+class TestFalsifySets:
+    @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
+    def test_fused_batch_matches_per_set_runs(self, scenario):
+        cfg = preset(scenario)
+        gains = design_gains(cfg.poles, cfg.epsilon)
+        cert = certify(gains, cfg.vartheta)
+        plant = msd_plant(cfg.plant, cfg.domain)
+        x_d = np.array([cfg.y_d, 0.0])
+        mfc = mfc_equilibria(cfg.plant, gains, cfg.y_d)
+        sl = single_loop_equilibria(cfg.plant, gains, cfg.y_d)
+        x_s_mfc = np.array([cfg.y_d + mfc.selected, 0.0])
+        x_s_sl = np.array([sl.selected, 0.0])
+        estimates = [
+            estimate_mfc1(cfg.plant, cert, x_s_mfc, x_d),
+            estimate_mfc2(cfg.plant, cert, x_s_mfc, x_d, cfg.x0_star),
+            estimate_sl(cfg.plant, cert, x_s_sl, x_d),
+            estimate_slhg(cfg.plant, cert, x_s_mfc, x_d),
+        ]
+        sets = [(est, CONTROLLER_OF[est.kind]) for est in estimates if est.valid]
+        assert len(sets) >= 3
+        kwargs = dict(count=40, horizon=2.0, h=1e-3, seed=0)
+        fused = falsify_sets(sets, plant, gains, **kwargs)
+        single = [falsify_roa(est, plant, gains, kind, **kwargs) for est, kind in sets]
+        assert [r.to_dict() for r in fused] == [r.to_dict() for r in single]
+        # the short horizon leaves slow runs unsettled, so the lists are not empty
+        assert any(r.violations for r in fused)
+
+    def test_violations_stay_in_their_set(self, scenario1_estimates, plant, gains):
+        inflated = _inflated(scenario1_estimates["SL"], 200.0)
+        kwargs = dict(count=16, horizon=3.0, h=1e-3, seed=0)
+        clean1, bad, clean2 = falsify_sets(
+            [(scenario1_estimates["MFC1"], "MFC"), (inflated, "SL"),
+             (scenario1_estimates["SLHG"], "SLHG")],
+            plant, gains, **kwargs,
+        )
+        for rep in (clean1, clean2):
+            assert rep.violations == () and rep.converged == 16
+        assert "diverged" in {mode for _, mode, _ in bad.violations}
+        alone = falsify_roa(inflated, plant, gains, "SL", **kwargs)
+        assert bad.to_dict() == alone.to_dict()
+
+    def test_empty_batch(self, plant, gains):
+        assert falsify_sets([], plant, gains, count=4, horizon=1.0, h=1e-3, seed=0) == []
+
+    def test_rejects_kinds_that_cannot_be_stacked(self, scenario1_estimates, plant, gains):
+        with pytest.raises(ValueError):
+            falsify_roa(scenario1_estimates["SLHG"], plant, gains, "FFLIN",
+                        count=4, horizon=0.01, h=1e-3, seed=0)
+        with pytest.raises(ValueError):
+            falsify_roa(scenario1_estimates["SL"], plant, gains, "MFC",
+                        count=4, horizon=0.01, h=1e-3, seed=0)
+
+
 class TestGammaEmpirical:
     def test_zero_uncertainty(self, nominal_params):
         assert gamma_empirical(nominal_params, Box((-2, -2), (2, 2)), 1000, seed=0) == 0.0
@@ -165,6 +233,25 @@ class TestLyapunovDecreaseCheck:
             V=np.full(K, 2.5),
         )
         assert lyapunov_decrease_check(traj, 1e-9).passed
+
+    def test_increase_and_exit_follow_the_batch_rule(self):
+        def check(values, **kwargs):
+            K = len(values)
+            traj = Trajectory(t=np.arange(K) * 0.1, x=np.zeros((K, 2)),
+                              x_star=np.zeros((K, 2)), u=np.zeros(K), V=np.array(values))
+            return lyapunov_decrease_check(traj, 1e-9, **kwargs)
+
+        assert check([3.0, 2.0, 2.5]) == DecreaseCheck(False, pytest.approx(0.2), None)
+        assert not check([3.0, 5.0], level=4.0).passed
+        # leaving the level within the tolerance ends the scan before the later increase
+        assert check([4.0, 4.000000001, 8.0], level=4.0) == DecreaseCheck(
+            True, None, pytest.approx(0.1))
+        assert check([5.0, 6.0], level=4.0) == DecreaseCheck(True, None, 0.0)
+        # steps from below the floor are not tested; later ones are
+        assert check([1e-14, 2e-14, 1.0], floor=1e-12).passed
+        assert not check([1e-14, 2e-12, 1.0], floor=1e-12).passed
+        assert check([1.0, float("nan"), 2.0]) == DecreaseCheck(True, None, pytest.approx(0.1))
+        assert not check([1.0, float("inf")]).passed
 
     def test_unstable_loop_fails_with_timestamp(self, plant, gains):
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(2.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from mfcert import (
     step_rk4,
     time_to_track,
 )
+from mfcert.simulate import _rk4_components, build_closed_loop
 from mfcert.steady_state import mfc_equilibria, single_loop_equilibria
 
 X_D = (0.75, 0.0)
@@ -106,6 +108,61 @@ class TestControlFflin:
             [[0.5 * math.sin(t), 0.5 * math.cos(t)] for t in traj.t]
         )
         assert np.max(np.abs(traj.x_star - x_d)) <= 1e-9
+
+
+def _random_states(dim, count, seed):
+    rng = np.random.default_rng(seed)
+    return tuple(rng.uniform(-3.0, 3.0, count) for _ in range(dim))
+
+
+def _column(comps, j):
+    return tuple(float(c[j]) for c in comps)
+
+
+class TestBatchedLaw:
+    @pytest.mark.parametrize("kind", ["SL", "SLHG", "MFC", "FFLIN"])
+    def test_scalar_step_equals_batch_column(self, plant, gains, kind):
+        spec = ControllerSpec(kind=kind, gains=gains, reference=SetPoint(0.75))
+        loop = build_closed_loop(plant, spec, 1000.0)
+        dim = 2 * loop.n if kind == "MFC" else loop.n
+        y = _random_states(dim, 64, seed=len(kind))
+        batch_rhs = loop.rhs(0.0, y)
+        batch_step = _rk4_components(loop.rhs, 0.0, y, 1e-3)
+        for j in range(64):
+            yj = _column(y, j)
+            assert loop.rhs(0.0, yj) == _column(batch_rhs, j)
+            assert _rk4_components(loop.rhs, 0.0, yj, 1e-3) == _column(batch_step, j)
+
+    def test_single_loop_columns_ride_the_two_loop_law(self, table_params, gains):
+        # with m = 0.7 the unmasked model acceleration at x_d rounds to 2e-15
+        plant = msd_plant(dataclasses.replace(table_params, m=0.7))
+        x_d = (0.75, 0.0)
+        kinds = ("MFC", "SL", "SLHG")
+        spec = ControllerSpec(kind="MFC", gains=gains, reference=SetPoint(x_d[0]))
+        stacked = build_closed_loop(plant, spec, 1000.0, columns=[(k, 8) for k in kinds])
+        model = _random_states(2, 24, seed=3)
+        for i in range(2):
+            model[i][8:] = x_d[i]
+        y = model + _random_states(2, 24, seed=4)
+        dy = stacked.rhs(0.0, y)
+        for block, kind in enumerate(kinds):
+            own = build_closed_loop(
+                plant, ControllerSpec(kind=kind, gains=gains, reference=SetPoint(x_d[0])),
+                1000.0,
+            )
+            for j in range(8 * block, 8 * block + 8):
+                yj = _column(y, j)
+                if kind == "MFC":
+                    assert own.rhs(0.0, yj) == _column(dy, j)
+                else:
+                    assert _column(dy, j)[:2] == (0.0, 0.0)
+                    assert own.rhs(0.0, yj[2:]) == _column(dy, j)[2:]
+
+    def test_stacking_needs_a_set_point(self, plant, gains):
+        ref = ReferenceTrajectory(lambda t: (0.0, 0.0, 0.0))
+        spec = ControllerSpec(kind="MFC", gains=gains, reference=ref)
+        with pytest.raises(ValueError):
+            build_closed_loop(plant, spec, 1000.0, columns=[("SL", 4)])
 
 
 class TestStepRk4:
