@@ -177,15 +177,16 @@ def run_simulate(
     trajectories: dict = {}
     for kind in cfg.controllers:
         spec = _controller_spec(cfg, gains, kind)
-        x_s = sim_mod.steady_state_of(plant, spec, cfg.vartheta)
         try:
             traj = sim_mod.simulate_closed_loop(
                 plant, spec, cfg.x0, cfg.horizon, cfg.step, vartheta=cfg.vartheta
             )
+            x_s = traj.metadata["x_s"]
             entry = sim_mod.metrics(traj, x_s)
             entry["diverged"] = False
         except sim_mod.IntegrationError as err:
             traj = err.trajectory
+            x_s = traj.metadata["x_s"]
             entry = {
                 "diverged": True,
                 "fail_time": err.time,

@@ -11,6 +11,7 @@ reference figures of these presets at fixed tolerances.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -47,7 +48,12 @@ def _expect(condition: bool, path: str, message: str):
 def _as_float(value, path: str) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool),
             path, "must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    _expect(math.isfinite(number), path, "must be finite")
+    return number
 
 
 def _as_vector(value, path: str, length: int) -> tuple:

@@ -6,7 +6,7 @@ drift ``f``, the input gain ``g`` and a matched uncertainty ``phi``:
     x' = A x + b (f(x) + g(x) u + phi(x)),    y = x_1.
 
 State arguments are sequences of components (``x[0]`` is the position-like
-flat output).  Every evaluation helper accepts plain floats or numpy arrays
+flat output).  Every evaluation helper accepts plain numbers or float arrays
 for the components, so the same expressions serve single evaluations and
 vectorised batches.
 """
@@ -47,20 +47,6 @@ class BrunovskyDims:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"state dimension must be a positive integer, got {self.n}")
-
-    def a_matrix(self) -> np.ndarray:
-        """n x n matrix with ones on the first superdiagonal."""
-        return np.diag(np.ones(self.n - 1), k=1)
-
-    def b_vector(self) -> np.ndarray:
-        b = np.zeros(self.n)
-        b[-1] = 1.0
-        return b
-
-    def c_vector(self) -> np.ndarray:
-        c = np.zeros(self.n)
-        c[0] = 1.0
-        return c
 
 
 @dataclass(frozen=True)
@@ -168,10 +154,21 @@ class MsdParams:
 
 
 def msd_f(p: MsdParams, x: Sequence):
-    """Nominal drift -k/m (1 + alpha^2 x1^2) x1 - c_d/m x2 - g0, in Horner form."""
+    """Nominal drift -k/m (1 + alpha^2 x1^2) x1 - c_d/m x2 - g0, in Horner form.
+
+    Evaluated as (c3 x1^2 + c1) x1 + c2 x2 - g0, accumulating into one
+    temporary; the input components are not written.
+    """
     x1 = x[0]
     c3, c1, c2 = p._coef[:3]
-    return (c3 * (x1 * x1) + c1) * x1 + c2 * x[1] - p.g0
+    acc = x1 * x1
+    acc *= c3
+    acc += c1
+    acc *= x1
+    term = x[1] * c2
+    acc += term
+    acc -= p.g0
+    return acc
 
 
 def msd_g(p: MsdParams, x: Sequence | None = None):
@@ -189,9 +186,17 @@ def msd_phi(p: MsdParams, x: Sequence):
     quotients, which amplify rounding, are reproducible to the last bit.
     """
     x1 = x[0]
-    x1c = x1 * x1 * x1
+    x1c = x1 * x1
+    x1c *= x1
     a3, b3, c1, c2 = p._coef[3:]
-    return a3 * x1c - b3 * x1c - c1 * x1 - c2 * x[1]
+    acc = x1c * a3
+    x1c *= b3
+    acc -= x1c
+    term = x1 * c1
+    acc -= term
+    term = x[1] * c2
+    acc -= term
+    return acc
 
 
 def sigma1(p: MsdParams) -> float:

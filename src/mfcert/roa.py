@@ -547,10 +547,16 @@ def mfc2_region_sweep(
         diff = centroid - centers
         beta = 2.0 * dirs @ (Q @ diff.T)
         gamma = np.einsum("mi,ij,mj->m", diff, Q, diff) - thresholds
-        disc = beta * beta - 4.0 * alpha[:, None] * gamma[None, :]
+        # the (rays, members) arrays are updated in place: they set the peak
+        # memory of the whole pipeline
+        t_plus = 4.0 * alpha[:, None] * gamma[None, :]
+        disc = beta * beta
+        disc -= t_plus
         with np.errstate(invalid="ignore"):
-            t_plus = (-beta + np.sqrt(disc)) / (2.0 * alpha[:, None])
-        t_plus = np.where(disc >= 0.0, t_plus, -np.inf)
+            np.sqrt(disc, out=t_plus)
+        t_plus -= beta  # -beta + sqrt(disc), exactly
+        t_plus /= 2.0 * alpha[:, None]
+        t_plus[~(disc >= 0.0)] = -np.inf
         t_outer = np.maximum(np.max(t_plus, axis=1), 0.0)
         # nudge inward so the vertices satisfy the membership test in floats
         return centroid + (t_outer * (1.0 - 1e-9))[:, None] * dirs

@@ -138,7 +138,9 @@ def _nonzero_gain(g):
 
 
 # One law per controller kind; ``d`` is (x_d, y_d^(n)).  A law returns its input
-# with the f and g it evaluated, reused in x_n' = f(x) + g(x) u + phi(x).
+# with the f and g it evaluated, reused in x_n' = f(x) + g(x) u + phi(x).  Each
+# sum accumulates into a temporary the law owns, so array components cost no
+# allocation per operation; on floats augmented assignment is plain rebinding.
 
 
 def _single_loop_law(f, g, k, d, x):
@@ -147,29 +149,55 @@ def _single_loop_law(f, g, k, d, x):
     gv = g(x)
     acc = d[len(k)] - fx
     for i in range(len(k)):
-        acc = acc + k[i] * (x[i] - d[i])
-    return acc / gv, fx, gv
+        term = x[i] - d[i]
+        term *= k[i]
+        acc += term
+    acc /= gv
+    return acc, fx, gv
+
+
+def _model_feedback(k_star, d, x_star):
+    """k*'(x* - x_d), the model feedback both loops of the two-loop law share."""
+    shared = x_star[0] - d[0]
+    shared *= k_star[0]
+    for i in range(1, len(k_star)):
+        term = x_star[i] - d[i]
+        term *= k_star[i]
+        shared += term
+    return shared
 
 
 def _two_loop_law(f, g, k_star, k_tilde, d, x_star, x):
-    """Model input (-f(x*) + y_d^(n) + k*'(x* - x_d)) / g(x*) and process input
-    (-f(x) + y_d^(n) + k*'(x* - x_d) + k~'(x - x*)) / g(x), each with its f, g.
+    """Model acceleration y_d^(n) + k*'(x* - x_d), and the process input
+    (-f(x) + y_d^(n) + k*'(x* - x_d) + k~'(x - x*)) / g(x) with its f and g.
 
-    With k* = 0 and x* = x_d the process input is the single-loop law with
-    gain k~, bit for bit.
+    The model loop is the nominal model under its own linearising input, so
+    its drift and gain cancel exactly and it is the linear chain; the process
+    input keeps f(x) and leaves phi(x) uncancelled.  With k* = 0 and x* = x_d
+    the model acceleration is y_d^(n) and the process input is the
+    single-loop law with gain k~, bit for bit.
     """
     n = len(k_star)
-    shared = k_star[0] * (x_star[0] - d[0])
-    for i in range(1, n):
-        shared = shared + k_star[i] * (x_star[i] - d[i])
-    fs = f(x_star)
-    gs = g(x_star)
+    shared = _model_feedback(k_star, d, x_star)
     fx = f(x)
     gv = g(x)
-    acc = d[n] - fx + shared
+    acc = d[n] - fx
+    acc += shared
     for i in range(n):
-        acc = acc + k_tilde[i] * (x[i] - x_star[i])
-    return ((d[n] - fs + shared) / gs, fs, gs), (acc / gv, fx, gv)
+        term = x[i] - x_star[i]
+        term *= k_tilde[i]
+        acc += term
+    acc /= gv
+    shared += d[n]
+    return shared, (acc, fx, gv)
+
+
+def _acceleration(fx, gv, u, ph):
+    """Terminal derivative f(x) + g(x) u + phi(x) of the chain."""
+    acc = gv * u
+    acc += fx
+    acc += ph
+    return acc
 
 
 def _fflin_law(f, g, d, v_fb):
@@ -200,12 +228,12 @@ def control_mfc(
     and gain mismatch between process and model states, and is exactly 0 when
     they coincide.
     """
-    _nonzero_gain(plant.g(x_star))
+    gs = plant.g(x_star)
+    _nonzero_gain(gs)
     _nonzero_gain(plant.g(x))
     d = tuple(x_d) + (y_d_n,)
-    (u_star, _, _), (u, _, _) = _two_loop_law(
-        plant.f, plant.g, k_star, k_tilde, d, x_star, x
-    )
+    u_star = (d[-1] - plant.f(x_star) + _model_feedback(k_star, d, x_star)) / gs
+    _, (u, _, _) = _two_loop_law(plant.f, plant.g, k_star, k_tilde, d, x_star, x)
     return u, u_star, u - u_star
 
 
@@ -230,23 +258,45 @@ def _rk4_components(rhs, t, y, h, k1=None):
     h2 = 0.5 * h
     if k1 is None:
         k1 = rhs(t, y)
-    k2 = rhs(t + h2, tuple(a + h2 * b for a, b in zip(y, k1)))
-    k3 = rhs(t + h2, tuple(a + h2 * b for a, b in zip(y, k2)))
-    k4 = rhs(t + h, tuple(a + h * b for a, b in zip(y, k3)))
+    k2 = rhs(t + h2, _stage(y, k1, h2))
+    k3 = rhs(t + h2, _stage(y, k2, h2))
+    k4 = rhs(t + h, _stage(y, k3, h))
     s = h / 6.0
-    return tuple(
-        a + s * (b + 2.0 * (c + d) + e) for a, b, c, d, e in zip(y, k1, k2, k3, k4)
-    )
+    out = []
+    for a, b, c, d, e in zip(y, k1, k2, k3, k4):
+        acc = c + d  # a + s (b + 2 (c + d) + e)
+        acc *= 2.0
+        acc += b
+        acc += e
+        acc *= s
+        acc += a
+        out.append(acc)
+    return tuple(out)
+
+
+def _stage(y, k, h):
+    """Stage state y + h k, one fresh component each (k may alias y)."""
+    out = []
+    for a, b in zip(y, k):
+        z = b * h
+        z += a
+        out.append(z)
+    return tuple(out)
 
 
 def _quadform(P, v):
     """v'Pv as sum_i v_i (P_ii v_i + sum_{j>i} (P_ij + P_ji) v_j)."""
     total = None
     for i in range(len(v)):
-        acc = P[i][i] * v[i]
+        acc = v[i] * P[i][i]
         for j in range(i + 1, len(v)):
-            acc = acc + (P[i][j] + P[j][i]) * v[j]
-        total = v[i] * acc if total is None else total + v[i] * acc
+            term = v[j] * (P[i][j] + P[j][i])
+            acc += term
+        acc *= v[i]
+        if total is None:
+            total = acc
+        else:
+            total += acc
     return total
 
 
@@ -278,8 +328,8 @@ def build_closed_loop(
     (kind, count) runs of SL, SLHG or MFC, stacks set-point loops into one
     batch, with ``controller`` giving gains and set-point and ``vartheta`` one
     value per column.  A batch with MFC columns runs the two-loop law: a
-    single-loop column holds its model at x_d with model gain 0, process gain
-    k* (SL) or k~ (SLHG) and its model derivative masked to exactly 0, so its
+    single-loop column holds its model at x_d with model gain 0 and process
+    gain k* (SL) or k~ (SLHG).  Its model derivative is then exactly 0 and its
     process rows follow the single-loop law bit for bit.  A batch without MFC
     columns runs the single-loop law on process rows alone.
     """
@@ -311,23 +361,23 @@ def build_closed_loop(
     zero, ones = (0.0,) * n, (1.0,) * n
     scale = dinv_scale if kind in ("SLHG", "MFC") else ones
     k = kst if kind == "SL" else ktd
-    model = 1.0
 
     if columns is not None:
         if not isinstance(ref, SetPoint):
             raise ValueError("a stacked batch needs a set-point reference")
-        # per kind: model gain, process gain, model-derivative mask, V scaling
+        # per kind: model gain, process gain, V scaling
         slots = {
-            "MFC": (kst, ktd, 1.0, dinv_scale),
-            "SLHG": (zero, ktd, 0.0, dinv_scale),
-            "SL": (zero, kst, 0.0, ones),
+            "MFC": (kst, ktd, dinv_scale),
+            "SLHG": (zero, ktd, dinv_scale),
+            "SL": (zero, kst, ones),
         }
         kinds = {c for c, _ in columns}
         if kinds - slots.keys():
             raise ValueError(f"kinds {sorted(kinds - slots.keys())} cannot ride in a stacked batch")
         counts = [count for _, count in columns]
-        kst, ktd, model, scale = (
-            np.repeat(np.asarray(values, dtype=float), counts, axis=0).T
+        # one contiguous (n, N) row block per slot
+        kst, ktd, scale = (
+            np.repeat(np.asarray(values, dtype=float).T, counts, axis=1)
             for values in zip(*(slots[c] for c, _ in columns))
         )
         k = ktd
@@ -337,15 +387,14 @@ def build_closed_loop(
 
         def law(t, y):
             u, fx, gv = _single_loop_law(f, g, k, dref(t), y)
-            return y[1:] + (fx + gv * u + phi(y),), u
+            return y[1:] + (_acceleration(fx, gv, u, phi(y)),), u
 
     elif kind == "MFC":
 
         def law(t, y):
             xs, x = y[:n], y[n:]
-            (u_star, fs, gs), (u, fx, gv) = _two_loop_law(f, g, kst, ktd, dref(t), xs, x)
-            model_acc = (fs + gs * u_star) * model
-            return xs[1:] + (model_acc,) + x[1:] + (fx + gv * u + phi(x),), u
+            model_acc, (u, fx, gv) = _two_loop_law(f, g, kst, ktd, dref(t), xs, x)
+            return xs[1:] + (model_acc,) + x[1:] + (_acceleration(fx, gv, u, phi(x)),), u
 
     elif kind == "FFLIN":
         custom = controller.fflin_vfb
@@ -359,7 +408,7 @@ def build_closed_loop(
                 for i in range(n):
                     v_fb = v_fb + ktd[i] * (y[i] - d[i])
             u = _fflin_law(f, g, d, v_fb)
-            return y[1:] + (f(y) + g(y) * u + phi(y),), u
+            return y[1:] + (_acceleration(f(y), g(y), u, phi(y)),), u
 
     else:  # pragma: no cover - guarded by ControllerSpec
         raise ValueError(f"unknown controller kind {kind!r}")
@@ -380,15 +429,28 @@ def build_closed_loop(
                 d = dref(t)
                 center = x_s if x_s is not None else d[:n]
                 es = tuple(y[i] - d[i] for i in range(n))
-                zt = tuple(((y[n + i] - center[i]) - es[i]) * scale[i] for i in range(n))
-                return vartheta * _quadform(P, es) + _quadform(P, zt)
+                zt = []
+                for i in range(n):
+                    z = y[n + i] - center[i]
+                    z -= es[i]
+                    z *= scale[i]
+                    zt.append(z)
+                v = _quadform(P, es)
+                v *= vartheta
+                v += _quadform(P, zt)
+                return v
 
         else:  # FFLIN measures the deviation from the reference state
 
             def v_of(t, y):
                 d = dref(t)
                 center = d[:n] if x_s is None or kind == "FFLIN" else x_s
-                return _quadform(P, tuple((y[i] - center[i]) * scale[i] for i in range(n)))
+                z = []
+                for i in range(n):
+                    zi = y[i] - center[i]
+                    zi *= scale[i]
+                    z.append(zi)
+                return _quadform(P, z)
 
         return v_of
 

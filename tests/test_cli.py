@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfcert
 from mfcert.cli import main, run_analyze
 from mfcert.config import ConfigError, parse_config, preset
 
@@ -118,6 +123,24 @@ class TestConfigErrors:
         code = main(["analyze", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "plant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("y_d", float("nan")), ("g0", float("inf"))])
+    def test_non_finite_number_rejected(self, tmp_path, field, value):
+        cfg = preset("scenario1").to_dict()
+        (cfg["plant"] if field == "g0" else cfg)[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))  # writes NaN / Infinity
+        src = str(Path(mfcert.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        run = subprocess.run(
+            [sys.executable, "-m", "mfcert.cli", "roa", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        assert field in run.stderr and "finite" in run.stderr
 
     def test_parse_error_paths(self):
         with pytest.raises(ConfigError) as err:

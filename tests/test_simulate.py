@@ -24,7 +24,9 @@ from mfcert import (
     step_rk4,
     time_to_track,
 )
+from mfcert.plant import msd_f
 from mfcert.simulate import _rk4_components, build_closed_loop
+from mfcert.synthesis import solve_lyapunov
 from mfcert.steady_state import mfc_equilibria, single_loop_equilibria
 
 X_D = (0.75, 0.0)
@@ -134,7 +136,8 @@ class TestBatchedLaw:
             assert _rk4_components(loop.rhs, 0.0, yj, 1e-3) == _column(batch_step, j)
 
     def test_single_loop_columns_ride_the_two_loop_law(self, table_params, gains):
-        # with m = 0.7 the unmasked model acceleration at x_d rounds to 2e-15
+        # with m = 0.7, f(x_d) + g(x_d) u*(x_d) would round to 2e-15; the linear
+        # model chain gives exactly 0 without masking
         plant = msd_plant(dataclasses.replace(table_params, m=0.7))
         x_d = (0.75, 0.0)
         kinds = ("MFC", "SL", "SLHG")
@@ -157,12 +160,69 @@ class TestBatchedLaw:
                 else:
                     assert _column(dy, j)[:2] == (0.0, 0.0)
                     assert own.rhs(0.0, yj[2:]) == _column(dy, j)[2:]
+        step = _rk4_components(stacked.rhs, 0.0, y, 1e-3)
+        for i in range(2):
+            assert np.all(step[i][8:] == x_d[i])
+
+    @pytest.mark.parametrize("columns", [None, [("MFC", 8), ("SL", 8), ("SLHG", 8)]])
+    def test_model_loop_is_the_linear_chain(self, plant, gains, columns):
+        spec = ControllerSpec(kind="MFC", gains=gains, reference=SetPoint(0.75))
+        loop = build_closed_loop(plant, spec, 1000.0, columns=columns)
+        y = _random_states(4, 24, seed=5)
+        if columns is not None:
+            for i in range(2):
+                y[i][8:] = X_D[i]
+        k = gains.k_star
+        mfc = slice(0, 24 if columns is None else 8)  # the MFC columns
+        xs = [c[mfc] for c in y[:2]]
+        expected = 0.0 + (k[0] * (xs[0] - X_D[0]) + k[1] * (xs[1] - X_D[1]))
+        dy = loop.rhs(0.0, y)
+        assert np.array_equal(dy[0][mfc], xs[1])
+        assert np.array_equal(dy[1][mfc], expected)
+
+    def test_model_loop_follows_the_reference_acceleration(self, plant, gains):
+        d = (0.3, 0.2, -0.7)
+        ref = ReferenceTrajectory(lambda t: d)
+        loop = build_closed_loop(plant, ControllerSpec(kind="MFC", gains=gains, reference=ref),
+                                 1000.0)
+        y = _random_states(4, 16, seed=6)
+        k = gains.k_star
+        expected = d[2] + (k[0] * (y[0] - d[0]) + k[1] * (y[1] - d[1]))
+        assert np.array_equal(loop.rhs(0.0, y)[1], expected)
 
     def test_stacking_needs_a_set_point(self, plant, gains):
         ref = ReferenceTrajectory(lambda t: (0.0, 0.0, 0.0))
         spec = ControllerSpec(kind="MFC", gains=gains, reference=ref)
         with pytest.raises(ValueError):
             build_closed_loop(plant, spec, 1000.0, columns=[("SL", 4)])
+
+
+def _unchanged_after(call, comps):
+    copies = [np.array(c, copy=True) for c in comps]
+    call()
+    return all(np.array_equal(c, k) for c, k in zip(comps, copies))
+
+
+class TestInputsUntouched:
+    """The kernels accumulate in place; none may write an input component."""
+
+    @pytest.mark.parametrize("kind", ["SL", "SLHG", "MFC", "FFLIN"])
+    def test_rhs_step_and_lyapunov_value(self, plant, gains, kind):
+        spec = ControllerSpec(kind=kind, gains=gains, reference=SetPoint(0.75))
+        loop = build_closed_loop(plant, spec, 1000.0)
+        dim = 2 * loop.n if kind == "MFC" else loop.n
+        y = _random_states(dim, 64, seed=7)
+        v_of = loop.make_v(solve_lyapunov(gains.k_star), (0.8, 0.0))
+        assert _unchanged_after(lambda: loop.rhs(0.0, y), y)
+        assert _unchanged_after(lambda: _rk4_components(loop.rhs, 0.0, y, 1e-3), y)
+        k1 = loop.rhs(0.0, y)
+        assert _unchanged_after(lambda: _rk4_components(loop.rhs, 0.0, y, 1e-3, k1), y + k1)
+        assert _unchanged_after(lambda: v_of(0.0, y), y)
+
+    def test_drift_and_uncertainty(self, table_params):
+        x = _random_states(2, 64, seed=8)
+        assert _unchanged_after(lambda: msd_f(table_params, x), x)
+        assert _unchanged_after(lambda: msd_phi(table_params, x), x)
 
 
 class TestStepRk4:
