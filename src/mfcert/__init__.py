@@ -58,10 +58,7 @@ from .roa import (
     estimate_sl,
     estimate_slhg,
     mfc2_region_sweep,
-    r_mfc1,
     r_mfc2,
-    r_sl,
-    r_slhg,
 )
 from .simulate import (
     ControllerSpec,

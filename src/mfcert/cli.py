@@ -480,6 +480,9 @@ def main(argv=None) -> int:
     except (sim_mod.IntegrationError, ArithmeticError, ZeroDivisionError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # any other failure still ends in one line, not a traceback
+        print(f"unexpected failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

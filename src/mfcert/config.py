@@ -125,8 +125,9 @@ def parse_config(data: Mapping) -> ScenarioConfig:
 
     _expect("poles" in data, "poles", "is required")
     raw_poles = data["poles"]
-    _expect(isinstance(raw_poles, Sequence) and len(raw_poles) >= 1,
-            "poles", "must be a non-empty list")
+    # the plant is the two-state mass-spring-damper
+    _expect(isinstance(raw_poles, Sequence) and len(raw_poles) == 2,
+            "poles", "must be a list of exactly 2 poles")
     poles = []
     for i, r in enumerate(raw_poles):
         path = f"poles[{i}]"

@@ -20,16 +20,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .plant import MsdParams, sigma1_bar
-from .synthesis import LyapunovCertificate
+from .synthesis import LyapunovCertificate, time_scaling
 
 __all__ = [
     "RoaEstimate",
     "RegionSweep",
     "aux_radius",
-    "r_mfc1",
     "r_mfc2",
-    "r_sl",
-    "r_slhg",
     "c_star",
     "c_star_budget",
     "compare_levels",
@@ -77,28 +74,6 @@ def aux_radius(
     return r, None
 
 
-def r_mfc1(
-    p: MsdParams, gamma_bound: float, ref_norm: float
-) -> tuple[float | None, str | None]:
-    """Combined-state radius for the two-loop scheme (equals aux_radius / sqrt(2))."""
-    s1b = sigma1_bar(p)
-    if s1b == 0.0:
-        raise ZeroDivisionError(
-            "sigma1_bar is zero; the cubic-uncertainty level formulas do not "
-            "apply to purely linear uncertainty"
-        )
-    inner = (p.m * gamma_bound) ** 2 - p.dc_d**2
-    if inner <= 0.0:
-        return None, REASON_DAMPING
-    core = (math.sqrt(inner) - abs(p.dk)) / (2.0 * s1b) - 0.375 * ref_norm * ref_norm
-    if core < 0.0:
-        return None, REASON_RADICAND
-    r = math.sqrt(core) - 1.5 / math.sqrt(2.0) * ref_norm
-    if r < 0.0:
-        return None, REASON_RADIUS
-    return r, None
-
-
 def c_star(vartheta: float, P: np.ndarray, x_tilde_star_0: Sequence[float]) -> float:
     """Model-loop level vartheta * e0' P e0 for the initial model error e0."""
     if vartheta <= 0:
@@ -139,20 +114,6 @@ def r_mfc2(
     if r < 0.0:
         return None, REASON_CSTAR
     return r, None
-
-
-def r_sl(
-    p: MsdParams, gamma_bound: float, x_s_norm: float
-) -> tuple[float | None, str | None]:
-    """Single-loop radius about the steady state."""
-    return aux_radius(p, gamma_bound, x_s_norm)
-
-
-def r_slhg(
-    p: MsdParams, gamma_bound: float, x_s_norm: float
-) -> tuple[float | None, str | None]:
-    """Single-loop high-gain radius (same formula, high-gain bound) in the scaled frame."""
-    return aux_radius(p, gamma_bound, x_s_norm)
 
 
 def compare_levels(
@@ -250,13 +211,10 @@ class RoaEstimate:
         }[self.kind]
 
     def d_matrix(self) -> np.ndarray:
-        n = self.n
-        return np.diag([self.epsilon ** (n - 1 - j) for j in range(n)])
+        return np.diag(time_scaling(self.epsilon, self.n))
 
     def d_inv(self) -> np.ndarray:
-        n = self.n
-        inv = 1.0 / self.epsilon
-        return np.diag([inv ** (n - 1 - j) for j in range(n)])
+        return np.diag(time_scaling(1.0 / self.epsilon, self.n))
 
     @property
     def center(self) -> np.ndarray:
@@ -343,7 +301,7 @@ def estimate_sl(
     p: MsdParams, cert: LyapunovCertificate, x_s: Sequence[float], x_d: Sequence[float]
 ) -> RoaEstimate:
     """Level set of the plain single-loop design about its steady state."""
-    r, reason = r_sl(p, cert.gamma_sl, float(np.linalg.norm(x_s)))
+    r, reason = aux_radius(p, cert.gamma_sl, float(np.linalg.norm(x_s)))
     level = None if r is None else cert.lambda_min * r * r
     return RoaEstimate(
         kind="SL",
@@ -362,7 +320,7 @@ def estimate_slhg(
     p: MsdParams, cert: LyapunovCertificate, x_s: Sequence[float], x_d: Sequence[float]
 ) -> RoaEstimate:
     """Level set of the high-gain single-loop design, in its scaled frame."""
-    r, reason = r_slhg(p, cert.gamma_slhg, float(np.linalg.norm(x_s)))
+    r, reason = aux_radius(p, cert.gamma_slhg, float(np.linalg.norm(x_s)))
     level = None if r is None else cert.lambda_min * r * r
     return RoaEstimate(
         kind="SLHG",
@@ -384,8 +342,13 @@ def estimate_mfc1(
     x_d: Sequence[float],
     x0_star: Sequence[float] | None = None,
 ) -> RoaEstimate:
-    """Combined-state level set of the two-loop scheme."""
-    r, reason = r_mfc1(p, cert.gamma_mfc, float(np.linalg.norm(x_s)))
+    """Combined-state level set of the two-loop scheme.
+
+    Its radius is the shared radius block shrunk by sqrt(2).
+    """
+    r, reason = aux_radius(p, cert.gamma_mfc, float(np.linalg.norm(x_s)))
+    if r is not None:
+        r /= math.sqrt(2.0)
     level = None if r is None else cert.lambda_min * r * r
     return RoaEstimate(
         kind="MFC1",
@@ -506,7 +469,7 @@ def mfc2_region_sweep(
         raise ValueError(f"c_star level {c_star_level} outside [0, {c_max}]")
 
     P = np.asarray(cert.P)
-    Dinv = np.diag([1.0 / cert.epsilon, 1.0])
+    Dinv = np.diag(time_scaling(1.0 / cert.epsilon, len(x_s)))
     Q = Dinv @ P @ Dinv
     S = _inv_sqrt(P)
     centroid = x_s.copy()  # x_d + steady offset, the c_star = 0 center

@@ -16,8 +16,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .plant import PlantModel
-from .synthesis import GainSet, solve_lyapunov
+from .plant import MsdPlant, PlantModel
+from .steady_state import fflin_equilibrium, mfc_equilibria, single_loop_equilibria
+from .synthesis import GainSet, solve_lyapunov, time_scaling
 
 __all__ = [
     "SetPoint",
@@ -79,18 +80,15 @@ class ControllerSpec:
     """Which loop to close and with what gains and reference.
 
     The plain single loop feeds back with k_star, the high-gain single loop
-    with k_tilde.  ``model_initial`` seeds the model loop (two-loop scheme
-    only; defaults to the reference state).  ``fflin_vfb`` is the stabilising
-    feedback term of the feedforward-linearising law, a callable
-    (t, x_components, reference_derivatives) -> scalar; it defaults to the
-    high-gain error feedback when the law runs standalone.
+    and the feedforward-linearising law with k_tilde.  ``model_initial``
+    seeds the model loop (two-loop scheme only; defaults to the reference
+    state).
     """
 
     kind: str
     gains: GainSet
     reference: SetPoint | ReferenceTrajectory
     model_initial: tuple | None = None
-    fflin_vfb: Callable | None = None
 
     def __post_init__(self):
         if self.kind not in CONTROLLER_KINDS:
@@ -311,7 +309,6 @@ class _Loop:
     law: Callable
     rhs: Callable
     dref: Callable
-    eq_comps: Callable
     make_v: Callable
 
 
@@ -356,8 +353,7 @@ def build_closed_loop(
                 return ref.derivatives(t, n)
             return tuple(np.array(c) for c in zip(*(ref.derivatives(s, n) for s in t)))
 
-    inv_eps = 1.0 / gains.epsilon
-    dinv_scale = tuple(inv_eps ** (n - 1 - j) for j in range(n))
+    dinv_scale = time_scaling(1.0 / gains.epsilon, n)
     zero, ones = (0.0,) * n, (1.0,) * n
     scale = dinv_scale if kind in ("SLHG", "MFC") else ones
     k = kst if kind == "SL" else ktd
@@ -397,16 +393,12 @@ def build_closed_loop(
             return xs[1:] + (model_acc,) + x[1:] + (_acceleration(fx, gv, u, phi(x)),), u
 
     elif kind == "FFLIN":
-        custom = controller.fflin_vfb
 
         def law(t, y):
             d = dref(t)
-            if custom is not None:
-                v_fb = custom(t, y, d)
-            else:
-                v_fb = 0.0
-                for i in range(n):
-                    v_fb = v_fb + ktd[i] * (y[i] - d[i])
+            v_fb = 0.0
+            for i in range(n):
+                v_fb = v_fb + ktd[i] * (y[i] - d[i])
             u = _fflin_law(f, g, d, v_fb)
             return y[1:] + (_acceleration(f(y), g(y), u, phi(y)),), u
 
@@ -415,11 +407,6 @@ def build_closed_loop(
 
     def rhs(t, y):
         return law(t, y)[0]
-
-    def eq_comps(s, zero):
-        """Rest state with output s; the two-loop model rests at the reference."""
-        rest = (s,) + (zero,) * (n - 1)
-        return tuple(dref(0.0)[:n]) + rest if kind == "MFC" else rest
 
     def make_v(P: np.ndarray, x_s: Sequence | None):
         P = np.asarray(P, dtype=float).tolist()
@@ -454,64 +441,37 @@ def build_closed_loop(
 
         return v_of
 
-    return _Loop(n=n, law=law, rhs=rhs, dref=dref, eq_comps=eq_comps, make_v=make_v)
-
-
-def _steady_state_from_loop(loop: _Loop, y_d: float) -> np.ndarray:
-    """Equilibrium output of the assembled loop, chosen closest to the set-point.
-
-    Scans the residual (the terminal acceleration component at rest states)
-    for sign changes over a generous interval around the set-point and
-    bisects each bracket.
-    """
-    span = max(10.0, 5.0 * (abs(y_d) + 1.0))
-    grid = np.linspace(y_d - span, y_d + span, 4001)
-    zeros = np.zeros_like(grid)
-    res = np.asarray(loop.rhs(0.0, loop.eq_comps(grid, zeros))[-1])
-
-    def residual(s: float) -> float:
-        return float(loop.rhs(0.0, loop.eq_comps(float(s), 0.0))[-1])
-
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        a, b = float(res[i]), float(res[i + 1])
-        if a == 0.0:
-            roots.append(float(grid[i]))
-            continue
-        if a * b < 0.0:
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            flo = a
-            for _ in range(90):
-                mid = 0.5 * (lo + hi)
-                fm = residual(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
-    if float(res[-1]) == 0.0:
-        roots.append(float(grid[-1]))
-    if not roots:
-        raise ArithmeticError("no closed-loop equilibrium found near the set-point")
-    best = min(roots, key=lambda r: abs(r - y_d))
-    x_s = np.zeros(loop.n)
-    x_s[0] = best
-    return x_s
+    return _Loop(n=n, law=law, rhs=rhs, dref=dref, make_v=make_v)
 
 
 def steady_state_of(
     plant: PlantModel, controller: ControllerSpec, vartheta: float | None = None
 ) -> np.ndarray:
-    """Steady state of the chosen closed loop for a set-point reference."""
+    """Steady state of the chosen closed loop for a set-point reference.
+
+    The equilibrium output is the selected root of the loop's closed-form
+    steady-state cubic, built from the parameters of an ``MsdPlant``: for the
+    two-loop scheme the output error closest to zero, for the other kinds the
+    output closest to the set-point.  The state rests, so every other
+    component is zero.  ``vartheta`` only weighs the Lyapunov value and does
+    not affect the equilibrium.
+    """
     if not isinstance(controller.reference, SetPoint):
         raise ValueError("steady states are defined for set-point references")
-    if vartheta is None:
-        vartheta = 100.0 / controller.gains.epsilon
-    loop = build_closed_loop(plant, controller, vartheta)
-    return _steady_state_from_loop(loop, controller.reference.y_d)
+    if not isinstance(plant, MsdPlant):
+        raise TypeError("closed-form steady states need an MsdPlant")
+    params = plant.params
+    y_d = controller.reference.y_d
+    gains = controller.gains
+    kind = controller.kind
+    x_s = np.zeros(plant.dims.n)
+    if kind == "MFC":
+        x_s[0] = y_d + mfc_equilibria(params, gains, y_d).selected
+    elif kind == "FFLIN":
+        x_s[0] = fflin_equilibrium(params, gains, y_d)
+    else:
+        x_s[0] = single_loop_equilibria(params, gains, y_d, high_gain=kind == "SLHG").selected
+    return x_s
 
 
 def simulate_closed_loop(
@@ -526,8 +486,10 @@ def simulate_closed_loop(
 
     The two-loop scheme integrates the coupled model/process pair; the model
     loop sees no uncertainty by construction.  Single-loop runs repeat the
-    reference state in the model-state slot.  Raises IntegrationError when a
-    state goes non-finite; the partial trajectory rides on the exception.
+    reference state in the model-state slot.  A set-point run centres V on
+    ``steady_state_of``, so its plant must be an ``MsdPlant``.  Raises
+    IntegrationError when a state goes non-finite; the partial trajectory
+    rides on the exception.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -541,7 +503,7 @@ def simulate_closed_loop(
 
     loop = build_closed_loop(plant, controller, vartheta)
     set_point = isinstance(controller.reference, SetPoint)
-    x_s = _steady_state_from_loop(loop, controller.reference.y_d) if set_point else None
+    x_s = steady_state_of(plant, controller) if set_point else None
 
     P = solve_lyapunov(controller.gains.k_star)
     v_of = loop.make_v(P, None if x_s is None else tuple(x_s))

@@ -27,6 +27,7 @@ __all__ = [
     "classify_stability",
     "mfc_equilibria",
     "single_loop_equilibria",
+    "fflin_equilibrium",
     "sl_root_sweep",
     "multiplicity_transition",
 ]
@@ -233,13 +234,22 @@ class EquilibriumSet:
         }
 
 
-def _check_residuals(coeffs, roots):
+def _real_roots(coeffs) -> list[float]:
+    """Real roots of a steady-state cubic, each checked against its residual.
+
+    A non-finite root or residual (coefficients that under- or overflow) is an
+    ArithmeticError, like a residual above the bound.
+    """
+    roots = solve_cubic(coeffs)
+    if not roots:
+        raise ArithmeticError("steady-state cubic lost all real roots")
     a3, a2, a1, a0 = coeffs
     bound = 1e-9 * (1.0 + max(abs(c) for c in coeffs))
     for r in roots:
         val = ((a3 * r + a2) * r + a1) * r + a0
-        if abs(val) > bound:
+        if not (math.isfinite(r) and abs(val) <= bound):
             raise ArithmeticError(f"root {r} has residual {val:.3e} above {bound:.3e}")
+    return roots
 
 
 def _select(roots: Sequence[float], reference: float) -> tuple[int, bool]:
@@ -255,10 +265,7 @@ def _select(roots: Sequence[float], reference: float) -> tuple[int, bool]:
 def mfc_equilibria(p: MsdParams, gains: GainSet, y_d: float) -> EquilibriumSet:
     """Equilibria of the two-loop closed loop in the output-error frame."""
     coeffs = mfc_steady_polynomial(p, gains.k_star[0], gains.epsilon, y_d)
-    roots = solve_cubic(coeffs)
-    if not roots:
-        raise ArithmeticError("steady-state cubic lost all real roots")
-    _check_residuals(coeffs, roots)
+    roots = _real_roots(coeffs)
     idx, tie = _select(roots, 0.0)
     stability = tuple(classify_stability(r, "MFC", p, gains, y_d=y_d) for r in roots)
     return EquilibriumSet(
@@ -280,10 +287,7 @@ def single_loop_equilibria(
     k1 = gains.k_tilde[0] if high_gain else gains.k_star[0]
     kind = "SLHG" if high_gain else "SL"
     coeffs = sl_steady_polynomial(p, k1, y_d)
-    roots = solve_cubic(coeffs)
-    if not roots:
-        raise ArithmeticError("steady-state cubic lost all real roots")
-    _check_residuals(coeffs, roots)
+    roots = _real_roots(coeffs)
     idx, tie = _select(roots, float(y_d))
     stability = tuple(classify_stability(r, kind, p, gains) for r in roots)
     return EquilibriumSet(
@@ -296,6 +300,21 @@ def single_loop_equilibria(
         y_d=float(y_d),
         tie=tie,
     )
+
+
+def fflin_equilibrium(p: MsdParams, gains: GainSet, y_d: float) -> float:
+    """Equilibrium output of the feedforward-linearising loop, closest to y_d.
+
+    Its rest condition f(x) - f(x_d) + k~1 (x1 - y_d) + phi(x) = 0 is a cubic
+    in x1: the drift is cancelled at the reference only, so the nominal
+    spring stays in it.
+    """
+    k1 = gains.k_tilde[0]
+    c3 = (p.k * p.alpha**2 + sigma1(p)) / p.m
+    lin = (p.k + p.dk) / p.m
+    y = float(y_d)
+    roots = _real_roots((-c3, 0.0, k1 - lin, (p.k / p.m) * (p.alpha**2 * y**3 + y) - k1 * y))
+    return roots[_select(roots, y)[0]]
 
 
 def sl_root_sweep(

@@ -20,6 +20,7 @@ __all__ = [
     "LyapunovCertificate",
     "place_poles",
     "high_gain",
+    "time_scaling",
     "design_gains",
     "closed_loop_matrix",
     "solve_lyapunov",
@@ -73,6 +74,14 @@ def place_poles(n: int, roots: Sequence[complex]) -> np.ndarray:
     return -coeffs[1:][::-1].copy()
 
 
+def time_scaling(epsilon: float, n: int) -> tuple:
+    """Diagonal (epsilon^(n-1), ..., epsilon, 1) of the time-scaling matrix D.
+
+    The diagonal of D^-1 is the same helper at 1 / epsilon.
+    """
+    return tuple(epsilon ** (n - 1 - j) for j in range(n))
+
+
 def high_gain(k_star: Sequence[float], epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Time-scaled process gain and scaling matrix for a given epsilon.
 
@@ -83,8 +92,7 @@ def high_gain(k_star: Sequence[float], epsilon: float) -> tuple[np.ndarray, np.n
     n = len(k_star)
     inv = 1.0 / epsilon
     k_tilde = np.array([k_star[i] * inv ** (n - i) for i in range(n)])
-    D = np.diag([epsilon ** (n - 1 - j) for j in range(n)])
-    return k_tilde, D
+    return k_tilde, np.diag(time_scaling(epsilon, n))
 
 
 @dataclass(frozen=True)
@@ -107,11 +115,7 @@ class GainSet:
         return len(self.k_star)
 
     def d_matrix(self) -> np.ndarray:
-        return np.diag([self.epsilon ** (self.n - 1 - j) for j in range(self.n)])
-
-    def d_inv(self) -> np.ndarray:
-        inv = 1.0 / self.epsilon
-        return np.diag([inv ** (self.n - 1 - j) for j in range(self.n)])
+        return np.diag(time_scaling(self.epsilon, self.n))
 
 
 def design_gains(poles: Sequence[complex], epsilon: float) -> GainSet:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,13 +9,28 @@ import numpy as np
 import pytest
 
 import mfcert
-from mfcert.cli import main, run_analyze
+from mfcert import cli
+from mfcert.cli import main, run_analyze, run_simulate, run_steady_state
 from mfcert.config import ConfigError, parse_config, preset
 
 
 def _read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _run_cli(tmp_path, command, cfg):
+    """Run ``mfcert <command>`` on a config in a fresh interpreter."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    src = str(Path(mfcert.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run(
+        [sys.executable, "-m", "mfcert.cli", command, "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 class TestAnalyze:
@@ -92,6 +108,17 @@ class TestSimulateCommand:
         assert sl["diverged"] or sl["steady_state_error_pct"] > 10.0
 
 
+class TestSteadyStateConsistency:
+    @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
+    def test_simulate_uses_the_reported_equilibria(self, scenario):
+        cfg = dataclasses.replace(preset(scenario), horizon=0.01)
+        metrics, _ = run_simulate(cfg)
+        steady, _ = run_steady_state(cfg)
+        assert metrics["SL"]["x_s"][0] == steady["SL"]["selected"]
+        assert metrics["SLHG"]["x_s"][0] == steady["SLHG"]["selected"]
+        assert metrics["MFC"]["x_s"][0] == cfg.y_d + steady["MFC"]["selected"]
+
+
 class TestFalsifyCommand:
     def test_all_valid_sets_clean(self, tmp_path):
         code = main(
@@ -142,10 +169,43 @@ class TestConfigErrors:
         assert "Traceback" not in run.stderr
         assert field in run.stderr and "finite" in run.stderr
 
+    @pytest.mark.parametrize("poles", [[-2.0, -2.0, -2.0], [-2.0]])
+    @pytest.mark.parametrize("command", ["roa", "simulate"])
+    def test_pole_count_must_match_the_plant(self, tmp_path, command, poles):
+        cfg = preset("scenario1").to_dict()
+        for field in ("x0", "x0_star", "domain"):  # let them default to len(poles)
+            del cfg[field]
+        cfg["poles"] = poles
+        run = _run_cli(tmp_path, command, cfg)
+        assert run.returncode == 1
+        assert "Traceback" not in run.stderr
+        assert "poles" in run.stderr
+
     def test_parse_error_paths(self):
         with pytest.raises(ConfigError) as err:
             parse_config({"plant": {"k": 1.0}})
         assert "plant." in str(err.value)
+
+
+class TestNumericalFailures:
+    @pytest.mark.parametrize("command", ["roa", "simulate"])
+    def test_non_finite_equilibrium_is_a_numerical_failure(self, tmp_path, command):
+        cfg = preset("scenario1").to_dict()
+        cfg["plant"]["m"] = 1e308  # the steady-state cubics underflow to NaN roots
+        run = _run_cli(tmp_path, command, cfg)
+        assert run.returncode == 2
+        assert "Traceback" not in run.stderr
+        assert "numerical failure" in run.stderr
+
+    def test_unexpected_exception_ends_in_one_line(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise KeyError("missing")
+
+        monkeypatch.setattr(cli, "run_roa", broken)
+        assert main(["roa", "--preset", "scenario1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "KeyError" in err and "Traceback" not in err
 
 
 class TestReproduce:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,10 +16,7 @@ from mfcert import (
     estimate_slhg,
     mfc2_region_sweep,
     mfc_equilibria,
-    r_mfc1,
     r_mfc2,
-    r_sl,
-    r_slhg,
     single_loop_equilibria,
 )
 from mfcert.roa import REASON_CSTAR, REASON_RADICAND, c_star_budget, polygon_area
@@ -55,7 +53,8 @@ class TestCStar:
 class TestRadii:
     def test_mfc1_benchmark(self, table_params, cert, scenario1):
         ref = float(np.linalg.norm(scenario1["x_s_mfc"]))
-        r, reason = r_mfc1(table_params, cert.gamma_mfc, ref)
+        est = estimate_mfc1(table_params, cert, scenario1["x_s_mfc"], scenario1["x_d"])
+        r, reason = est.radius_aux, est.reason
         assert reason is None
         assert r == pytest.approx(7.24, rel=0.02)
         c1 = cert.lambda_min * r * r
@@ -65,14 +64,17 @@ class TestRadii:
         assert r == pytest.approx(ra / math.sqrt(2.0), rel=1e-12)
 
     def test_zero_sigma_bar_rejected(self, nominal_params, cert):
-        for fn in (r_mfc1, r_sl, r_slhg, aux_radius):
+        with pytest.raises(ZeroDivisionError):
+            aux_radius(nominal_params, cert.gamma_sl, 0.5)
+        for fn in (estimate_mfc1, estimate_sl, estimate_slhg):
             with pytest.raises(ZeroDivisionError):
-                fn(nominal_params, cert.gamma_sl, 0.5)
+                fn(nominal_params, cert, (0.5, 0.0), (0.5, 0.0))
 
-    def test_small_gamma_absent(self, table_params):
+    def test_small_gamma_absent(self, table_params, cert):
         # gamma below the damping threshold leaves a negative inner radicand
-        r, reason = r_mfc1(table_params, 0.01, 0.75)
-        assert r is None and reason is not None
+        weak = dataclasses.replace(cert, gamma_mfc=0.01)
+        est = estimate_mfc1(table_params, weak, (0.75, 0.0), (0.75, 0.0))
+        assert est.radius_aux is None and est.reason is not None
 
     def test_mfc2_benchmark(self, table_params, cert, scenario1):
         ref = float(np.linalg.norm(scenario1["x_s_mfc"]))
@@ -88,7 +90,7 @@ class TestRadii:
         ref = float(np.linalg.norm(scenario1["x_s_mfc"]))
         gamma_limit = gm(cert.epsilon, 1e12, cert.P)
         r2, _ = r_mfc2(table_params, gamma_limit, ref, 0.0, 1e12, cert.lambda_min)
-        r_hg, _ = r_slhg(table_params, cert.gamma_slhg, ref)
+        r_hg, _ = aux_radius(table_params, cert.gamma_slhg, ref)
         assert r2 == pytest.approx(r_hg, abs=1e-6)
 
     def test_mfc2_budget_exceeded_absent(self, table_params, cert, scenario1):
@@ -100,12 +102,14 @@ class TestRadii:
         assert r is None and reason == REASON_CSTAR
 
     def test_sl_benchmark(self, table_params, cert, scenario1):
-        r, reason = r_sl(table_params, cert.gamma_sl, float(np.linalg.norm(scenario1["x_s_sl"])))
+        r, reason = aux_radius(
+            table_params, cert.gamma_sl, float(np.linalg.norm(scenario1["x_s_sl"]))
+        )
         assert reason is None
         assert cert.lambda_min * r * r == pytest.approx(0.75, rel=0.02)
 
     def test_slhg_benchmark(self, table_params, cert, scenario1):
-        r, reason = r_slhg(
+        r, reason = aux_radius(
             table_params, cert.gamma_slhg, float(np.linalg.norm(scenario1["x_s_mfc"]))
         )
         assert reason is None
@@ -113,7 +117,7 @@ class TestRadii:
 
     def test_sl_invalid_for_far_steady_state(self, table_params, cert):
         # scenario-2 single-loop equilibrium is too far out for the plain bound
-        r, reason = r_sl(table_params, cert.gamma_sl, 5.983)
+        r, reason = aux_radius(table_params, cert.gamma_sl, 5.983)
         assert r is None and reason == REASON_RADICAND
 
 

@@ -15,10 +15,12 @@ from mfcert import (
     control_fflin,
     control_mfc,
     control_sl,
+    design_gains,
     lyapunov_decrease_check,
     metrics,
     msd_phi,
     msd_plant,
+    preset,
     simulate_closed_loop,
     steady_state_of,
     step_rk4,
@@ -335,6 +337,71 @@ class TestSteadyStateResolution:
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(2.0))
         assert steady_state_of(plant, spec)[0] == pytest.approx(-5.983034, abs=1e-5)
 
+    def test_needs_msd_plant(self, plant, gains):
+        bare = PlantModel(dims=plant.dims, f=plant.f, g=plant.g, phi=plant.phi,
+                          domain=plant.domain)
+        spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
+        with pytest.raises(TypeError):
+            steady_state_of(bare, spec)
+
+
+def _rest_state(kind, y_d, s):
+    """Rest state of a set-point loop with output s; the model rests at x_d."""
+    return ((y_d, 0.0) if kind == "MFC" else ()) + (s, 0.0)
+
+
+def _scan_equilibria(loop, kind, y_d):
+    """Sign changes of the terminal rest residual on a 4001-point grid, bisected.
+
+    An oracle independent of the closed-form cubics: it only evaluates the
+    assembled loop's own right-hand side.
+    """
+    span = max(10.0, 5.0 * (abs(y_d) + 1.0))
+    grid = np.linspace(y_d - span, y_d + span, 4001)
+    res = np.asarray(loop.rhs(0.0, _rest_state(kind, y_d, grid))[-1])
+
+    def residual(s):
+        return float(loop.rhs(0.0, _rest_state(kind, y_d, s))[-1])
+
+    roots = [float(grid[i]) for i in np.nonzero(res == 0.0)[0]]
+    for i in np.nonzero(res[:-1] * res[1:] < 0.0)[0]:
+        lo, hi, flo = float(grid[i]), float(grid[i + 1]), float(res[i])
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            fm = residual(mid)
+            if fm == 0.0:
+                lo = hi = mid
+                break
+            if flo * fm < 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        roots.append(0.5 * (lo + hi))
+    return roots
+
+
+class TestSteadyStateOracle:
+    """The closed-form steady state against the loop it is the rest state of."""
+
+    @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
+    @pytest.mark.parametrize("kind", ["SL", "SLHG", "MFC", "FFLIN"])
+    def test_rest_state_of_the_assembled_loop(self, scenario, kind):
+        cfg = preset(scenario)
+        gains = design_gains(cfg.poles, cfg.epsilon)
+        plant = msd_plant(cfg.plant, cfg.domain)
+        for y_d in [cfg.y_d] + list(np.linspace(-2.5, 2.5, 11)):
+            y_d = float(y_d)
+            spec = ControllerSpec(kind=kind, gains=gains, reference=SetPoint(y_d))
+            loop = build_closed_loop(plant, spec, cfg.vartheta)
+            x_s = steady_state_of(plant, spec)
+            s = float(x_s[0])
+            assert x_s[1] == 0.0
+            deriv = loop.rhs(0.0, _rest_state(kind, y_d, s))
+            assert max(abs(float(c)) for c in deriv) <= 1e-9 * max(1.0, abs(s))
+            roots = _scan_equilibria(loop, kind, y_d)
+            nearest = min(roots, key=lambda r: abs(r - y_d))
+            assert s == pytest.approx(nearest, rel=1e-12, abs=1e-12)
+
 
 class TestMetricsAndCsv:
     def test_high_gain_metrics(self, plant, gains):
@@ -351,10 +418,8 @@ class TestMetricsAndCsv:
         sl_eq = single_loop_equilibria(table_params, gains, 0.75)
         x_s = (sl_eq.selected, 0.0)
         frozen_value = msd_phi(table_params, x_s)
-        frozen = msd_plant(table_params)
-        frozen = PlantModel(
-            dims=frozen.dims, f=frozen.f, g=frozen.g,
-            phi=lambda x: frozen_value + 0.0 * x[0], domain=frozen.domain,
+        frozen = dataclasses.replace(
+            msd_plant(table_params), phi=lambda x: frozen_value + 0.0 * x[0]
         )
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
         traj = simulate_closed_loop(frozen, spec, x_s, 5.0, 1e-3)
