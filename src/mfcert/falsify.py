@@ -280,12 +280,15 @@ def falsify_sets(
         for k in range(steps):
             t = k * h
             comps = _rk4_components(loop.rhs, t, comps, h)
-            finite = np.logical_and.reduce([np.isfinite(c) for c in comps])
-            newly_dead = alive & ~finite
-            if np.any(newly_dead):
-                fail_time[newly_dead] = (k + 1) * h
-                alive &= finite
             v_new = v_of(t + h, comps)
+            # V is positive definite in every state component, so a state can
+            # only have gone non-finite where V did
+            if not np.isfinite(v_new).all():
+                finite = np.logical_and.reduce([np.isfinite(c) for c in comps])
+                newly_dead = alive & ~finite
+                if np.any(newly_dead):
+                    fail_time[newly_dead] = (k + 1) * h
+                    alive &= finite
             increase, inside = _decrease_step(v_prev, v_new, level, floor, decrease_tolerance)
             inc = in_set & increase
             fresh = inc & ~viol_v

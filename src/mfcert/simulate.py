@@ -4,8 +4,8 @@ The integrator works on tuples of state components.  Components may be plain
 floats (single runs) or numpy arrays (batched runs); every control law and
 right-hand side is written as broadcast-friendly arithmetic so both paths
 share one code path.  The control law is applied at every integrator stage;
-the recorded input samples come from the same pre-step states the stage
-evaluations use.
+the recorded input samples are evaluated afterwards on the recorded grid
+states, which are the pre-step states of the stages.
 """
 
 from __future__ import annotations
@@ -119,15 +119,10 @@ class Trajectory:
             + ",".join(f"xstar{i+1}" for i in range(n))
             + ",u,V"
         )
-        lines = [header]
-        for k in range(len(self.t)):
-            cells = [repr(float(self.t[k]))]
-            cells += [repr(float(v)) for v in self.x[k]]
-            cells += [repr(float(v)) for v in self.x_star[k]]
-            cells += [repr(float(self.u[k])), repr(float(self.V[k]))]
-            lines.append(",".join(cells))
+        table = np.column_stack((self.t, self.x, self.x_star, self.u, self.V)).tolist()
         with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(header + "\n")
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in table)
 
 
 def _nonzero_gain(g):
@@ -135,67 +130,75 @@ def _nonzero_gain(g):
         raise ZeroDivisionError("input gain g vanishes at the evaluated state")
 
 
-# One law per controller kind; ``d`` is (x_d, y_d^(n)).  A law returns its input
-# with the f and g it evaluated, reused in x_n' = f(x) + g(x) u + phi(x).  Each
-# sum accumulates into a temporary the law owns, so array components cost no
-# allocation per operation; on floats augmented assignment is plain rebinding.
+# The laws of the SL, SLHG and MFC loops cancel the known drift f and gain g,
+# so the closed loop's terminal derivative is the law's target acceleration v
+# plus phi(x); the input u = (v - f(x)) / g(x) is formed only where it is
+# recorded.  A law reads its reference d = (x_d, y_d^(n)) through
+# ``_skip_zeros``.  Each sum accumulates into a temporary the law owns, so
+# array components cost no allocation per operation; on floats augmented
+# assignment is plain rebinding.
 
 
-def _single_loop_law(f, g, k, d, x):
-    """(-f(x) + y_d^(n) + k'(x - x_d)) / g(x), with f(x) and g(x)."""
-    fx = f(x)
-    gv = g(x)
-    acc = d[len(k)] - fx
-    for i in range(len(k)):
-        term = x[i] - d[i]
-        term *= k[i]
-        acc += term
-    acc /= gv
-    return acc, fx, gv
+def _skip_zeros(ref) -> tuple:
+    """``ref`` with each float +0.0 as None, which ``_errors`` and ``_feedback`` skip.
+
+    x - 0.0 is x bit for bit, and x + 0.0 differs from x at most in the sign
+    of a zero; set-point derivatives are all 0.0.
+    """
+    return tuple(
+        None if isinstance(r, float) and r == 0.0 and math.copysign(1.0, r) > 0.0 else r
+        for r in ref
+    )
 
 
-def _model_feedback(k_star, d, x_star):
-    """k*'(x* - x_d), the model feedback both loops of the two-loop law share."""
-    shared = x_star[0] - d[0]
-    shared *= k_star[0]
-    for i in range(1, len(k_star)):
-        term = x_star[i] - d[i]
-        term *= k_star[i]
-        shared += term
-    return shared
+def _errors(x, ref) -> list:
+    """x_i - ref_i per component; where ref_i is None the term is x_i itself (read only)."""
+    return [xi if r is None else xi - r for xi, r in zip(x, ref)]
 
 
-def _two_loop_law(f, g, k_star, k_tilde, d, x_star, x):
-    """Model acceleration y_d^(n) + k*'(x* - x_d), and the process input
-    (-f(x) + y_d^(n) + k*'(x* - x_d) + k~'(x - x*)) / g(x) with its f and g.
+def _feedback(k, x, ref, base=None):
+    """k'(x - ref) + base: the sum is formed first, base is added last.
+
+    Each term is a temporary of its own; a None reference component is not
+    subtracted and a None base is not added.
+    """
+    acc = None
+    for ki, xi, r in zip(k, x, ref):
+        if r is None:
+            term = xi * ki
+        else:
+            term = xi - r
+            term *= ki
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+    if base is not None:
+        acc += base
+    return acc
+
+
+def _single_loop_law(k, d, x):
+    """Target acceleration y_d^(n) + k'(x - x_d)."""
+    return _feedback(k, x, d, d[len(k)])
+
+
+def _two_loop_law(k_star, k_tilde, d, x_star, x):
+    """Model acceleration v* = y_d^(n) + k*'(x* - x_d) and process target v* + k~'(x - x*).
 
     The model loop is the nominal model under its own linearising input, so
-    its drift and gain cancel exactly and it is the linear chain; the process
-    input keeps f(x) and leaves phi(x) uncancelled.  With k* = 0 and x* = x_d
-    the model acceleration is y_d^(n) and the process input is the
-    single-loop law with gain k~, bit for bit.
+    it is the linear chain.  With k* = 0 and x* = x_d, v* is 0 and the process
+    target is the single-loop law with gain k~, bit for bit.
     """
-    n = len(k_star)
-    shared = _model_feedback(k_star, d, x_star)
-    fx = f(x)
-    gv = g(x)
-    acc = d[n] - fx
-    acc += shared
-    for i in range(n):
-        term = x[i] - x_star[i]
-        term *= k_tilde[i]
-        acc += term
-    acc /= gv
-    shared += d[n]
-    return shared, (acc, fx, gv)
+    v_star = _feedback(k_star, x_star, d, d[len(k_star)])
+    return v_star, _feedback(k_tilde, x, x_star, v_star)
 
 
-def _acceleration(fx, gv, u, ph):
-    """Terminal derivative f(x) + g(x) u + phi(x) of the chain."""
-    acc = gv * u
-    acc += fx
-    acc += ph
-    return acc
+def _input(f, g, v, x):
+    """Input (v - f(x)) / g(x) that gives the nominal chain the acceleration v."""
+    u = v - f(x)
+    u /= g(x)
+    return u
 
 
 def _fflin_law(f, g, d, v_fb):
@@ -207,7 +210,8 @@ def _fflin_law(f, g, d, v_fb):
 def control_sl(x, x_d, y_d_n, k: Sequence[float], plant: PlantModel):
     """Single-loop feedback linearising law (-f(x) + y_d^(n) + k'(x - x_d)) / g(x)."""
     _nonzero_gain(plant.g(x))
-    return _single_loop_law(plant.f, plant.g, k, tuple(x_d) + (y_d_n,), x)[0]
+    d = _skip_zeros(tuple(x_d) + (y_d_n,))
+    return _input(plant.f, plant.g, _single_loop_law(k, d, x), x)
 
 
 def control_mfc(
@@ -226,12 +230,12 @@ def control_mfc(
     and gain mismatch between process and model states, and is exactly 0 when
     they coincide.
     """
-    gs = plant.g(x_star)
-    _nonzero_gain(gs)
+    _nonzero_gain(plant.g(x_star))
     _nonzero_gain(plant.g(x))
-    d = tuple(x_d) + (y_d_n,)
-    u_star = (d[-1] - plant.f(x_star) + _model_feedback(k_star, d, x_star)) / gs
-    _, (u, _, _) = _two_loop_law(plant.f, plant.g, k_star, k_tilde, d, x_star, x)
+    d = _skip_zeros(tuple(x_d) + (y_d_n,))
+    v_star, v = _two_loop_law(k_star, k_tilde, d, x_star, x)
+    u_star = _input(plant.f, plant.g, v_star, x_star)
+    u = _input(plant.f, plant.g, v, x)
     return u, u_star, u - u_star
 
 
@@ -251,11 +255,10 @@ def step_rk4(dynamics: Callable, state, h: float):
     return result
 
 
-def _rk4_components(rhs, t, y, h, k1=None):
-    """One RK4 step on a tuple of components; ``k1`` is rhs(t, y) if known."""
+def _rk4_components(rhs, t, y, h):
+    """One RK4 step on a tuple of components."""
     h2 = 0.5 * h
-    if k1 is None:
-        k1 = rhs(t, y)
+    k1 = rhs(t, y)
     k2 = rhs(t + h2, _stage(y, k1, h2))
     k3 = rhs(t + h2, _stage(y, k2, h2))
     k4 = rhs(t + h, _stage(y, k3, h))
@@ -300,14 +303,14 @@ def _quadform(P, v):
 
 @dataclass
 class _Loop:
-    """Closed loop: ``law(t, y)`` gives (derivative, input), ``rhs`` the first.
+    """Closed loop: ``rhs(t, y)`` gives the derivative, ``control(t, y)`` the input.
 
     ``dref`` gives the reference derivatives at a time, or as rows on a grid.
     """
 
     n: int
-    law: Callable
     rhs: Callable
+    control: Callable
     dref: Callable
     make_v: Callable
 
@@ -342,9 +345,13 @@ def build_closed_loop(
 
     if isinstance(ref, SetPoint):
         const = ref.derivatives(0.0, n)
+        sparse = _skip_zeros(const)
 
         def dref(t):
             return const
+
+        def law_ref(t):
+            return sparse
 
     else:
 
@@ -352,6 +359,9 @@ def build_closed_loop(
             if np.ndim(t) == 0:
                 return ref.derivatives(t, n)
             return tuple(np.array(c) for c in zip(*(ref.derivatives(s, n) for s in t)))
+
+        def law_ref(t):
+            return _skip_zeros(dref(t))
 
     dinv_scale = time_scaling(1.0 / gains.epsilon, n)
     zero, ones = (0.0,) * n, (1.0,) * n
@@ -379,49 +389,52 @@ def build_closed_loop(
         k = ktd
         kind = "MFC" if "MFC" in kinds else "SL"
 
-    if kind in ("SL", "SLHG"):
+    if kind == "FFLIN":  # f and g are taken at x_d, so nothing cancels
 
-        def law(t, y):
-            u, fx, gv = _single_loop_law(f, g, k, dref(t), y)
-            return y[1:] + (_acceleration(fx, gv, u, phi(y)),), u
+        def control(t, y):
+            return _fflin_law(f, g, dref(t), _feedback(ktd, y, law_ref(t)))
 
-    elif kind == "MFC":
+        def rhs(t, y):
+            acc = g(y) * control(t, y)
+            acc += f(y)
+            acc += phi(y)
+            return y[1:] + (acc,)
 
-        def law(t, y):
-            xs, x = y[:n], y[n:]
-            model_acc, (u, fx, gv) = _two_loop_law(f, g, kst, ktd, dref(t), xs, x)
-            return xs[1:] + (model_acc,) + x[1:] + (_acceleration(fx, gv, u, phi(x)),), u
+    else:
+        if kind == "MFC":
 
-    elif kind == "FFLIN":
+            def law(t, y):
+                """(model derivative, process state, process target acceleration)."""
+                xs, x = y[:n], y[n:]
+                v_star, v = _two_loop_law(kst, ktd, law_ref(t), xs, x)
+                return xs[1:] + (v_star,), x, v
 
-        def law(t, y):
-            d = dref(t)
-            v_fb = 0.0
-            for i in range(n):
-                v_fb = v_fb + ktd[i] * (y[i] - d[i])
-            u = _fflin_law(f, g, d, v_fb)
-            return y[1:] + (_acceleration(f(y), g(y), u, phi(y)),), u
+        else:
 
-    else:  # pragma: no cover - guarded by ControllerSpec
-        raise ValueError(f"unknown controller kind {kind!r}")
+            def law(t, y):
+                return (), y, _single_loop_law(k, law_ref(t), y)
 
-    def rhs(t, y):
-        return law(t, y)[0]
+        def rhs(t, y):
+            head, x, v = law(t, y)
+            v += phi(x)
+            return head + x[1:] + (v,)
+
+        def control(t, y):
+            _, x, v = law(t, y)
+            return _input(f, g, v, x)
 
     def make_v(P: np.ndarray, x_s: Sequence | None):
         P = np.asarray(P, dtype=float).tolist()
+        center = None if x_s is None else _skip_zeros(x_s)
         if kind == "MFC":
 
             def v_of(t, y):
-                d = dref(t)
-                center = x_s if x_s is not None else d[:n]
-                es = tuple(y[i] - d[i] for i in range(n))
-                zt = []
+                d = law_ref(t)
+                es = _errors(y[:n], d)
+                zt = _errors(y[n:], d if center is None else center)
                 for i in range(n):
-                    z = y[n + i] - center[i]
-                    z -= es[i]
-                    z *= scale[i]
-                    zt.append(z)
+                    zt[i] = zt[i] - es[i]
+                    zt[i] *= scale[i]
                 v = _quadform(P, es)
                 v *= vartheta
                 v += _quadform(P, zt)
@@ -430,18 +443,14 @@ def build_closed_loop(
         else:  # FFLIN measures the deviation from the reference state
 
             def v_of(t, y):
-                d = dref(t)
-                center = d[:n] if x_s is None or kind == "FFLIN" else x_s
-                z = []
+                z = _errors(y, law_ref(t) if center is None or kind == "FFLIN" else center)
                 for i in range(n):
-                    zi = y[i] - center[i]
-                    zi *= scale[i]
-                    z.append(zi)
+                    z[i] = z[i] * scale[i]
                 return _quadform(P, z)
 
         return v_of
 
-    return _Loop(n=n, law=law, rhs=rhs, dref=dref, make_v=make_v)
+    return _Loop(n=n, rhs=rhs, control=control, dref=dref, make_v=make_v)
 
 
 def steady_state_of(
@@ -506,7 +515,7 @@ def simulate_closed_loop(
     x_s = steady_state_of(plant, controller) if set_point else None
 
     P = solve_lyapunov(controller.gains.k_star)
-    v_of = loop.make_v(P, None if x_s is None else tuple(x_s))
+    v_of = loop.make_v(P, None if x_s is None else tuple(float(v) for v in x_s))
 
     comps = tuple(float(v) for v in x0)
     if controller.kind == "MFC":
@@ -516,37 +525,34 @@ def simulate_closed_loop(
         comps = tuple(float(v) for v in x0_star) + comps
 
     steps = int(round(horizon / h))
-    law = loop.law
     rhs = loop.rhs
     states = [comps]
-    inputs = []
     fail_time = None
     for k in range(steps):
-        t = k * h
-        k1, u = law(t, comps)
-        inputs.append(u)
-        comps = _rk4_components(rhs, t, comps, h, k1)
+        comps = _rk4_components(rhs, k * h, comps, h)
         if not all(map(math.isfinite, comps)):
             fail_time = (k + 1) * h
             break
         states.append(comps)
-    else:
-        inputs.append(law(steps * h, comps)[1])
 
-    # V and the single-loop model slot are evaluated on the whole grid at once
+    # the input, V and the single-loop model slot are evaluated on the whole
+    # grid at once; a diverging run may overflow there, and is reported below
     t_grid = np.arange(len(states)) * h
     rows = tuple(np.array(states).T)
     if controller.kind == "MFC":
         x_star, x = rows[:n], rows[n:]
     else:
         x_star, x = loop.dref(t_grid)[:n], rows
+    with np.errstate(all="ignore"):
+        u = np.asarray(loop.control(t_grid, rows), dtype=float)
+        V = np.asarray(v_of(t_grid, rows), dtype=float)
 
     traj = Trajectory(
         t=t_grid,
         x=np.column_stack(x),
         x_star=np.column_stack(np.broadcast_arrays(*x_star, t_grid)[:n]),
-        u=np.array(inputs, dtype=float),
-        V=np.asarray(v_of(t_grid, rows), dtype=float),
+        u=u,
+        V=V,
         metadata={
             "kind": controller.kind,
             "step": h,

@@ -243,8 +243,9 @@ def _real_roots(coeffs) -> list[float]:
     roots = solve_cubic(coeffs)
     if not roots:
         raise ArithmeticError("steady-state cubic lost all real roots")
-    a3, a2, a1, a0 = coeffs
-    bound = 1e-9 * (1.0 + max(abs(c) for c in coeffs))
+    # as Python floats an overflow is a silent inf, not a numpy warning
+    a3, a2, a1, a0 = (float(c) for c in coeffs)
+    bound = 1e-9 * (1.0 + max(abs(c) for c in (a3, a2, a1, a0)))
     for r in roots:
         val = ((a3 * r + a2) * r + a1) * r + a0
         if not (math.isfinite(r) and abs(val) <= bound):

@@ -119,9 +119,15 @@ class GainSet:
 
 
 def design_gains(poles: Sequence[complex], epsilon: float) -> GainSet:
-    """Place the model-loop poles and derive the scaled process gain."""
-    k_star = place_poles(len(list(poles)), poles)
-    k_tilde, _ = high_gain(k_star, epsilon)
+    """Place the model-loop poles and derive the scaled process gain.
+
+    Raises ArithmeticError when a gain over- or underflows to a non-finite value.
+    """
+    with np.errstate(all="ignore"):  # a non-finite gain is rejected below
+        k_star = place_poles(len(list(poles)), poles)
+        k_tilde, _ = high_gain(k_star, epsilon)
+    if not (np.all(np.isfinite(k_star)) and np.all(np.isfinite(k_tilde))):
+        raise ArithmeticError(f"the poles {list(poles)} give non-finite gains")
     return GainSet(k_star=tuple(k_star), k_tilde=tuple(k_tilde), epsilon=epsilon)
 
 
@@ -240,8 +246,8 @@ class LyapunovCertificate:
 def certify(gains: GainSet, vartheta: float | None = None) -> LyapunovCertificate:
     """Solve for P and package the robustness bounds for a gain set.
 
-    vartheta defaults to 100 / epsilon.  Raises ValueError when the residual
-    of the Lyapunov equation exceeds 1e-10.
+    vartheta defaults to 100 / epsilon.  Raises ArithmeticError when the
+    residual of the Lyapunov equation exceeds 1e-10 or is not finite.
     """
     if vartheta is None:
         vartheta = 100.0 / gains.epsilon
@@ -249,9 +255,10 @@ def certify(gains: GainSet, vartheta: float | None = None) -> LyapunovCertificat
         raise ValueError("vartheta must be positive")
     P = solve_lyapunov(gains.k_star)
     acl = closed_loop_matrix(gains.k_star)
-    residual = float(np.max(np.abs(acl.T @ P + P @ acl + np.eye(gains.n))))
-    if residual > 1e-10:
-        raise ValueError(f"Lyapunov residual {residual:.3e} exceeds 1e-10")
+    with np.errstate(all="ignore"):  # a non-finite residual is rejected below
+        residual = float(np.max(np.abs(acl.T @ P + P @ acl + np.eye(gains.n))))
+    if not residual <= 1e-10:
+        raise ArithmeticError(f"Lyapunov residual {residual:.3e} exceeds 1e-10")
     return LyapunovCertificate(
         P=P,
         lambda_min=lambda_min(P),

@@ -197,6 +197,29 @@ class TestNumericalFailures:
         assert "Traceback" not in run.stderr
         assert "numerical failure" in run.stderr
 
+    def test_non_finite_gains_are_a_numerical_failure(self, tmp_path):
+        cfg = preset("scenario1").to_dict()
+        cfg["poles"] = [-1e200, -1e200]  # k* = (-1e400, -2e200): the first overflows
+        run = _run_cli(tmp_path, "analyze", cfg)
+        assert run.returncode == 2
+        assert run.stderr.splitlines() == [run.stderr.strip()]
+        assert "numerical failure" in run.stderr and "gains" in run.stderr
+        for path in (tmp_path / "out").glob("*.json"):
+            text = path.read_text()
+            assert "NaN" not in text and "Infinity" not in text
+
+    @pytest.mark.parametrize("field, value, code", [
+        ("delta_k", -1e300, 0),  # every loop diverges at the first step: data, not failure
+        ("y_d", 1e200, 2),  # the steady-state residuals overflow
+    ])
+    def test_no_numpy_warning_reaches_stderr(self, tmp_path, field, value, code):
+        cfg = preset("scenario1").to_dict()
+        (cfg["plant"] if field == "delta_k" else cfg)[field] = value
+        run = _run_cli(tmp_path, "simulate", cfg)
+        assert run.returncode == code
+        assert "RuntimeWarning" not in run.stderr
+        assert "Traceback" not in run.stderr
+
     def test_unexpected_exception_ends_in_one_line(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("missing")

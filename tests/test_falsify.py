@@ -6,6 +6,7 @@ import pytest
 from mfcert import (
     Box,
     ControllerSpec,
+    IntegrationError,
     SetPoint,
     Trajectory,
     certify,
@@ -174,6 +175,22 @@ class TestFalsifySets:
         assert "diverged" in {mode for _, mode, _ in bad.violations}
         alone = falsify_roa(inflated, plant, gains, "SL", **kwargs)
         assert bad.to_dict() == alone.to_dict()
+
+    def test_fail_time_is_the_single_run_fail_time(self, scenario1_estimates, plant, gains):
+        # the batch finds a dead column through its non-finite V; the time must
+        # still be the first step at which one of its components went non-finite
+        inflated = _inflated(scenario1_estimates["SL"], 200.0)
+        _, bad = falsify_sets(
+            [(scenario1_estimates["MFC1"], "MFC"), (inflated, "SL")],
+            plant, gains, count=16, horizon=3.0, h=1e-3, seed=0,
+        )
+        diverged = [(x0, time) for x0, mode, time in bad.violations if mode == "diverged"]
+        assert diverged
+        spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
+        for x0, time in diverged:
+            with pytest.raises(IntegrationError) as err:
+                simulate_closed_loop(plant, spec, x0, 3.0, 1e-3)
+            assert err.value.time == time
 
     def test_empty_batch(self, plant, gains):
         assert falsify_sets([], plant, gains, count=4, horizon=1.0, h=1e-3, seed=0) == []

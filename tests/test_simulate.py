@@ -199,6 +199,58 @@ class TestBatchedLaw:
             build_closed_loop(plant, spec, 1000.0, columns=[("SL", 4)])
 
 
+def _close(got, f, gu, ph):
+    """|got - (f + g u + phi)| within 1e-12 max(1, |f|, |g u|, |phi|), per column."""
+    scale = np.maximum(np.maximum(1.0, np.abs(f)), np.maximum(np.abs(gu), np.abs(ph)))
+    return np.all(np.abs(got - (f + gu + ph)) <= 1e-12 * scale)
+
+
+class TestTargetAcceleration:
+    """The loops integrate the plant under the real input: f + g u + phi."""
+
+    @pytest.mark.parametrize("kind", ["SL", "SLHG", "MFC"])
+    def test_single_run_is_the_plant_under_its_law(self, plant, gains, kind):
+        spec = ControllerSpec(kind=kind, gains=gains, reference=SetPoint(0.75))
+        loop = build_closed_loop(plant, spec, 1000.0)
+        dim = 2 * loop.n if kind == "MFC" else loop.n
+        y = _random_states(dim, 200, seed=9)
+        for j in range(200):
+            yj = _column(y, j)
+            x = yj[-2:]
+            if kind == "MFC":
+                u, u_star, _ = control_mfc(x, yj[:2], X_D, 0.0, gains.k_star,
+                                           gains.k_tilde, plant)
+                model = loop.rhs(0.0, yj)[1]
+                assert _close(model, plant.f(yj[:2]), plant.g(yj[:2]) * u_star, 0.0)
+            else:
+                k = gains.k_star if kind == "SL" else gains.k_tilde
+                u = control_sl(x, X_D, 0.0, k, plant)
+            acc = loop.rhs(0.0, yj)[-1]
+            assert _close(acc, plant.f(x), plant.g(x) * u, plant.phi(x))
+
+    def test_stacked_batch_is_the_plant_under_each_law(self, plant, gains):
+        kinds = (("MFC", 22), ("SL", 21), ("SLHG", 21))
+        spec = ControllerSpec(kind="MFC", gains=gains, reference=SetPoint(X_D[0]))
+        loop = build_closed_loop(plant, spec, 1000.0, columns=kinds)
+        model = _random_states(2, 64, seed=10)
+        for i in range(2):
+            model[i][22:] = X_D[i]
+        x = _random_states(2, 64, seed=11)
+        dy = loop.rhs(0.0, model + x)
+        mfc, sl, slhg = slice(0, 22), slice(22, 43), slice(43, 64)
+        u = np.empty(64)
+        u_star = np.zeros(64)
+        u[mfc], u_star[mfc], _ = control_mfc(
+            tuple(c[mfc] for c in x), tuple(c[mfc] for c in model), X_D, 0.0,
+            gains.k_star, gains.k_tilde, plant)
+        u[sl] = control_sl(tuple(c[sl] for c in x), X_D, 0.0, gains.k_star, plant)
+        u[slhg] = control_sl(tuple(c[slhg] for c in x), X_D, 0.0, gains.k_tilde, plant)
+        assert _close(dy[-1], plant.f(x), plant.g(x) * u, plant.phi(x))
+        xs = tuple(c[mfc] for c in model)
+        assert _close(dy[1][mfc], plant.f(xs), plant.g(xs) * u_star[mfc], 0.0)
+        assert np.all(dy[1][22:] == 0.0)
+
+
 def _unchanged_after(call, comps):
     copies = [np.array(c, copy=True) for c in comps]
     call()
@@ -216,9 +268,8 @@ class TestInputsUntouched:
         y = _random_states(dim, 64, seed=7)
         v_of = loop.make_v(solve_lyapunov(gains.k_star), (0.8, 0.0))
         assert _unchanged_after(lambda: loop.rhs(0.0, y), y)
+        assert _unchanged_after(lambda: loop.control(0.0, y), y)
         assert _unchanged_after(lambda: _rk4_components(loop.rhs, 0.0, y, 1e-3), y)
-        k1 = loop.rhs(0.0, y)
-        assert _unchanged_after(lambda: _rk4_components(loop.rhs, 0.0, y, 1e-3, k1), y + k1)
         assert _unchanged_after(lambda: v_of(0.0, y), y)
 
     def test_drift_and_uncertainty(self, table_params):
