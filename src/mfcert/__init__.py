@@ -63,7 +63,6 @@ from .roa import (
 from .simulate import (
     ControllerSpec,
     IntegrationError,
-    ReferenceTrajectory,
     SetPoint,
     Trajectory,
     control_fflin,

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -28,8 +27,10 @@ __all__ = [
     "PlantModel",
     "MsdPlant",
     "msd_f",
+    "msd_f_of",
     "msd_g",
     "msd_phi",
+    "msd_phi_of",
     "msd_phi_gradient",
     "sigma1",
     "sigma1_bar",
@@ -116,17 +117,6 @@ class MsdParams:
             if getattr(self, name) <= 0:
                 raise ValueError(f"MsdParams.{name} must be positive")
 
-    @cached_property
-    def _coef(self) -> tuple:
-        """Precomputed coefficients of ``msd_f`` (three) and ``msd_phi`` (four)."""
-        km = self.k / self.m
-        return (
-            -km * self.alpha * self.alpha, -km, -self.c_d / self.m,
-            -(self.dk / self.m) * (self.alpha + self.dalpha) ** 2,
-            km * self.dalpha * (2.0 * self.alpha + self.dalpha),
-            self.dk / self.m, self.dc_d / self.m,
-        )
-
     def to_dict(self) -> dict:
         return {
             "k": self.k,
@@ -153,22 +143,31 @@ class MsdParams:
         )
 
 
-def msd_f(p: MsdParams, x: Sequence):
-    """Nominal drift -k/m (1 + alpha^2 x1^2) x1 - c_d/m x2 - g0, in Horner form.
+def msd_f_of(p: MsdParams) -> Callable:
+    """``msd_f`` with its coefficients bound, as a function of (x1, x2).
 
     Evaluated as (c3 x1^2 + c1) x1 + c2 x2 - g0, accumulating into one
     temporary; the input components are not written.
     """
-    x1 = x[0]
-    c3, c1, c2 = p._coef[:3]
-    acc = x1 * x1
-    acc *= c3
-    acc += c1
-    acc *= x1
-    term = x[1] * c2
-    acc += term
-    acc -= p.g0
-    return acc
+    km = p.k / p.m
+    c3, c1, c2, g0 = -km * p.alpha * p.alpha, -km, -p.c_d / p.m, p.g0
+
+    def f(x1, x2):
+        acc = x1 * x1
+        acc *= c3
+        acc += c1
+        acc *= x1
+        term = x2 * c2
+        acc += term
+        acc -= g0
+        return acc
+
+    return f
+
+
+def msd_f(p: MsdParams, x: Sequence):
+    """Nominal drift -k/m (1 + alpha^2 x1^2) x1 - c_d/m x2 - g0, in Horner form."""
+    return msd_f_of(p)(x[0], x[1])
 
 
 def msd_g(p: MsdParams, x: Sequence | None = None):
@@ -176,27 +175,39 @@ def msd_g(p: MsdParams, x: Sequence | None = None):
     return 1.0 / p.m
 
 
+def msd_phi_of(p: MsdParams) -> Callable:
+    """``msd_phi`` with its coefficients bound, as a function of (x1, x2).
+
+    Summed term by term as written, so ``gamma_empirical``'s difference
+    quotients, which amplify rounding, keep their bits; inputs are not written.
+    """
+    km = p.k / p.m
+    a3 = -(p.dk / p.m) * (p.alpha + p.dalpha) ** 2
+    b3 = km * p.dalpha * (2.0 * p.alpha + p.dalpha)
+    c1, c2 = p.dk / p.m, p.dc_d / p.m
+
+    def phi(x1, x2):
+        x1c = x1 * x1
+        x1c *= x1
+        acc = x1c * a3
+        x1c *= b3
+        acc -= x1c
+        term = x1 * c1
+        acc -= term
+        term = x2 * c2
+        acc -= term
+        return acc
+
+    return phi
+
+
 def msd_phi(p: MsdParams, x: Sequence):
     """Matched uncertainty induced by the parameter deviations.
 
     phi(x) = -dk/m (alpha+dalpha)^2 x1^3 - k/m dalpha (2 alpha+dalpha) x1^3
              - dk/m x1 - dc_d/m x2
-
-    Summed term by term as written, so that ``gamma_empirical``'s difference
-    quotients, which amplify rounding, are reproducible to the last bit.
     """
-    x1 = x[0]
-    x1c = x1 * x1
-    x1c *= x1
-    a3, b3, c1, c2 = p._coef[3:]
-    acc = x1c * a3
-    x1c *= b3
-    acc -= x1c
-    term = x1 * c1
-    acc -= term
-    term = x[1] * c2
-    acc -= term
-    return acc
+    return msd_phi_of(p)(x[0], x[1])
 
 
 def sigma1(p: MsdParams) -> float:
@@ -258,10 +269,25 @@ class PlantModel:
 
 
 @dataclass(frozen=True)
-class MsdPlant(PlantModel):
-    """Mass-spring-damper plant; keeps its parameter set for analytic bounds."""
+class MsdPlant:
+    """Mass-spring-damper plant over an analysis box.
 
-    params: MsdParams = None
+    ``f``, ``g`` and ``phi`` evaluate ``msd_f``, ``msd_g`` and ``msd_phi`` of
+    ``params``, which the closed-loop kernels and the bounds read directly.
+    """
+
+    params: MsdParams
+    domain: Box = DEFAULT_DOMAIN
+    dims: ClassVar[BrunovskyDims] = BrunovskyDims(2)
+
+    def f(self, x: Sequence):
+        return msd_f(self.params, x)
+
+    def g(self, x: Sequence | None = None):
+        return msd_g(self.params, x)
+
+    def phi(self, x: Sequence):
+        return msd_phi(self.params, x)
 
     def lipschitz_sup(self, region: Box | None = None) -> float:
         return phi_lipschitz_sup(self.params, region if region is not None else self.domain)
@@ -269,11 +295,4 @@ class MsdPlant(PlantModel):
 
 def msd_plant(params: MsdParams, domain: Box = DEFAULT_DOMAIN) -> MsdPlant:
     """Concrete mass-spring-damper plant over the given analysis box."""
-    return MsdPlant(
-        dims=BrunovskyDims(2),
-        f=lambda x: msd_f(params, x),
-        g=lambda x: msd_g(params, x),
-        phi=lambda x: msd_phi(params, x),
-        domain=domain,
-        params=params,
-    )
+    return MsdPlant(params, domain)

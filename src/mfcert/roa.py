@@ -79,7 +79,11 @@ def c_star(vartheta: float, P: np.ndarray, x_tilde_star_0: Sequence[float]) -> f
     if vartheta <= 0:
         raise ValueError("vartheta must be positive")
     e0 = np.asarray(x_tilde_star_0, dtype=float)
-    return float(vartheta * e0 @ np.asarray(P) @ e0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        level = float(vartheta * e0 @ np.asarray(P) @ e0)
+    if not math.isfinite(level):
+        raise ArithmeticError(f"model-loop level c_star = {level} for e0 = {e0.tolist()}")
+    return level
 
 
 def c_star_budget(

@@ -1,11 +1,15 @@
-"""Closed-loop simulation of the controller variants with fixed-step RK4.
+"""Closed-loop simulation of the set-point controllers with fixed-step RK4.
 
-The integrator works on tuples of state components.  Components may be plain
-floats (single runs) or numpy arrays (batched runs); every control law and
-right-hand side is written as broadcast-friendly arithmetic so both paths
-share one code path.  The control law is applied at every integrator stage;
-the recorded input samples are evaluated afterwards on the recorded grid
-states, which are the pre-step states of the stages.
+The plant is the n = 2 mass-spring-damper (an ``MsdPlant``) and every
+reference is a ``SetPoint``.  ``build_closed_loop`` binds the gains, the
+set-point and the plant's coefficients once and closes each loop as
+straight-line arithmetic on the state components (x1, x2), model components
+first for the two-loop scheme.  Components may be plain floats (single runs)
+or numpy arrays (batched runs); each sum accumulates into a temporary it
+owns, so arrays cost no allocation per operation and floats just rebind, and
+both share one code path.  The control law is applied at every integrator
+stage; the recorded input samples are evaluated afterwards on the recorded
+grid states, which are the pre-step states of the stages.
 """
 
 from __future__ import annotations
@@ -16,13 +20,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .plant import MsdPlant, PlantModel
+from .plant import MsdPlant, PlantModel, msd_f_of, msd_g, msd_phi_of
 from .steady_state import fflin_equilibrium, mfc_equilibria, single_loop_equilibria
 from .synthesis import GainSet, solve_lyapunov, time_scaling
 
 __all__ = [
     "SetPoint",
-    "ReferenceTrajectory",
     "ControllerSpec",
     "Trajectory",
     "IntegrationError",
@@ -50,34 +53,14 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SetPoint:
-    """Constant output reference; every derivative is zero."""
+    """Constant output reference y_d: the reference state is (y_d, 0), y_d'' = 0."""
 
     y_d: float
-
-    def derivatives(self, t: float, n: int) -> tuple:
-        return (float(self.y_d),) + (0.0,) * n
-
-
-@dataclass(frozen=True)
-class ReferenceTrajectory:
-    """Smooth reference supplying the output and its first n derivatives.
-
-    ``derivs(t)`` must return a sequence of length n + 1:
-    (y_d, y_d', ..., y_d^(n)).
-    """
-
-    derivs: Callable[[float], Sequence[float]]
-
-    def derivatives(self, t: float, n: int) -> tuple:
-        d = tuple(float(v) for v in self.derivs(t))
-        if len(d) != n + 1:
-            raise ValueError(f"reference must supply {n + 1} derivatives, got {len(d)}")
-        return d
 
 
 @dataclass(frozen=True)
 class ControllerSpec:
-    """Which loop to close and with what gains and reference.
+    """Which loop to close and with what gains and set-point.
 
     The plain single loop feeds back with k_star, the high-gain single loop
     and the feedforward-linearising law with k_tilde.  ``model_initial``
@@ -87,12 +70,14 @@ class ControllerSpec:
 
     kind: str
     gains: GainSet
-    reference: SetPoint | ReferenceTrajectory
+    reference: SetPoint
     model_initial: tuple | None = None
 
     def __post_init__(self):
         if self.kind not in CONTROLLER_KINDS:
             raise ValueError(f"controller kind must be one of {CONTROLLER_KINDS}")
+        if not isinstance(self.reference, SetPoint):
+            raise TypeError("the reference must be a SetPoint")
         if self.model_initial is not None:
             object.__setattr__(
                 self, "model_initial", tuple(float(v) for v in self.model_initial)
@@ -133,65 +118,47 @@ def _nonzero_gain(g):
 # The laws of the SL, SLHG and MFC loops cancel the known drift f and gain g,
 # so the closed loop's terminal derivative is the law's target acceleration v
 # plus phi(x); the input u = (v - f(x)) / g(x) is formed only where it is
-# recorded.  A law reads its reference d = (x_d, y_d^(n)) through
-# ``_skip_zeros``.  Each sum accumulates into a temporary the law owns, so
-# array components cost no allocation per operation; on floats augmented
-# assignment is plain rebinding.
+# recorded.  Each law binds its gains and the set-point y_d once and returns a
+# function of the state components.  The set-point's velocity and
+# acceleration are zero, so no law carries an x2 - 0.0 or a + y_d'' term.
 
 
-def _skip_zeros(ref) -> tuple:
-    """``ref`` with each float +0.0 as None, which ``_errors`` and ``_feedback`` skip.
+def _single_loop_target(k, y_d):
+    """Target acceleration k1 (x1 - y_d) + k2 x2, as a function of (x1, x2)."""
+    k1, k2 = k
 
-    x - 0.0 is x bit for bit, and x + 0.0 differs from x at most in the sign
-    of a zero; set-point derivatives are all 0.0.
+    def target(x1, x2):
+        v = x1 - y_d
+        v *= k1
+        term = x2 * k2
+        v += term
+        return v
+
+    return target
+
+
+def _two_loop_targets(k_star, k_tilde, y_d):
+    """Model acceleration v* and process target v = k~'(x - x*) + v*, from (x*1, x*2, x1, x2).
+
+    v* is the single-loop target of the model state with gain k*: the model
+    loop is the nominal model under its own linearising input, so it is the
+    linear chain.  With k* = 0 and x* = x_d, v* is 0 and the process target
+    is the single-loop law with gain k~, bit for bit.
     """
-    return tuple(
-        None if isinstance(r, float) and r == 0.0 and math.copysign(1.0, r) > 0.0 else r
-        for r in ref
-    )
+    model = _single_loop_target(k_star, y_d)
+    kt1, kt2 = k_tilde
 
+    def targets(xs1, xs2, x1, x2):
+        v_star = model(xs1, xs2)
+        v = x1 - xs1
+        v *= kt1
+        term = x2 - xs2
+        term *= kt2
+        v += term
+        v += v_star
+        return v_star, v
 
-def _errors(x, ref) -> list:
-    """x_i - ref_i per component; where ref_i is None the term is x_i itself (read only)."""
-    return [xi if r is None else xi - r for xi, r in zip(x, ref)]
-
-
-def _feedback(k, x, ref, base=None):
-    """k'(x - ref) + base: the sum is formed first, base is added last.
-
-    Each term is a temporary of its own; a None reference component is not
-    subtracted and a None base is not added.
-    """
-    acc = None
-    for ki, xi, r in zip(k, x, ref):
-        if r is None:
-            term = xi * ki
-        else:
-            term = xi - r
-            term *= ki
-        if acc is None:
-            acc = term
-        else:
-            acc += term
-    if base is not None:
-        acc += base
-    return acc
-
-
-def _single_loop_law(k, d, x):
-    """Target acceleration y_d^(n) + k'(x - x_d)."""
-    return _feedback(k, x, d, d[len(k)])
-
-
-def _two_loop_law(k_star, k_tilde, d, x_star, x):
-    """Model acceleration v* = y_d^(n) + k*'(x* - x_d) and process target v* + k~'(x - x*).
-
-    The model loop is the nominal model under its own linearising input, so
-    it is the linear chain.  With k* = 0 and x* = x_d, v* is 0 and the process
-    target is the single-loop law with gain k~, bit for bit.
-    """
-    v_star = _feedback(k_star, x_star, d, d[len(k_star)])
-    return v_star, _feedback(k_tilde, x, x_star, v_star)
+    return targets
 
 
 def _input(f, g, v, x):
@@ -201,17 +168,25 @@ def _input(f, g, v, x):
     return u
 
 
-def _fflin_law(f, g, d, v_fb):
-    """(-f(x_d) + y_d^(n) + v_fb) / g(x_d)."""
-    x_d = d[:-1]
-    return (d[-1] - f(x_d) + v_fb) / g(x_d)
+def _fflin_law(feedforward, g_d, v_fb):
+    """(y_d^(n) - f(x_d) + v_fb) / g(x_d), with feedforward = y_d^(n) - f(x_d) and g_d = g(x_d)."""
+    u = feedforward + v_fb
+    u /= g_d
+    return u
 
 
-def control_sl(x, x_d, y_d_n, k: Sequence[float], plant: PlantModel):
+def _set_point(x_d, y_d_n) -> float:
+    """y_d of a set-point reference state x_d = (y_d, 0) with y_d^(n) = 0."""
+    if x_d[1] != 0.0 or y_d_n != 0.0:
+        raise ValueError("the laws serve set-points: x_d[1] and y_d^(n) must be 0")
+    return x_d[0]
+
+
+def control_sl(x, x_d, y_d_n, k: Sequence[float], plant: PlantModel | MsdPlant):
     """Single-loop feedback linearising law (-f(x) + y_d^(n) + k'(x - x_d)) / g(x)."""
     _nonzero_gain(plant.g(x))
-    d = _skip_zeros(tuple(x_d) + (y_d_n,))
-    return _input(plant.f, plant.g, _single_loop_law(k, d, x), x)
+    v = _single_loop_target(k, _set_point(x_d, y_d_n))(x[0], x[1])
+    return _input(plant.f, plant.g, v, x)
 
 
 def control_mfc(
@@ -221,7 +196,7 @@ def control_mfc(
     y_d_n,
     k_star: Sequence[float],
     k_tilde: Sequence[float],
-    plant: PlantModel,
+    plant: PlantModel | MsdPlant,
 ):
     """Two-loop control: model law at the model state plus the process correction.
 
@@ -232,17 +207,17 @@ def control_mfc(
     """
     _nonzero_gain(plant.g(x_star))
     _nonzero_gain(plant.g(x))
-    d = _skip_zeros(tuple(x_d) + (y_d_n,))
-    v_star, v = _two_loop_law(k_star, k_tilde, d, x_star, x)
+    targets = _two_loop_targets(k_star, k_tilde, _set_point(x_d, y_d_n))
+    v_star, v = targets(x_star[0], x_star[1], x[0], x[1])
     u_star = _input(plant.f, plant.g, v_star, x_star)
     u = _input(plant.f, plant.g, v, x)
     return u, u_star, u - u_star
 
 
-def control_fflin(x_d, y_d_n, v_fb, plant: PlantModel):
+def control_fflin(x_d, y_d_n, v_fb, plant: PlantModel | MsdPlant):
     """Feedforward linearising law (-f(x_d) + y_d^(n) + v_fb) / g(x_d)."""
     _nonzero_gain(plant.g(x_d))
-    return _fflin_law(plant.f, plant.g, tuple(x_d) + (y_d_n,), v_fb)
+    return _fflin_law(y_d_n - plant.f(x_d), plant.g(x_d), v_fb)
 
 
 def step_rk4(dynamics: Callable, state, h: float):
@@ -285,28 +260,27 @@ def _stage(y, k, h):
     return tuple(out)
 
 
-def _quadform(P, v):
-    """v'Pv as sum_i v_i (P_ii v_i + sum_{j>i} (P_ij + P_ji) v_j)."""
-    total = None
-    for i in range(len(v)):
-        acc = v[i] * P[i][i]
-        for j in range(i + 1, len(v)):
-            term = v[j] * (P[i][j] + P[j][i])
-            acc += term
-        acc *= v[i]
-        if total is None:
-            total = acc
-        else:
-            total += acc
-    return total
+def _quadform(P):
+    """v'Pv of a 2-vector as v1 (P11 v1 + (P12 + P21) v2) + P22 v2 v2, a function of (v1, v2)."""
+    (p11, p12), (p21, p22) = np.asarray(P, dtype=float).tolist()
+    p12 += p21
+
+    def quadform(v1, v2):
+        acc = v1 * p11
+        term = v2 * p12
+        acc += term
+        acc *= v1
+        term = v2 * p22
+        term *= v2
+        acc += term
+        return acc
+
+    return quadform
 
 
 @dataclass
 class _Loop:
-    """Closed loop: ``rhs(t, y)`` gives the derivative, ``control(t, y)`` the input.
-
-    ``dref`` gives the reference derivatives at a time, or as rows on a grid.
-    """
+    """Closed loop: derivative ``rhs(t, y)``, input ``control(t, y)``, set-point ``dref(t)``."""
 
     n: int
     rhs: Callable
@@ -316,7 +290,7 @@ class _Loop:
 
 
 def build_closed_loop(
-    plant: PlantModel,
+    plant: MsdPlant,
     controller: ControllerSpec,
     vartheta: float | np.ndarray,
     columns: Sequence[tuple[str, int]] | None = None,
@@ -325,52 +299,30 @@ def build_closed_loop(
 
     The two-loop state lists the model components first; ``vartheta`` weighs
     the model error in its Lyapunov value.  ``columns``, a sequence of
-    (kind, count) runs of SL, SLHG or MFC, stacks set-point loops into one
-    batch, with ``controller`` giving gains and set-point and ``vartheta`` one
-    value per column.  A batch with MFC columns runs the two-loop law: a
+    (kind, count) runs of SL, SLHG or MFC, stacks loops into one batch, with
+    ``controller`` giving gains and set-point and ``vartheta`` one value per
+    column; the per-column gains are rows of (2, N) arrays and drop into the
+    same kernels.  A batch with MFC columns runs the two-loop law: a
     single-loop column holds its model at x_d with model gain 0 and process
     gain k* (SL) or k~ (SLHG).  Its model derivative is then exactly 0 and its
     process rows follow the single-loop law bit for bit.  A batch without MFC
     columns runs the single-loop law on process rows alone.
     """
-    n = plant.dims.n
-    f, g, phi = plant.f, plant.g, plant.phi
+    if not isinstance(plant, MsdPlant):
+        raise TypeError("closed loops need an MsdPlant")
     gains = controller.gains
-    if gains.n != n:
+    if gains.n != plant.dims.n:
         raise ValueError("gain dimension does not match the plant")
-    kst = gains.k_star
-    ktd = gains.k_tilde
-    ref = controller.reference
+    kst, ktd = gains.k_star, gains.k_tilde
+    y_d = float(controller.reference.y_d)
     kind = controller.kind
 
-    if isinstance(ref, SetPoint):
-        const = ref.derivatives(0.0, n)
-        sparse = _skip_zeros(const)
-
-        def dref(t):
-            return const
-
-        def law_ref(t):
-            return sparse
-
-    else:
-
-        def dref(t):
-            if np.ndim(t) == 0:
-                return ref.derivatives(t, n)
-            return tuple(np.array(c) for c in zip(*(ref.derivatives(s, n) for s in t)))
-
-        def law_ref(t):
-            return _skip_zeros(dref(t))
-
-    dinv_scale = time_scaling(1.0 / gains.epsilon, n)
-    zero, ones = (0.0,) * n, (1.0,) * n
+    dinv_scale = time_scaling(1.0 / gains.epsilon, 2)
+    zero, ones = (0.0, 0.0), (1.0, 1.0)
     scale = dinv_scale if kind in ("SLHG", "MFC") else ones
     k = kst if kind == "SL" else ktd
 
     if columns is not None:
-        if not isinstance(ref, SetPoint):
-            raise ValueError("a stacked batch needs a set-point reference")
         # per kind: model gain, process gain, V scaling
         slots = {
             "MFC": (kst, ktd, dinv_scale),
@@ -381,7 +333,7 @@ def build_closed_loop(
         if kinds - slots.keys():
             raise ValueError(f"kinds {sorted(kinds - slots.keys())} cannot ride in a stacked batch")
         counts = [count for _, count in columns]
-        # one contiguous (n, N) row block per slot
+        # one contiguous (2, N) row block per slot
         kst, ktd, scale = (
             np.repeat(np.asarray(values, dtype=float).T, counts, axis=1)
             for values in zip(*(slots[c] for c, _ in columns))
@@ -389,74 +341,93 @@ def build_closed_loop(
         k = ktd
         kind = "MFC" if "MFC" in kinds else "SL"
 
+    f = msd_f_of(plant.params)
+    g = msd_g(plant.params)
+    phi = msd_phi_of(plant.params)
+    const = (y_d, 0.0, 0.0)
+
+    def dref(t):
+        return const
+
     if kind == "FFLIN":  # f and g are taken at x_d, so nothing cancels
+        v_fb = _single_loop_target(ktd, y_d)
+        feedforward = 0.0 - f(y_d, 0.0)
 
         def control(t, y):
-            return _fflin_law(f, g, dref(t), _feedback(ktd, y, law_ref(t)))
+            return _fflin_law(feedforward, g, v_fb(y[0], y[1]))
 
         def rhs(t, y):
-            acc = g(y) * control(t, y)
-            acc += f(y)
-            acc += phi(y)
-            return y[1:] + (acc,)
+            x1, x2 = y
+            acc = control(t, y)
+            acc *= g
+            acc += f(x1, x2)
+            acc += phi(x1, x2)
+            return x2, acc
+
+    elif kind == "MFC":
+        targets = _two_loop_targets(kst, ktd, y_d)
+
+        def rhs(t, y):
+            xs1, xs2, x1, x2 = y
+            v_star, v = targets(xs1, xs2, x1, x2)
+            v += phi(x1, x2)
+            return xs2, v_star, x2, v
+
+        def control(t, y):
+            _, v = targets(*y)
+            return _input(plant.f, plant.g, v, y[2:])
 
     else:
+        target = _single_loop_target(k, y_d)
+
+        def rhs(t, y):
+            x1, x2 = y
+            v = target(x1, x2)
+            v += phi(x1, x2)
+            return x2, v
+
+        def control(t, y):
+            return _input(plant.f, plant.g, target(y[0], y[1]), y)
+
+    def make_v(P: np.ndarray, x_s: Sequence):
+        """V centred on the rest state x_s = (x_s1, 0); FFLIN measures from x_d."""
+        if np.any(np.asarray(x_s[1]) != 0.0):
+            raise ValueError("V is centred on a rest state: x_s[1] must be 0")
+        q = _quadform(P)
+        c1 = y_d if kind == "FFLIN" else x_s[0]
+        s1, s2 = scale
         if kind == "MFC":
 
-            def law(t, y):
-                """(model derivative, process state, process target acceleration)."""
-                xs, x = y[:n], y[n:]
-                v_star, v = _two_loop_law(kst, ktd, law_ref(t), xs, x)
-                return xs[1:] + (v_star,), x, v
+            def v_of(t, y):
+                xs1, xs2, x1, x2 = y
+                e1 = xs1 - y_d
+                z1 = x1 - c1
+                z1 -= e1
+                z1 *= s1
+                z2 = x2 - xs2
+                z2 *= s2
+                v = q(e1, xs2)
+                v *= vartheta
+                v += q(z1, z2)
+                return v
 
         else:
 
-            def law(t, y):
-                return (), y, _single_loop_law(k, law_ref(t), y)
-
-        def rhs(t, y):
-            head, x, v = law(t, y)
-            v += phi(x)
-            return head + x[1:] + (v,)
-
-        def control(t, y):
-            _, x, v = law(t, y)
-            return _input(f, g, v, x)
-
-    def make_v(P: np.ndarray, x_s: Sequence | None):
-        P = np.asarray(P, dtype=float).tolist()
-        center = None if x_s is None else _skip_zeros(x_s)
-        if kind == "MFC":
-
             def v_of(t, y):
-                d = law_ref(t)
-                es = _errors(y[:n], d)
-                zt = _errors(y[n:], d if center is None else center)
-                for i in range(n):
-                    zt[i] = zt[i] - es[i]
-                    zt[i] *= scale[i]
-                v = _quadform(P, es)
-                v *= vartheta
-                v += _quadform(P, zt)
-                return v
-
-        else:  # FFLIN measures the deviation from the reference state
-
-            def v_of(t, y):
-                z = _errors(y, law_ref(t) if center is None or kind == "FFLIN" else center)
-                for i in range(n):
-                    z[i] = z[i] * scale[i]
-                return _quadform(P, z)
+                x1, x2 = y
+                z1 = x1 - c1
+                z1 *= s1
+                return q(z1, x2 * s2)
 
         return v_of
 
-    return _Loop(n=n, rhs=rhs, control=control, dref=dref, make_v=make_v)
+    return _Loop(n=2, rhs=rhs, control=control, dref=dref, make_v=make_v)
 
 
 def steady_state_of(
-    plant: PlantModel, controller: ControllerSpec, vartheta: float | None = None
+    plant: MsdPlant, controller: ControllerSpec, vartheta: float | None = None
 ) -> np.ndarray:
-    """Steady state of the chosen closed loop for a set-point reference.
+    """Steady state of the chosen closed loop.
 
     The equilibrium output is the selected root of the loop's closed-form
     steady-state cubic, built from the parameters of an ``MsdPlant``: for the
@@ -465,15 +436,13 @@ def steady_state_of(
     component is zero.  ``vartheta`` only weighs the Lyapunov value and does
     not affect the equilibrium.
     """
-    if not isinstance(controller.reference, SetPoint):
-        raise ValueError("steady states are defined for set-point references")
     if not isinstance(plant, MsdPlant):
         raise TypeError("closed-form steady states need an MsdPlant")
     params = plant.params
     y_d = controller.reference.y_d
     gains = controller.gains
     kind = controller.kind
-    x_s = np.zeros(plant.dims.n)
+    x_s = np.zeros(2)
     if kind == "MFC":
         x_s[0] = y_d + mfc_equilibria(params, gains, y_d).selected
     elif kind == "FFLIN":
@@ -484,7 +453,7 @@ def steady_state_of(
 
 
 def simulate_closed_loop(
-    plant: PlantModel,
+    plant: MsdPlant,
     controller: ControllerSpec,
     x0: Sequence[float],
     horizon: float,
@@ -495,33 +464,30 @@ def simulate_closed_loop(
 
     The two-loop scheme integrates the coupled model/process pair; the model
     loop sees no uncertainty by construction.  Single-loop runs repeat the
-    reference state in the model-state slot.  A set-point run centres V on
-    ``steady_state_of``, so its plant must be an ``MsdPlant``.  Raises
-    IntegrationError when a state goes non-finite; the partial trajectory
-    rides on the exception.
+    reference state in the model-state slot.  V is centred on
+    ``steady_state_of``.  Raises IntegrationError when a state goes
+    non-finite; the partial trajectory rides on the exception.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
     if horizon < h:
         raise ValueError("horizon must be at least one step")
-    n = plant.dims.n
-    if len(x0) != n:
-        raise ValueError(f"x0 must have {n} components")
+    if len(x0) != 2:
+        raise ValueError("x0 must have 2 components")
     if vartheta is None:
         vartheta = 100.0 / controller.gains.epsilon
 
     loop = build_closed_loop(plant, controller, vartheta)
-    set_point = isinstance(controller.reference, SetPoint)
-    x_s = steady_state_of(plant, controller) if set_point else None
-
+    x_s = steady_state_of(plant, controller)
     P = solve_lyapunov(controller.gains.k_star)
-    v_of = loop.make_v(P, None if x_s is None else tuple(float(v) for v in x_s))
+    v_of = loop.make_v(P, tuple(float(v) for v in x_s))
+    x_d = loop.dref(0.0)[:2]
 
     comps = tuple(float(v) for v in x0)
     if controller.kind == "MFC":
         x0_star = controller.model_initial
         if x0_star is None:
-            x0_star = loop.dref(0.0)[:n]
+            x0_star = x_d
         comps = tuple(float(v) for v in x0_star) + comps
 
     steps = int(round(horizon / h))
@@ -540,9 +506,9 @@ def simulate_closed_loop(
     t_grid = np.arange(len(states)) * h
     rows = tuple(np.array(states).T)
     if controller.kind == "MFC":
-        x_star, x = rows[:n], rows[n:]
+        x_star, x = rows[:2], rows[2:]
     else:
-        x_star, x = loop.dref(t_grid)[:n], rows
+        x_star, x = x_d, rows
     with np.errstate(all="ignore"):
         u = np.asarray(loop.control(t_grid, rows), dtype=float)
         V = np.asarray(v_of(t_grid, rows), dtype=float)
@@ -550,15 +516,15 @@ def simulate_closed_loop(
     traj = Trajectory(
         t=t_grid,
         x=np.column_stack(x),
-        x_star=np.column_stack(np.broadcast_arrays(*x_star, t_grid)[:n]),
+        x_star=np.column_stack(np.broadcast_arrays(*x_star, t_grid)[:2]),
         u=u,
         V=V,
         metadata={
             "kind": controller.kind,
             "step": h,
             "horizon": horizon,
-            "y_d": controller.reference.y_d if set_point else None,
-            "x_s": None if x_s is None else [float(v) for v in x_s],
+            "y_d": controller.reference.y_d,
+            "x_s": [float(v) for v in x_s],
             "epsilon": controller.gains.epsilon,
             "vartheta": vartheta,
             "diverged": fail_time is not None,
@@ -588,14 +554,11 @@ def metrics(traj: Trajectory, x_s_expected: Sequence[float]) -> dict:
     u0 = float(traj.u[0])
     peak = float(np.max(np.abs(traj.u)))
 
-    y_d = traj.metadata.get("y_d")
+    y_d = traj.metadata["y_d"]
     tail = max(1, len(traj.t) // 10)
     mean_tail = float(np.mean(traj.x[-tail:, 0]))
-    if y_d is None:
-        sse_pct = None
-    else:
-        scale = abs(y_d) if y_d != 0 else 1.0
-        sse_pct = abs(mean_tail - y_d) / scale * 100.0
+    scale = abs(y_d) if y_d != 0 else 1.0
+    sse_pct = abs(mean_tail - y_d) / scale * 100.0
 
     dist = np.linalg.norm(traj.x - x_s, axis=1)
     d0 = float(dist[0])

@@ -11,6 +11,7 @@ point.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -253,6 +254,17 @@ def _real_roots(coeffs) -> list[float]:
     return roots
 
 
+@contextmanager
+def _cubic_for(y_d):
+    """Name the cubic and its set-point in a numerical failure, an overflow included."""
+    try:
+        yield
+    except ArithmeticError as exc:
+        what = "overflows" if isinstance(exc, OverflowError) else f"fails: {exc}"
+        where = f"the steady-state cubic for the set-point y_d = {float(y_d):.6g}"
+        raise ArithmeticError(f"{where} {what}") from None
+
+
 def _select(roots: Sequence[float], reference: float) -> tuple[int, bool]:
     dists = [abs(r - reference) for r in roots]
     best = min(dists)
@@ -265,8 +277,9 @@ def _select(roots: Sequence[float], reference: float) -> tuple[int, bool]:
 
 def mfc_equilibria(p: MsdParams, gains: GainSet, y_d: float) -> EquilibriumSet:
     """Equilibria of the two-loop closed loop in the output-error frame."""
-    coeffs = mfc_steady_polynomial(p, gains.k_star[0], gains.epsilon, y_d)
-    roots = _real_roots(coeffs)
+    with _cubic_for(y_d):
+        coeffs = mfc_steady_polynomial(p, gains.k_star[0], gains.epsilon, y_d)
+        roots = _real_roots(coeffs)
     idx, tie = _select(roots, 0.0)
     stability = tuple(classify_stability(r, "MFC", p, gains, y_d=y_d) for r in roots)
     return EquilibriumSet(
@@ -287,8 +300,9 @@ def single_loop_equilibria(
     """Equilibria of a single-loop closed loop, in the physical output frame."""
     k1 = gains.k_tilde[0] if high_gain else gains.k_star[0]
     kind = "SLHG" if high_gain else "SL"
-    coeffs = sl_steady_polynomial(p, k1, y_d)
-    roots = _real_roots(coeffs)
+    with _cubic_for(y_d):
+        coeffs = sl_steady_polynomial(p, k1, y_d)
+        roots = _real_roots(coeffs)
     idx, tie = _select(roots, float(y_d))
     stability = tuple(classify_stability(r, kind, p, gains) for r in roots)
     return EquilibriumSet(
@@ -314,7 +328,8 @@ def fflin_equilibrium(p: MsdParams, gains: GainSet, y_d: float) -> float:
     c3 = (p.k * p.alpha**2 + sigma1(p)) / p.m
     lin = (p.k + p.dk) / p.m
     y = float(y_d)
-    roots = _real_roots((-c3, 0.0, k1 - lin, (p.k / p.m) * (p.alpha**2 * y**3 + y) - k1 * y))
+    with _cubic_for(y):
+        roots = _real_roots((-c3, 0.0, k1 - lin, (p.k / p.m) * (p.alpha**2 * y**3 + y) - k1 * y))
     return roots[_select(roots, y)[0]]
 
 

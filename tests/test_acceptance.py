@@ -22,7 +22,7 @@ from mfcert import (
     estimate_mfc2,
     estimate_sl,
     estimate_slhg,
-    falsify_roa,
+    falsify_sets,
     gamma_empirical,
     high_gain,
     mfc_equilibria,
@@ -278,14 +278,13 @@ def test_criterion_9_falsification_soundness(table_params, gains, cert, plant):
             if not est.valid:
                 print(f"  criterion 9: skipping invalid {est.kind} at y_d={y_d} "
                       f"({est.reason})")
-                continue
-            rep = falsify_roa(
-                est, plant, gains, controller,
-                count=500, horizon=10.0, h=1e-3, seed=0,
-            )
+        # one stacked batch per set-point; equal to per-set runs (TestFalsifySets)
+        sets = [(est, controller) for controller, est in candidates if est.valid]
+        reports = falsify_sets(sets, plant, gains, count=500, horizon=10.0, h=1e-3, seed=0)
+        for rep in reports:
             total_sets += 1
             total_violations += len(rep.violations)
-            print(f"  criterion 9: y_d={y_d} {est.kind}: "
+            print(f"  criterion 9: y_d={y_d} {rep.kind}: "
                   f"{rep.converged}/{rep.samples} converged")
     elapsed = time.perf_counter() - t0
     ok = total_violations == 0 and elapsed < 120.0 and total_sets >= 7

@@ -220,6 +220,27 @@ class TestNumericalFailures:
         assert "RuntimeWarning" not in run.stderr
         assert "Traceback" not in run.stderr
 
+    def test_model_level_overflow_is_a_numerical_failure(self, tmp_path):
+        cfg = preset("scenario1").to_dict()
+        cfg["x0_star"] = [0.0, -1e308]  # vartheta e0'P e0 overflows
+        run = _run_cli(tmp_path, "roa", cfg)
+        assert run.returncode == 2
+        assert run.stderr.splitlines() == [run.stderr.strip()]
+        assert "c_star" in run.stderr
+        assert "RuntimeWarning" not in run.stderr and "Traceback" not in run.stderr
+        for path in (tmp_path / "out").glob("roa.json"):
+            assert "Infinity" not in path.read_text()
+
+    @pytest.mark.parametrize("command", ["roa", "steady-state"])
+    def test_cubic_overflow_names_the_set_point(self, tmp_path, command):
+        cfg = preset("scenario1").to_dict()
+        cfg["y_d"] = 1e200  # y_d**3 overflows while the cubic is built
+        run = _run_cli(tmp_path, command, cfg)
+        assert run.returncode == 2
+        assert run.stderr.splitlines() == [run.stderr.strip()]
+        assert "steady-state cubic" in run.stderr and "y_d" in run.stderr
+        assert "(34," not in run.stderr and "Traceback" not in run.stderr
+
     def test_unexpected_exception_ends_in_one_line(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise KeyError("missing")

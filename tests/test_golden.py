@@ -1,0 +1,59 @@
+"""Golden bytes of the closed-loop kernels.
+
+The digests pin the trajectory CSVs of ``run_simulate`` (every controller
+kind, 1 s horizon) and a small ``run_falsify`` report on both presets.  A
+change to the kernels that moves any bit of an integrated state, input or
+Lyapunov value fails here, and has to say so and re-pin the digests.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from mfcert import cli
+from mfcert.config import preset
+
+KINDS = ("SL", "SLHG", "MFC", "FFLIN")
+
+TRAJECTORY_SHA256 = {
+    "scenario1": {
+        "SL": "beca68ce8ce0bd18c9485d795b5a829d6aa43fc8722cb8abe61b9f6289ced87e",
+        "SLHG": "7e0cb27bc84f53c76f823aac8a8d09b769114eecaf769e3b43686e62d5dd74b7",
+        "MFC": "cc8a48afb9e11dc5adc5fd709e47163431c1a8cadae40d907897f3653e98c152",
+        "FFLIN": "e4cde3b5934b5cf663319cea02cd1286bdc631b1eaffe0e2fa4af9a0ff26d2a2",
+    },
+    "scenario2": {
+        "SL": "01e3fbda232095068c672b9c8cce755001f18593f06d6d27b18e24858eff017f",
+        "SLHG": "0c7b0891512187ef2757f7e8c78d7dce781759dd0163d7bdd2b62349297d9be3",
+        "MFC": "bcf62172a900d6419a24bea32a3e28e1cdb51bf08e02284d0ffdae4cb8b0501c",
+        "FFLIN": "25679ac7f23b88aa6e48bd20f6fd2faa466cf9f7c72e0090ac9762688d121a69",
+    },
+}
+
+FALSIFY_SHA256 = {
+    "scenario1": "f25276ac3c82ad85f77d574b1d839265d2cf8c2dabe627368a7a524f8a7b73ca",
+    "scenario2": "c10a3791b74ad5372925ceb2084af8ec111b5d1d1162d47d298f8246d390ca95",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _short(name):
+    return dataclasses.replace(preset(name), horizon=1.0, controllers=KINDS)
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_SHA256))
+def test_trajectory_csv_bytes(tmp_path, name):
+    cli.run_simulate(_short(name), tmp_path)
+    digests = {kind: _sha256(tmp_path / f"traj_{kind}.csv") for kind in KINDS}
+    assert digests == TRAJECTORY_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(FALSIFY_SHA256))
+def test_falsify_report_bytes(tmp_path, name):
+    report = cli.run_falsify(_short(name), samples=40, seed=0)
+    cli._write_json(tmp_path / "falsify.json", report)
+    assert _sha256(tmp_path / "falsify.json") == FALSIFY_SHA256[name]

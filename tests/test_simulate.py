@@ -10,7 +10,6 @@ from mfcert import (
     ControllerSpec,
     IntegrationError,
     PlantModel,
-    ReferenceTrajectory,
     SetPoint,
     control_fflin,
     control_mfc,
@@ -102,17 +101,6 @@ class TestControlFflin:
         u = control_fflin(X_D, 0.0, v, plant)
         assert u == pytest.approx(control_sl(X_D, X_D, 0.0, gains.k_tilde, plant), abs=1e-12)
 
-    def test_model_loop_rides_the_reference(self, plant, gains):
-        ref = ReferenceTrajectory(
-            lambda t: (0.5 * math.sin(t), 0.5 * math.cos(t), -0.5 * math.sin(t))
-        )
-        spec = ControllerSpec(kind="MFC", gains=gains, reference=ref, model_initial=(0.0, 0.5))
-        traj = simulate_closed_loop(plant, spec, (0.3, 0.0), 3.0, 1e-3)
-        x_d = np.stack(
-            [[0.5 * math.sin(t), 0.5 * math.cos(t)] for t in traj.t]
-        )
-        assert np.max(np.abs(traj.x_star - x_d)) <= 1e-9
-
 
 def _random_states(dim, count, seed):
     rng = np.random.default_rng(seed)
@@ -183,20 +171,14 @@ class TestBatchedLaw:
         assert np.array_equal(dy[1][mfc], expected)
 
     def test_model_loop_follows_the_reference_acceleration(self, plant, gains):
-        d = (0.3, 0.2, -0.7)
-        ref = ReferenceTrajectory(lambda t: d)
-        loop = build_closed_loop(plant, ControllerSpec(kind="MFC", gains=gains, reference=ref),
-                                 1000.0)
+        # a set-point's acceleration is 0: the model derivative is k*'(x* - x_d)
+        x_d = (0.3, 0.0)
+        loop = build_closed_loop(
+            plant, ControllerSpec(kind="MFC", gains=gains, reference=SetPoint(x_d[0])), 1000.0)
         y = _random_states(4, 16, seed=6)
         k = gains.k_star
-        expected = d[2] + (k[0] * (y[0] - d[0]) + k[1] * (y[1] - d[1]))
+        expected = k[0] * (y[0] - x_d[0]) + k[1] * (y[1] - x_d[1])
         assert np.array_equal(loop.rhs(0.0, y)[1], expected)
-
-    def test_stacking_needs_a_set_point(self, plant, gains):
-        ref = ReferenceTrajectory(lambda t: (0.0, 0.0, 0.0))
-        spec = ControllerSpec(kind="MFC", gains=gains, reference=ref)
-        with pytest.raises(ValueError):
-            build_closed_loop(plant, spec, 1000.0, columns=[("SL", 4)])
 
 
 def _close(got, f, gu, ph):
@@ -394,6 +376,28 @@ class TestSteadyStateResolution:
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
         with pytest.raises(TypeError):
             steady_state_of(bare, spec)
+        with pytest.raises(TypeError):
+            build_closed_loop(bare, spec, 1000.0)
+
+
+class TestSetPointOnly:
+    """A reference is a set-point: (y_d, 0) with a zero acceleration."""
+
+    def test_spec_takes_a_set_point(self, gains):
+        with pytest.raises(TypeError):
+            ControllerSpec(kind="SL", gains=gains, reference=(0.75, 0.0, 0.0))
+
+    def test_laws_reject_a_moving_reference(self, plant, gains):
+        with pytest.raises(ValueError):
+            control_sl((0.0, 0.0), (0.75, 0.2), 0.0, gains.k_star, plant)
+        with pytest.raises(ValueError):
+            control_mfc((0.0, 0.0), (0.0, 0.0), X_D, -0.7, gains.k_star, gains.k_tilde, plant)
+
+    def test_lyapunov_value_is_centred_on_a_rest_state(self, plant, gains):
+        spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
+        loop = build_closed_loop(plant, spec, 1000.0)
+        with pytest.raises(ValueError):
+            loop.make_v(solve_lyapunov(gains.k_star), (0.8, 0.1))
 
 
 def _rest_state(kind, y_d, s):
@@ -465,15 +469,11 @@ class TestMetricsAndCsv:
         assert m["steady_state_error_pct"] < 0.1
         assert m["settle_time"] is not None
 
-    def test_equilibrium_hold_reports_analytic_offset(self, table_params, gains):
+    def test_equilibrium_hold_reports_analytic_offset(self, plant, table_params, gains):
         sl_eq = single_loop_equilibria(table_params, gains, 0.75)
         x_s = (sl_eq.selected, 0.0)
-        frozen_value = msd_phi(table_params, x_s)
-        frozen = dataclasses.replace(
-            msd_plant(table_params), phi=lambda x: frozen_value + 0.0 * x[0]
-        )
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
-        traj = simulate_closed_loop(frozen, spec, x_s, 5.0, 1e-3)
+        traj = simulate_closed_loop(plant, spec, x_s, 5.0, 1e-3)
         m = metrics(traj, np.asarray(x_s))
         analytic = abs(sl_eq.selected - 0.75) / 0.75 * 100.0
         assert m["steady_state_error_pct"] == pytest.approx(analytic, rel=1e-6)
