@@ -8,11 +8,9 @@ closed loops, and validates every certificate by brute-force sampling.
 
 from .plant import (
     Box,
-    BrunovskyDims,
     DEFAULT_DOMAIN,
     MsdParams,
     MsdPlant,
-    PlantModel,
     msd_f,
     msd_g,
     msd_phi,
@@ -65,13 +63,9 @@ from .simulate import (
     IntegrationError,
     SetPoint,
     Trajectory,
-    control_fflin,
-    control_mfc,
-    control_sl,
     metrics,
     simulate_closed_loop,
     steady_state_of,
-    step_rk4,
     time_to_track,
 )
 from .falsify import (

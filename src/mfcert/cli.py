@@ -28,6 +28,7 @@ from .config import (
     PRESET_NAMES,
     ScenarioConfig,
     load_config,
+    parse_config,
     preset,
     reference_rows,
 )
@@ -79,16 +80,11 @@ def run_analyze(cfg: ScenarioConfig) -> dict:
     }
 
 
-def _equilibria(cfg: ScenarioConfig, gains):
+def run_steady_state(cfg: ScenarioConfig) -> tuple[dict, list[dict]]:
+    gains, _ = _design(cfg)
     mfc = ss_mod.mfc_equilibria(cfg.plant, gains, cfg.y_d)
     sl = ss_mod.single_loop_equilibria(cfg.plant, gains, cfg.y_d, high_gain=False)
     slhg = ss_mod.single_loop_equilibria(cfg.plant, gains, cfg.y_d, high_gain=True)
-    return mfc, sl, slhg
-
-
-def run_steady_state(cfg: ScenarioConfig) -> tuple[dict, list[dict]]:
-    gains, _ = _design(cfg)
-    mfc, sl, slhg = _equilibria(cfg, gains)
     transition = ss_mod.multiplicity_transition(cfg.plant, gains.k_star[0])
     report = {
         "MFC": mfc.to_dict(),
@@ -102,19 +98,13 @@ def run_steady_state(cfg: ScenarioConfig) -> tuple[dict, list[dict]]:
     return report, sweep
 
 
-def _steady_points(cfg: ScenarioConfig, gains):
-    mfc, sl, _ = _equilibria(cfg, gains)
-    x_d = _x_d(cfg)
-    x_s_mfc = x_d.copy()
-    x_s_mfc[0] += mfc.selected
-    x_s_sl = np.zeros_like(x_d)
-    x_s_sl[0] = sl.selected
-    return x_s_mfc, x_s_sl
-
-
 def _estimates(cfg: ScenarioConfig, gains, cert) -> dict:
     x_d = _x_d(cfg)
-    x_s_mfc, x_s_sl = _steady_points(cfg, gains)
+    plant = msd_plant(cfg.plant, cfg.domain)
+    x_s_mfc, x_s_sl = (
+        sim_mod.steady_state_of(plant, _controller_spec(cfg, gains, kind), cfg.vartheta)
+        for kind in ("MFC", "SL")
+    )
     builders = {
         "MFC1": lambda: roa_mod.estimate_mfc1(cfg.plant, cert, x_s_mfc, x_d),
         "MFC2": lambda: roa_mod.estimate_mfc2(cfg.plant, cert, x_s_mfc, x_d, cfg.x0_star),
@@ -299,12 +289,10 @@ def run_reproduce(
         computed["mfc_final_output_gap"] = abs(float(traj.x[-1, 0]) - y_d)
 
     if scenario == "scenario1":
-        x_d = tuple(_x_d(cfg))
         spec = _controller_spec(cfg, gains, "MFC")
+        loop = sim_mod.build_closed_loop(plant, spec, cfg.vartheta)
         for label, x0 in (("a", (0.1, -8.0)), ("b", (-0.25, 6.0))):
-            u, _, _ = sim_mod.control_mfc(
-                x0, cfg.x0_star, x_d, 0.0, gains.k_star, gains.k_tilde, plant
-            )
+            u = loop.control(0.0, (*cfg.x0_star, *x0))
             computed[f"u_mfc_0_perturbed_{label}"] = float(u)
         times = []
         for x0 in ((0.1, -8.0), (-0.25, 6.0)):
@@ -380,7 +368,7 @@ def _resolve_config(args) -> ScenarioConfig:
     if getattr(args, "config", None):
         cfg = load_config(args.config)
     else:
-        cfg = preset(getattr(args, "preset", None) or "scenario1")
+        cfg = preset(getattr(args, "scenario", None) or args.preset or "scenario1")
     updates = {}
     if getattr(args, "step", None) is not None:
         updates["step"] = args.step
@@ -389,8 +377,6 @@ def _resolve_config(args) -> ScenarioConfig:
     if updates:
         data = cfg.to_dict()
         data.update(updates)
-        from .config import parse_config
-
         cfg = parse_config(data)
     return cfg
 
@@ -428,11 +414,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = Path(args.out)
     try:
+        cfg = _resolve_config(args)
         if args.command == "reproduce":
-            if args.config:
-                cfg = load_config(args.config)
-            else:
-                cfg = preset(args.scenario)
             tolerance_rows = None
             if args.tolerance_profile:
                 tolerance_rows = _load_tolerance_profile(args.tolerance_profile, args.scenario)
@@ -453,7 +436,6 @@ def main(argv=None) -> int:
             print(f"summary: {'all checks passed' if summary['passed'] else 'MISMATCH'}")
             return 0 if summary["passed"] else 3
 
-        cfg = _resolve_config(args)
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(out_dir / "config.json", cfg.to_dict())
         if args.command == "analyze":
@@ -477,7 +459,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (sim_mod.IntegrationError, ArithmeticError, ZeroDivisionError, ValueError) as exc:
+    except (sim_mod.IntegrationError, ArithmeticError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # any other failure still ends in one line, not a traceback

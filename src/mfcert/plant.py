@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
-    "BrunovskyDims",
     "Box",
     "DEFAULT_DOMAIN",
     "MsdParams",
-    "PlantModel",
     "MsdPlant",
     "msd_f",
     "msd_f_of",
@@ -37,17 +35,6 @@ __all__ = [
     "phi_lipschitz_sup",
     "msd_plant",
 ]
-
-
-@dataclass(frozen=True)
-class BrunovskyDims:
-    """State dimension of an integrator chain; the output has relative degree n."""
-
-    n: int
-
-    def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"state dimension must be a positive integer, got {self.n}")
 
 
 @dataclass(frozen=True)
@@ -73,13 +60,6 @@ class Box:
     @property
     def dim(self) -> int:
         return len(self.lo)
-
-    @property
-    def is_point(self) -> bool:
-        return all(a == b for a, b in zip(self.lo, self.hi))
-
-    def contains(self, x: Sequence) -> bool:
-        return all(a <= float(v) <= b for v, a, b in zip(x, self.lo, self.hi))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Uniform samples, shape (count, dim)."""
@@ -170,7 +150,7 @@ def msd_f(p: MsdParams, x: Sequence):
     return msd_f_of(p)(x[0], x[1])
 
 
-def msd_g(p: MsdParams, x: Sequence | None = None):
+def msd_g(p: MsdParams) -> float:
     """Input gain 1/m; constant, hence globally nonzero."""
     return 1.0 / p.m
 
@@ -252,45 +232,14 @@ def phi_lipschitz_sup(p: MsdParams, region: Box) -> float:
 
 
 @dataclass(frozen=True)
-class PlantModel:
-    """Brunovsky-chain plant with drift, input gain and matched uncertainty.
-
-    ``f``, ``g`` and ``phi`` map a component sequence to a scalar (or an
-    array of the components' broadcast shape).  ``g`` must be nonzero on
-    ``domain``; ``phi`` must be Lipschitz there.  Instances are immutable and
-    all evaluations are pure, so plants are safe to share across workers.
-    """
-
-    dims: BrunovskyDims
-    f: Callable
-    g: Callable
-    phi: Callable
-    domain: Box
-
-
-@dataclass(frozen=True)
 class MsdPlant:
     """Mass-spring-damper plant over an analysis box.
 
-    ``f``, ``g`` and ``phi`` evaluate ``msd_f``, ``msd_g`` and ``msd_phi`` of
-    ``params``, which the closed-loop kernels and the bounds read directly.
+    The closed-loop kernels and the bounds read ``params`` directly.
     """
 
     params: MsdParams
     domain: Box = DEFAULT_DOMAIN
-    dims: ClassVar[BrunovskyDims] = BrunovskyDims(2)
-
-    def f(self, x: Sequence):
-        return msd_f(self.params, x)
-
-    def g(self, x: Sequence | None = None):
-        return msd_g(self.params, x)
-
-    def phi(self, x: Sequence):
-        return msd_phi(self.params, x)
-
-    def lipschitz_sup(self, region: Box | None = None) -> float:
-        return phi_lipschitz_sup(self.params, region if region is not None else self.domain)
 
 
 def msd_plant(params: MsdParams, domain: Box = DEFAULT_DOMAIN) -> MsdPlant:

@@ -133,15 +133,18 @@ def compare_levels(
     Returns (c1_tilde, c2_tilde, difference) with
     c1_tilde = lambda_min (r_a / sqrt(2))^2 - c_star and
     c2_tilde = lambda_min (r_a - sqrt(c_star / (vartheta lambda_min)))^2.
-    The difference is provably positive for vartheta > 1.
+    The difference is provably positive for vartheta > 1.  Raises ValueError
+    naming the reason when the split estimate is absent, including a c_star
+    above its budget.
     """
     if vartheta <= 1:
         raise ValueError("vartheta must exceed 1 for the level comparison")
-    ra, reason = aux_radius(p, gamma_bound, ref_norm)
-    if ra is None:
+    r, reason = r_mfc2(p, gamma_bound, ref_norm, c_star_value, vartheta, lam_min)
+    if r is None:
         raise ValueError(f"level comparison undefined: {reason}")
+    ra, _ = aux_radius(p, gamma_bound, ref_norm)
     c1_tilde = lam_min * (ra / math.sqrt(2.0)) ** 2 - c_star_value
-    c2_tilde = lam_min * (ra - math.sqrt(c_star_value / (vartheta * lam_min))) ** 2
+    c2_tilde = lam_min * r**2
     diff = c2_tilde - c1_tilde
     if diff <= 0:
         raise ArithmeticError(

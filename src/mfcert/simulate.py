@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .plant import MsdPlant, PlantModel, msd_f_of, msd_g, msd_phi_of
+from .plant import MsdPlant, msd_f_of, msd_g, msd_phi_of
 from .steady_state import fflin_equilibrium, mfc_equilibria, single_loop_equilibria
 from .synthesis import GainSet, solve_lyapunov, time_scaling
 
@@ -29,10 +29,6 @@ __all__ = [
     "ControllerSpec",
     "Trajectory",
     "IntegrationError",
-    "control_sl",
-    "control_mfc",
-    "control_fflin",
-    "step_rk4",
     "simulate_closed_loop",
     "steady_state_of",
     "metrics",
@@ -110,14 +106,9 @@ class Trajectory:
             fh.writelines(",".join(map(repr, row)) + "\n" for row in table)
 
 
-def _nonzero_gain(g):
-    if np.any(np.asarray(g) == 0):
-        raise ZeroDivisionError("input gain g vanishes at the evaluated state")
-
-
 # The laws of the SL, SLHG and MFC loops cancel the known drift f and gain g,
 # so the closed loop's terminal derivative is the law's target acceleration v
-# plus phi(x); the input u = (v - f(x)) / g(x) is formed only where it is
+# plus phi(x); the input u = (v - f(x)) / g is formed only where it is
 # recorded.  Each law binds its gains and the set-point y_d once and returns a
 # function of the state components.  The set-point's velocity and
 # acceleration are zero, so no law carries an x2 - 0.0 or a + y_d'' term.
@@ -161,10 +152,10 @@ def _two_loop_targets(k_star, k_tilde, y_d):
     return targets
 
 
-def _input(f, g, v, x):
-    """Input (v - f(x)) / g(x) that gives the nominal chain the acceleration v."""
-    u = v - f(x)
-    u /= g(x)
+def _input(f, g, v, x1, x2):
+    """Input (v - f(x1, x2)) / g that gives the nominal chain the acceleration v."""
+    u = v - f(x1, x2)
+    u /= g
     return u
 
 
@@ -173,61 +164,6 @@ def _fflin_law(feedforward, g_d, v_fb):
     u = feedforward + v_fb
     u /= g_d
     return u
-
-
-def _set_point(x_d, y_d_n) -> float:
-    """y_d of a set-point reference state x_d = (y_d, 0) with y_d^(n) = 0."""
-    if x_d[1] != 0.0 or y_d_n != 0.0:
-        raise ValueError("the laws serve set-points: x_d[1] and y_d^(n) must be 0")
-    return x_d[0]
-
-
-def control_sl(x, x_d, y_d_n, k: Sequence[float], plant: PlantModel | MsdPlant):
-    """Single-loop feedback linearising law (-f(x) + y_d^(n) + k'(x - x_d)) / g(x)."""
-    _nonzero_gain(plant.g(x))
-    v = _single_loop_target(k, _set_point(x_d, y_d_n))(x[0], x[1])
-    return _input(plant.f, plant.g, v, x)
-
-
-def control_mfc(
-    x,
-    x_star,
-    x_d,
-    y_d_n,
-    k_star: Sequence[float],
-    k_tilde: Sequence[float],
-    plant: PlantModel | MsdPlant,
-):
-    """Two-loop control: model law at the model state plus the process correction.
-
-    Returns (u, u_star, u_tilde).  The model law linearises the nominal model
-    about the reference; the correction u_tilde = u - u_star cancels the drift
-    and gain mismatch between process and model states, and is exactly 0 when
-    they coincide.
-    """
-    _nonzero_gain(plant.g(x_star))
-    _nonzero_gain(plant.g(x))
-    targets = _two_loop_targets(k_star, k_tilde, _set_point(x_d, y_d_n))
-    v_star, v = targets(x_star[0], x_star[1], x[0], x[1])
-    u_star = _input(plant.f, plant.g, v_star, x_star)
-    u = _input(plant.f, plant.g, v, x)
-    return u, u_star, u - u_star
-
-
-def control_fflin(x_d, y_d_n, v_fb, plant: PlantModel | MsdPlant):
-    """Feedforward linearising law (-f(x_d) + y_d^(n) + v_fb) / g(x_d)."""
-    _nonzero_gain(plant.g(x_d))
-    return _fflin_law(y_d_n - plant.f(x_d), plant.g(x_d), v_fb)
-
-
-def step_rk4(dynamics: Callable, state, h: float):
-    """One classical four-stage Runge-Kutta step for an autonomous system."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    (result,) = _rk4_components(lambda t, y: (dynamics(y[0]),), 0.0, (state,), h)
-    if not np.all(np.isfinite(result)):
-        raise IntegrationError("integration step produced a non-finite state")
-    return result
 
 
 def _rk4_components(rhs, t, y, h):
@@ -311,7 +247,7 @@ def build_closed_loop(
     if not isinstance(plant, MsdPlant):
         raise TypeError("closed loops need an MsdPlant")
     gains = controller.gains
-    if gains.n != plant.dims.n:
+    if gains.n != 2:
         raise ValueError("gain dimension does not match the plant")
     kst, ktd = gains.k_star, gains.k_tilde
     y_d = float(controller.reference.y_d)
@@ -375,7 +311,7 @@ def build_closed_loop(
 
         def control(t, y):
             _, v = targets(*y)
-            return _input(plant.f, plant.g, v, y[2:])
+            return _input(f, g, v, y[2], y[3])
 
     else:
         target = _single_loop_target(k, y_d)
@@ -387,7 +323,8 @@ def build_closed_loop(
             return x2, v
 
         def control(t, y):
-            return _input(plant.f, plant.g, target(y[0], y[1]), y)
+            x1, x2 = y
+            return _input(f, g, target(x1, x2), x1, x2)
 
     def make_v(P: np.ndarray, x_s: Sequence):
         """V centred on the rest state x_s = (x_s1, 0); FFLIN measures from x_d."""

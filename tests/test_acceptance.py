@@ -16,8 +16,6 @@ from mfcert import (
     SetPoint,
     aux_radius,
     compare_levels,
-    control_mfc,
-    control_sl,
     estimate_mfc1,
     estimate_mfc2,
     estimate_sl,
@@ -31,11 +29,18 @@ from mfcert import (
     simulate_closed_loop,
     single_loop_equilibria,
     solve_lyapunov,
-    step_rk4,
     time_to_track,
 )
-from mfcert.plant import DEFAULT_DOMAIN
+from mfcert.plant import DEFAULT_DOMAIN, msd_f
+from mfcert.simulate import _rk4_components, build_closed_loop
 from mfcert.synthesis import closed_loop_matrix
+
+
+def _law(plant, gains, kind, y_d=0.75):
+    """Control law of one closed loop as a function of its state components."""
+    spec = ControllerSpec(kind=kind, gains=gains, reference=SetPoint(y_d))
+    loop = build_closed_loop(plant, spec, 1000.0)
+    return lambda *y: loop.control(0.0, y)
 
 
 def _report(num: int, description: str, ok: bool):
@@ -131,17 +136,12 @@ def test_criterion_5_steady_states(table_params, gains, scenario):
 
 
 def test_criterion_6_control_peaks(plant, gains):
-    u_hg1 = control_sl((0.0, 0.0), (0.75, 0.0), 0.0, gains.k_tilde, plant)
-    u_hg2 = control_sl((0.0, 0.0), (2.0, 0.0), 0.0, gains.k_tilde, plant)
-    u_m0, _, _ = control_mfc(
-        (0.0, 0.0), (0.0, 0.0), (0.75, 0.0), 0.0, gains.k_star, gains.k_tilde, plant
-    )
-    u_ma, _, _ = control_mfc(
-        (0.1, -8.0), (0.0, 0.0), (0.75, 0.0), 0.0, gains.k_star, gains.k_tilde, plant
-    )
-    u_mb, _, _ = control_mfc(
-        (-0.25, 6.0), (0.0, 0.0), (0.75, 0.0), 0.0, gains.k_star, gains.k_tilde, plant
-    )
+    u_hg1 = _law(plant, gains, "SLHG")(0.0, 0.0)
+    u_hg2 = _law(plant, gains, "SLHG", y_d=2.0)(0.0, 0.0)
+    mfc = _law(plant, gains, "MFC")
+    u_m0 = mfc(0.0, 0.0, 0.0, 0.0)
+    u_ma = mfc(0.0, 0.0, 0.1, -8.0)
+    u_mb = mfc(0.0, 0.0, -0.25, 6.0)
     ok = (
         abs(u_hg1 - 310.0) <= 0.02 * 310.0
         and abs(u_hg2 - 810.0) <= 0.02 * 810.0
@@ -196,22 +196,19 @@ def test_criterion_8_property_suite(table_params, plant, gains, cert):
 
     flat_ok = True
     split_ok = True
+    mfc, sl = _law(plant, gains, "MFC"), _law(plant, gains, "SL")
     for _ in range(1000):
         x = tuple(rng.uniform(-5, 5, size=2))
         xs = tuple(rng.uniform(-5, 5, size=2))
-        u_on_model, _, _ = control_mfc(
-            x, x, (0.75, 0.0), 0.0, gains.k_star, gains.k_tilde, plant
-        )
-        u_fb = control_sl(x, (0.75, 0.0), 0.0, gains.k_star, plant)
+        u_on_model = mfc(*x, *x)
+        u_fb = sl(*x)
         flat_ok &= abs(u_on_model - u_fb) <= 1e-12 * max(1.0, abs(u_fb))
-        u_split, u_star, u_tilde = control_mfc(
-            x, xs, (0.75, 0.0), 0.0, gains.k_star, gains.k_tilde, plant
-        )
+        u_split = mfc(*xs, *x)
         combined = (
-            -plant.f(x)
+            -msd_f(table_params, x)
             + sum(gains.k_star[i] * (xs[i] - (0.75, 0.0)[i]) for i in range(2))
             + sum(gains.k_tilde[i] * (x[i] - xs[i]) for i in range(2))
-        ) / plant.g(x)
+        ) / (1.0 / table_params.m)
         split_ok &= abs(u_split - combined) <= 1e-12 * max(1.0, abs(combined))
     checks["two-loop law matches single-loop law on the model state"] = flat_ok
     checks["split law equals one-line law"] = split_ok
@@ -244,10 +241,10 @@ def test_criterion_8_property_suite(table_params, plant, gains, cert):
     )
 
     def rk4_error(h):
-        y = 1.0
+        y = (1.0,)
         for _ in range(int(round(1.0 / h))):
-            y = step_rk4(lambda v: -v, y, h)
-        return abs(y - math.exp(-1.0))
+            y = _rk4_components(lambda t, v: (-v[0],), 0.0, y, h)
+        return abs(y[0] - math.exp(-1.0))
 
     order = math.log2(rk4_error(0.1) / rk4_error(0.05))
     checks["integrator convergence order"] = order >= 3.9

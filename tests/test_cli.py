@@ -277,6 +277,13 @@ class TestReproduce:
         assert rows["sl_root_count"]["computed"] == 1.0
         assert rows["sl_root_unstable"]["computed"] == 1.0
 
+    def test_step_and_horizon_flags_apply(self, tmp_path):
+        main(["reproduce", "scenario1", "--out", str(tmp_path), "--horizon", "2",
+              "--step", "0.002", "--samples", "4"])
+        valid = [rep for rep in _read_json(tmp_path / "falsify.json").values()
+                 if rep["valid"]]
+        assert valid and all(rep["horizon"] == 2.0 and rep["h"] == 0.002 for rep in valid)
+
     def test_tolerance_profile_forces_mismatch(self, tmp_path):
         profile = tmp_path / "tight.json"
         profile.write_text(json.dumps(

@@ -138,6 +138,14 @@ class TestCompareLevels:
         )
         assert diff == pytest.approx(cert.lambda_min * ra * ra / 2.0, rel=1e-12)
 
+    def test_over_budget_c_star_rejected(self, table_params, cert, scenario1):
+        ref = float(np.linalg.norm(scenario1["x_s_mfc"]))
+        budget = c_star_budget(table_params, cert.gamma_mfc, ref, 1000.0, cert.lambda_min)
+        with pytest.raises(ValueError, match=REASON_CSTAR):
+            compare_levels(
+                2.0 * budget, table_params, cert.gamma_mfc, ref, 1000.0, cert.lambda_min
+            )
+
     def test_split_route_dominates_on_random_draws(self, cert):
         rng = np.random.default_rng(30)
         checked = 0

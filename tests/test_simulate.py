@@ -5,15 +5,9 @@ import numpy as np
 import pytest
 
 from mfcert import (
-    BrunovskyDims,
-    Box,
     ControllerSpec,
     IntegrationError,
-    PlantModel,
     SetPoint,
-    control_fflin,
-    control_mfc,
-    control_sl,
     design_gains,
     lyapunov_decrease_check,
     metrics,
@@ -22,7 +16,6 @@ from mfcert import (
     preset,
     simulate_closed_loop,
     steady_state_of,
-    step_rk4,
     time_to_track,
 )
 from mfcert.plant import msd_f
@@ -33,37 +26,40 @@ from mfcert.steady_state import mfc_equilibria, single_loop_equilibria
 X_D = (0.75, 0.0)
 
 
+def _law(plant, gains, kind, y_d=X_D[0]):
+    """Control law of one closed loop as a function of its state components."""
+    spec = ControllerSpec(kind=kind, gains=gains, reference=SetPoint(y_d))
+    loop = build_closed_loop(plant, spec, 1000.0)
+    return lambda *y: loop.control(0.0, y)
+
+
 class TestControlMfc:
     def test_setpoint_from_origin(self, plant, gains):
-        u, u_star, u_tilde = control_mfc(
-            (0.0, 0.0), (0.0, 0.0), X_D, 0.0, gains.k_star, gains.k_tilde, plant
-        )
+        u = _law(plant, gains, "MFC")(0.0, 0.0, 0.0, 0.0)
         assert u == pytest.approx(12.81, abs=1e-9)  # 9.81 + (-4)(-0.75)
-        assert u == pytest.approx(u_star + u_tilde, abs=1e-12)
 
     def test_perturbed_initial_state(self, plant, gains):
-        u, _, _ = control_mfc(
-            (0.1, -8.0), (0.0, 0.0), X_D, 0.0, gains.k_star, gains.k_tilde, plant
-        )
+        u = _law(plant, gains, "MFC")(0.0, 0.0, 0.1, -8.0)
         assert u == pytest.approx(290.560375, abs=1e-9)
         assert u == pytest.approx(290.6, rel=0.02)
 
     def test_reduces_to_single_loop_law_on_model_state(self, plant, gains):
+        mfc, sl = _law(plant, gains, "MFC"), _law(plant, gains, "SL")
         rng = np.random.default_rng(40)
         for _ in range(1000):
             x = tuple(rng.uniform(-5, 5, size=2))
-            u, _, u_tilde = control_mfc(x, x, X_D, 0.0, gains.k_star, gains.k_tilde, plant)
-            u_fb = control_sl(x, X_D, 0.0, gains.k_star, plant)
-            assert u_tilde == 0.0
+            u = mfc(*x, *x)
+            u_fb = sl(*x)
             assert u == pytest.approx(u_fb, abs=1e-12 * max(1.0, abs(u_fb)))
 
     def test_split_equals_combined_form(self, plant, gains):
+        mfc, slhg = _law(plant, gains, "MFC"), _law(plant, gains, "SLHG")
         rng = np.random.default_rng(41)
         for _ in range(1000):
             x = tuple(rng.uniform(-5, 5, size=2))
             xs = tuple(rng.uniform(-5, 5, size=2))
-            u, _, _ = control_mfc(x, xs, X_D, 0.0, gains.k_star, gains.k_tilde, plant)
-            combined = control_sl(x, X_D, 0.0, gains.k_tilde, plant) + sum(
+            u = mfc(*xs, *x)
+            combined = slhg(*x) + sum(
                 (gains.k_star[i] - gains.k_tilde[i]) * (xs[i] - X_D[i]) for i in range(2)
             ) * plant.params.m
             assert u == pytest.approx(combined, abs=1e-12 * max(1.0, abs(u)))
@@ -71,35 +67,26 @@ class TestControlMfc:
 
 class TestControlSl:
     def test_high_gain_peaks(self, plant, gains):
-        u = control_sl((0.0, 0.0), X_D, 0.0, gains.k_tilde, plant)
+        u = _law(plant, gains, "SLHG")(0.0, 0.0)
         assert u == pytest.approx(309.81, abs=1e-9)
         assert u == pytest.approx(310.0, rel=0.02)
-        u2 = control_sl((0.0, 0.0), (2.0, 0.0), 0.0, gains.k_tilde, plant)
+        u2 = _law(plant, gains, "SLHG", y_d=2.0)(0.0, 0.0)
         assert u2 == pytest.approx(809.81, abs=1e-9)
 
     def test_pure_feedforward_residue(self, plant, gains):
-        u = control_sl(X_D, X_D, 0.0, gains.k_star, plant)
-        assert u == pytest.approx(-plant.params.m * plant.f(X_D), abs=1e-12)
-
-    def test_vanishing_gain_rejected(self, gains):
-        dead = PlantModel(
-            dims=BrunovskyDims(2), f=lambda x: 0.0, g=lambda x: 0.0,
-            phi=lambda x: 0.0, domain=Box((-1, -1), (1, 1)),
-        )
-        with pytest.raises(ZeroDivisionError):
-            control_sl((0.0, 0.0), X_D, 0.0, gains.k_star, dead)
+        u = _law(plant, gains, "SL")(*X_D)
+        assert u == pytest.approx(-plant.params.m * msd_f(plant.params, X_D), abs=1e-12)
 
 
 class TestControlFflin:
-    def test_pure_feedforward_value(self, plant):
-        u = control_fflin(X_D, 0.0, 0.0, plant)
+    def test_pure_feedforward_value(self, plant, gains):
+        u = _law(plant, gains, "FFLIN")(*X_D)
         assert u == pytest.approx(11.09320, abs=1e-4)
         assert u == pytest.approx(11.09, abs=1e-2)
 
     def test_feedback_term_matches_single_loop_on_reference(self, plant, gains):
-        v = sum(gains.k_tilde[i] * (X_D[i] - X_D[i]) for i in range(2))
-        u = control_fflin(X_D, 0.0, v, plant)
-        assert u == pytest.approx(control_sl(X_D, X_D, 0.0, gains.k_tilde, plant), abs=1e-12)
+        u = _law(plant, gains, "FFLIN")(*X_D)
+        assert u == pytest.approx(_law(plant, gains, "SLHG")(*X_D), abs=1e-12)
 
 
 def _random_states(dim, count, seed):
@@ -188,29 +175,31 @@ def _close(got, f, gu, ph):
 
 
 class TestTargetAcceleration:
-    """The loops integrate the plant under the real input: f + g u + phi."""
+    """The loops integrate the plant under the real input: f + g u + phi.
+
+    The model loop is the nominal model under the plain single-loop law.
+    """
 
     @pytest.mark.parametrize("kind", ["SL", "SLHG", "MFC"])
     def test_single_run_is_the_plant_under_its_law(self, plant, gains, kind):
+        p, g = plant.params, 1.0 / plant.params.m
         spec = ControllerSpec(kind=kind, gains=gains, reference=SetPoint(0.75))
         loop = build_closed_loop(plant, spec, 1000.0)
+        model_law = _law(plant, gains, "SL")
         dim = 2 * loop.n if kind == "MFC" else loop.n
         y = _random_states(dim, 200, seed=9)
         for j in range(200):
             yj = _column(y, j)
             x = yj[-2:]
+            u = loop.control(0.0, yj)
             if kind == "MFC":
-                u, u_star, _ = control_mfc(x, yj[:2], X_D, 0.0, gains.k_star,
-                                           gains.k_tilde, plant)
                 model = loop.rhs(0.0, yj)[1]
-                assert _close(model, plant.f(yj[:2]), plant.g(yj[:2]) * u_star, 0.0)
-            else:
-                k = gains.k_star if kind == "SL" else gains.k_tilde
-                u = control_sl(x, X_D, 0.0, k, plant)
+                assert _close(model, msd_f(p, yj[:2]), g * model_law(*yj[:2]), 0.0)
             acc = loop.rhs(0.0, yj)[-1]
-            assert _close(acc, plant.f(x), plant.g(x) * u, plant.phi(x))
+            assert _close(acc, msd_f(p, x), g * u, msd_phi(p, x))
 
     def test_stacked_batch_is_the_plant_under_each_law(self, plant, gains):
+        p, g = plant.params, 1.0 / plant.params.m
         kinds = (("MFC", 22), ("SL", 21), ("SLHG", 21))
         spec = ControllerSpec(kind="MFC", gains=gains, reference=SetPoint(X_D[0]))
         loop = build_closed_loop(plant, spec, 1000.0, columns=kinds)
@@ -220,16 +209,14 @@ class TestTargetAcceleration:
         x = _random_states(2, 64, seed=11)
         dy = loop.rhs(0.0, model + x)
         mfc, sl, slhg = slice(0, 22), slice(22, 43), slice(43, 64)
-        u = np.empty(64)
-        u_star = np.zeros(64)
-        u[mfc], u_star[mfc], _ = control_mfc(
-            tuple(c[mfc] for c in x), tuple(c[mfc] for c in model), X_D, 0.0,
-            gains.k_star, gains.k_tilde, plant)
-        u[sl] = control_sl(tuple(c[sl] for c in x), X_D, 0.0, gains.k_star, plant)
-        u[slhg] = control_sl(tuple(c[slhg] for c in x), X_D, 0.0, gains.k_tilde, plant)
-        assert _close(dy[-1], plant.f(x), plant.g(x) * u, plant.phi(x))
         xs = tuple(c[mfc] for c in model)
-        assert _close(dy[1][mfc], plant.f(xs), plant.g(xs) * u_star[mfc], 0.0)
+        u = np.empty(64)
+        u[mfc] = _law(plant, gains, "MFC")(*xs, *(c[mfc] for c in x))
+        u[sl] = _law(plant, gains, "SL")(*(c[sl] for c in x))
+        u[slhg] = _law(plant, gains, "SLHG")(*(c[slhg] for c in x))
+        assert _close(dy[-1], msd_f(p, x), g * u, msd_phi(p, x))
+        u_star = _law(plant, gains, "SL")(*xs)
+        assert _close(dy[1][mfc], msd_f(p, xs), g * u_star, 0.0)
         assert np.all(dy[1][22:] == 0.0)
 
 
@@ -260,30 +247,29 @@ class TestInputsUntouched:
         assert _unchanged_after(lambda: msd_phi(table_params, x), x)
 
 
+def _decay(t, y):
+    return (-y[0],)
+
+
 class TestStepRk4:
+    """One classical RK4 step on a tuple of components."""
+
     def test_exponential_decay(self):
-        assert step_rk4(lambda y: -y, 1.0, 0.1) == pytest.approx(math.exp(-0.1), abs=1e-6)
+        (y,) = _rk4_components(_decay, 0.0, (1.0,), 0.1)
+        assert y == pytest.approx(math.exp(-0.1), abs=1e-6)
 
     def test_zero_dynamics(self):
-        assert step_rk4(lambda y: 0.0 * y, 3.5, 0.2) == 3.5
+        assert _rk4_components(lambda t, y: (0.0 * y[0],), 0.0, (3.5,), 0.2) == (3.5,)
 
     def test_convergence_order(self):
         def run(h):
-            y = 1.0
+            y = (1.0,)
             for _ in range(int(round(1.0 / h))):
-                y = step_rk4(lambda v: -v, y, h)
-            return abs(y - math.exp(-1.0))
+                y = _rk4_components(_decay, 0.0, y, h)
+            return abs(y[0] - math.exp(-1.0))
 
         order = math.log2(run(0.1) / run(0.05))
         assert order >= 3.9
-
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            step_rk4(lambda y: -y, 1.0, 0.0)
-
-    def test_nonfinite_raises(self):
-        with pytest.raises(IntegrationError):
-            step_rk4(lambda y: float("inf"), 1.0, 0.1)
 
 
 class TestClosedLoopRuns:
@@ -370,14 +356,12 @@ class TestSteadyStateResolution:
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(2.0))
         assert steady_state_of(plant, spec)[0] == pytest.approx(-5.983034, abs=1e-5)
 
-    def test_needs_msd_plant(self, plant, gains):
-        bare = PlantModel(dims=plant.dims, f=plant.f, g=plant.g, phi=plant.phi,
-                          domain=plant.domain)
+    def test_needs_msd_plant(self, table_params, gains):
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
         with pytest.raises(TypeError):
-            steady_state_of(bare, spec)
+            steady_state_of(table_params, spec)
         with pytest.raises(TypeError):
-            build_closed_loop(bare, spec, 1000.0)
+            build_closed_loop(table_params, spec, 1000.0)
 
 
 class TestSetPointOnly:
@@ -386,12 +370,6 @@ class TestSetPointOnly:
     def test_spec_takes_a_set_point(self, gains):
         with pytest.raises(TypeError):
             ControllerSpec(kind="SL", gains=gains, reference=(0.75, 0.0, 0.0))
-
-    def test_laws_reject_a_moving_reference(self, plant, gains):
-        with pytest.raises(ValueError):
-            control_sl((0.0, 0.0), (0.75, 0.2), 0.0, gains.k_star, plant)
-        with pytest.raises(ValueError):
-            control_mfc((0.0, 0.0), (0.0, 0.0), X_D, -0.7, gains.k_star, gains.k_tilde, plant)
 
     def test_lyapunov_value_is_centred_on_a_rest_state(self, plant, gains):
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
