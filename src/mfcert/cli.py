@@ -24,12 +24,14 @@ from . import simulate as sim_mod
 from . import steady_state as ss_mod
 from . import synthesis
 from .config import (
+    FALSIFY_SAMPLES,
     ConfigError,
     PRESET_NAMES,
     ScenarioConfig,
     load_config,
     parse_config,
     preset,
+    read_json,
     reference_rows,
 )
 from .plant import msd_plant, phi_lipschitz_sup
@@ -51,8 +53,6 @@ def _x_d(cfg: ScenarioConfig) -> np.ndarray:
 
 def run_analyze(cfg: ScenarioConfig) -> dict:
     gains, cert = _design(cfg)
-    acl = synthesis.closed_loop_matrix(gains.k_star)
-    residual = float(np.max(np.abs(acl.T @ cert.P + cert.P @ acl + np.eye(gains.n))))
     domain_gamma = phi_lipschitz_sup(cfg.plant, cfg.domain)
     positive, M = synthesis.m_matrix_positive(
         cfg.vartheta, cfg.epsilon, domain_gamma, cert.P
@@ -65,7 +65,7 @@ def run_analyze(cfg: ScenarioConfig) -> dict:
             "D": gains.d_matrix().tolist(),
         },
         "certificate": cert.to_dict(),
-        "lyapunov_residual": residual,
+        "lyapunov_residual": cert.residual,
         "domain_lipschitz_sup": domain_gamma,
         "domain_gamma_certified": {
             "m_matrix": M.tolist(),
@@ -92,10 +92,7 @@ def run_steady_state(cfg: ScenarioConfig) -> tuple[dict, list[dict]]:
         "SLHG": slhg.to_dict(),
         "sl_multiplicity_transition_y_d": transition,
     }
-    sweep = ss_mod.sl_root_sweep(
-        cfg.plant, gains.k_star[0], np.arange(0.0, 2.5 + 1e-9, 0.01)
-    )
-    return report, sweep
+    return report, ss_mod.sl_root_sweep(cfg.plant, gains.k_star[0])
 
 
 def _estimates(cfg: ScenarioConfig, gains, cert) -> dict:
@@ -121,20 +118,11 @@ def run_roa(cfg: ScenarioConfig, sweep: bool = True) -> tuple[dict, list[tuple]]
     boundaries: list[tuple] = []
     for kind, est in estimates.items():
         if est.valid:
-            for pt in est.boundary(256):
+            for pt in est.boundary():
                 boundaries.append((kind, float(pt[0]), float(pt[1])))
     if sweep and "MFC2" in estimates and estimates["MFC2"].valid:
         est = estimates["MFC2"]
-        region = roa_mod.mfc2_region_sweep(
-            cfg.plant,
-            cert,
-            est.x_s,
-            est.x_d,
-            est.c_star,
-            samples=360,
-            rays=360,
-            c_grid=17,
-        )
+        region = roa_mod.mfc2_region_sweep(cfg.plant, cert, est.x_s, est.c_star)
         report["MFC2_sweep"] = {
             "c_star_level": region.c_star_level,
             "c_tilde_level": region.c_tilde_level,
@@ -194,13 +182,12 @@ def run_falsify(cfg: ScenarioConfig, samples: int | None = None, seed: int | Non
     gains, cert = _design(cfg)
     plant = msd_plant(cfg.plant, cfg.domain)
     estimates = _estimates(cfg, gains, cert)
-    controller_of = {"MFC1": "MFC", "MFC2": "MFC", "SL": "SL", "SLHG": "SLHG"}
     valid = [kind for kind, est in estimates.items() if est.valid]
     batch = falsify_mod.falsify_sets(
-        [(estimates[kind], controller_of[kind]) for kind in valid],
+        [estimates[kind] for kind in valid],
         plant,
         gains,
-        count=samples if samples is not None else (cfg.falsify_samples or 500),
+        count=samples if samples is not None else (cfg.falsify_samples or FALSIFY_SAMPLES),
         horizon=cfg.horizon,
         h=cfg.step,
         seed=seed if seed is not None else cfg.falsify_seed,
@@ -299,7 +286,7 @@ def run_reproduce(
             traj = sim_mod.simulate_closed_loop(
                 plant, spec, x0, 2.0, cfg.step, vartheta=cfg.vartheta
             )
-            times.append(sim_mod.time_to_track(traj, threshold=0.01))
+            times.append(sim_mod.time_to_track(traj))
         computed["mfc_reconverge_time_s"] = max(
             t if t is not None else float("inf") for t in times
         )
@@ -352,32 +339,55 @@ def _write_violations_csv(path: Path, reports: dict):
 
 
 def _load_tolerance_profile(path: str, scenario: str) -> list[dict]:
-    with open(path) as fh:
-        overrides = json.load(fh)
+    """Reference rows of a scenario with a JSON list of per-row overrides applied.
+
+    An entry whose name matches a reference row updates that row; any other
+    entry is a new row.  Every resulting row needs a name, a kind of rel, abs
+    or max, a numeric tol and, for rel and abs, a numeric expected value.
+    """
+    overrides = read_json(path, "tolerance-profile")
+    if not isinstance(overrides, list):
+        raise ConfigError("tolerance-profile", "must be a JSON list of rows")
     rows = reference_rows(scenario)
     by_name = {row["name"]: row for row in rows}
-    for entry in overrides:
-        if entry.get("name") in by_name:
-            by_name[entry["name"]].update(entry)
+    for i, entry in enumerate(overrides):
+        where = f"tolerance-profile[{i}]"
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise ConfigError(where, "must be an object with a name")
+        row = by_name.get(entry["name"])
+        if row is None:
+            row = dict(entry)
+            rows.append(row)
         else:
-            rows.append(entry)
+            row.update(entry)
+        if row.get("kind") not in ("rel", "abs", "max"):
+            raise ConfigError(f"{where}.kind", "must be one of rel, abs, max")
+        needed = ("tol",) if row["kind"] == "max" else ("tol", "expected")
+        for key in needed:
+            value = row.get(key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{where}.{key}", "must be a number")
     return rows
 
 
 def _resolve_config(args) -> ScenarioConfig:
-    if getattr(args, "config", None):
+    """The configuration of a run, with the command-line overrides validated in it."""
+    scenario = getattr(args, "scenario", None)
+    if scenario and args.preset and args.preset != scenario:
+        raise ConfigError("preset", f"--preset {args.preset} contradicts reproduce {scenario}")
+    if args.config:
         cfg = load_config(args.config)
     else:
-        cfg = preset(getattr(args, "scenario", None) or args.preset or "scenario1")
-    updates = {}
-    if getattr(args, "step", None) is not None:
-        updates["step"] = args.step
-    if getattr(args, "horizon", None) is not None:
-        updates["horizon"] = args.horizon
+        cfg = preset(scenario or args.preset or "scenario1")
+    data = cfg.to_dict()
+    updates = {name: getattr(args, name) for name in ("step", "horizon")
+               if getattr(args, name) is not None}
+    falsify = {name: getattr(args, name) for name in ("samples", "seed")
+               if getattr(args, name) is not None}
+    if falsify:
+        updates["falsify"] = {**data.get("falsify", {"samples": FALSIFY_SAMPLES}), **falsify}
     if updates:
-        data = cfg.to_dict()
-        data.update(updates)
-        cfg = parse_config(data)
+        cfg = parse_config({**data, **updates})
     return cfg
 
 
@@ -419,14 +429,7 @@ def main(argv=None) -> int:
             tolerance_rows = None
             if args.tolerance_profile:
                 tolerance_rows = _load_tolerance_profile(args.tolerance_profile, args.scenario)
-            summary = run_reproduce(
-                cfg,
-                args.scenario,
-                out_dir,
-                samples=args.samples,
-                seed=args.seed,
-                tolerance_rows=tolerance_rows,
-            )
+            summary = run_reproduce(cfg, args.scenario, out_dir, tolerance_rows=tolerance_rows)
             for row in summary["rows"]:
                 status = "PASS" if row["pass"] else "FAIL"
                 expected = row.get("expected", f"< {row['tol']}")
@@ -452,7 +455,7 @@ def main(argv=None) -> int:
             metrics, _ = run_simulate(cfg, out_dir)
             _write_json(out_dir / "metrics.json", metrics)
         elif args.command == "falsify":
-            reports = run_falsify(cfg, samples=args.samples, seed=args.seed)
+            reports = run_falsify(cfg)
             _write_json(out_dir / "falsify.json", reports)
             _write_violations_csv(out_dir / "falsify_violations.csv", reports)
         return 0

@@ -23,13 +23,17 @@ __all__ = [
     "preset",
     "load_config",
     "parse_config",
+    "read_json",
     "PRESET_NAMES",
+    "FALSIFY_SAMPLES",
     "reference_rows",
 ]
 
 PRESET_NAMES = ("scenario1", "scenario2")
 _CONTROLLERS = ("SL", "SLHG", "MFC", "FFLIN")
 _ROA_KINDS = ("MFC1", "MFC2", "SL", "SLHG")
+#: Falsification samples per set when a configuration names none.
+FALSIFY_SAMPLES = 500
 
 
 class ConfigError(ValueError):
@@ -213,13 +217,19 @@ def parse_config(data: Mapping) -> ScenarioConfig:
     )
 
 
+def read_json(path, field: str):
+    """Parsed JSON of a file; an unreadable file or invalid JSON is a ConfigError at ``field``."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(field, f"cannot read {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # malformed JSON or undecodable bytes
+        raise ConfigError(field, f"invalid JSON: {exc}") from None
+
+
 def load_config(path) -> ScenarioConfig:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("config", f"invalid JSON: {exc}") from None
-    return parse_config(data)
+    return parse_config(read_json(path, "config"))
 
 
 _TABLE_PLANT = {
@@ -252,7 +262,7 @@ def preset(name: str) -> ScenarioConfig:
             "step": 1e-3,
             "controllers": ["SL", "SLHG", "MFC"],
             "roa_kinds": ["MFC1", "MFC2", "SL", "SLHG"],
-            "falsify": {"samples": 500, "seed": 0},
+            "falsify": {"samples": FALSIFY_SAMPLES, "seed": 0},
         }
     )
 

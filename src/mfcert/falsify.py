@@ -39,6 +39,10 @@ __all__ = [
 
 #: Certified sets are open; samples are drawn from this fraction of the level.
 BOUNDARY_MARGIN = 0.999
+#: Relative rise of V per step that counts as a Lyapunov increase.
+DECREASE_TOLERANCE = 1e-9
+#: Point pairs behind the sampled Lipschitz constant of each report.
+LIPSCHITZ_PAIRS = 10_000
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -54,7 +58,7 @@ def _unit_ball(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
 
 
 def sample_in_set(
-    estimate: RoaEstimate, count: int, seed: int, margin: float = BOUNDARY_MARGIN
+    estimate: RoaEstimate, count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Uniform initial states inside a certified set, in physical coordinates.
 
@@ -73,26 +77,24 @@ def sample_in_set(
     D = estimate.d_matrix()
     x_s = np.asarray(estimate.x_s)
     x_d = np.asarray(estimate.x_d)
+    # the combined set draws model and process error from one 2n-ball
+    u = _unit_ball(rng, count, 2 * n if estimate.kind == "MFC1" else n)
 
     if estimate.kind == "SL":
-        u = _unit_ball(rng, count, n)
-        x0 = x_s + math.sqrt(margin * estimate.level) * u @ S.T
+        x0 = x_s + math.sqrt(BOUNDARY_MARGIN * estimate.level) * u @ S.T
         return x0, None
     if estimate.kind == "SLHG":
-        u = _unit_ball(rng, count, n)
-        z = math.sqrt(margin * estimate.level) * u @ S.T
+        z = math.sqrt(BOUNDARY_MARGIN * estimate.level) * u @ S.T
         return x_s + z @ D.T, None
     if estimate.kind == "MFC2":
-        u = _unit_ball(rng, count, n)
-        zt = math.sqrt(margin * estimate.c_tilde) * u @ S.T
+        zt = math.sqrt(BOUNDARY_MARGIN * estimate.c_tilde) * u @ S.T
         e_star = np.asarray(estimate.x0_star) - x_d
         x0 = x_s + e_star + zt @ D.T
         x0_star = np.tile(np.asarray(estimate.x0_star), (count, 1))
         return x0, x0_star
     if estimate.kind == "MFC1":
-        u = _unit_ball(rng, count, 2 * n)
-        es = math.sqrt(margin * estimate.level / estimate.vartheta) * u[:, :n] @ S.T
-        zt = math.sqrt(margin * estimate.level) * u[:, n:] @ S.T
+        es = math.sqrt(BOUNDARY_MARGIN * estimate.level / estimate.vartheta) * u[:, :n] @ S.T
+        zt = math.sqrt(BOUNDARY_MARGIN * estimate.level) * u[:, n:] @ S.T
         x0 = x_s + es + zt @ D.T
         return x0, x_d + es
     raise ValueError(f"unknown estimate kind {estimate.kind!r}")
@@ -107,24 +109,21 @@ class DecreaseCheck:
     exit_time: float | None
 
 
-def _decrease_step(v_prev, v_new, level, floor, tolerance):
+def _decrease_step(v_prev, v_new, level, floor):
     """One step of the online Lyapunov-decrease test: (increase, still inside).
 
-    The step increases when V(t_{k+1}) > V(t_k) (1 + tolerance) from a value
+    The step increases when V(t_{k+1}) > V(t_k) (1 + DECREASE_TOLERANCE) from a value
     above ``floor``, which keeps the rounding noise of a numerically
     converged run from counting.  The test holds while V stays within
     ``level``; a non-finite V leaves the set.  Works on floats and arrays.
     """
-    return (v_new > v_prev * (1.0 + tolerance)) & (v_prev > floor), v_new <= level
+    return (v_new > v_prev * (1.0 + DECREASE_TOLERANCE)) & (v_prev > floor), v_new <= level
 
 
 def lyapunov_decrease_check(
-    traj: Trajectory,
-    tolerance: float = 1e-9,
-    level: float | None = None,
-    floor: float = 0.0,
+    traj: Trajectory, level: float | None = None, floor: float = 0.0
 ) -> DecreaseCheck:
-    """Check V(t_{k+1}) <= V(t_k) (1 + tolerance) while the state stays certified.
+    """Check V(t_{k+1}) <= V(t_k) (1 + DECREASE_TOLERANCE) while the state stays certified.
 
     The scan applies the online test of the Monte-Carlo batch to one
     trajectory and exits vacuously once the Lyapunov value leaves the level
@@ -135,7 +134,7 @@ def lyapunov_decrease_check(
     bound = np.finfo(float).max if level is None else level
     if len(V) and not V[0] <= bound:
         return DecreaseCheck(True, None, float(t[0]))
-    increase, inside = _decrease_step(V[:-1], V[1:], bound, floor, tolerance)
+    increase, inside = _decrease_step(V[:-1], V[1:], bound, floor)
     stops = np.flatnonzero(increase | ~inside)
     if len(stops) == 0:
         return DecreaseCheck(True, None, None)
@@ -199,36 +198,28 @@ def falsify_roa(
     estimate: RoaEstimate,
     plant: MsdPlant,
     gains: GainSet,
-    controller_kind: str,
     count: int,
     horizon: float,
     h: float,
     seed: int,
-    decrease_tolerance: float = 1e-9,
-    lipschitz_pairs: int = 10_000,
 ) -> FalsificationReport:
     """Simulate sampled initial states from one certified set: ``falsify_sets`` of one."""
-    return falsify_sets(
-        [(estimate, controller_kind)], plant, gains, count, horizon, h, seed,
-        decrease_tolerance, lipschitz_pairs,
-    )[0]
+    return falsify_sets([estimate], plant, gains, count, horizon, h, seed)[0]
 
 
 def falsify_sets(
-    sets,
+    estimates,
     plant: MsdPlant,
     gains: GainSet,
     count: int,
     horizon: float,
     h: float,
     seed: int,
-    decrease_tolerance: float = 1e-9,
-    lipschitz_pairs: int = 10_000,
 ) -> list[FalsificationReport]:
     """Falsify several certified sets of one design in one stacked batch.
 
-    ``sets`` pairs each estimate with its controller kind, MFC, SL or SLHG.
-    Each set gets ``count`` samples drawn with ``seed``; all columns run under
+    Each estimate runs under the loop it certifies (``RoaEstimate.controller``)
+    and gets ``count`` samples drawn with ``seed``; all columns run under
     one law (see ``build_closed_loop``) with their set's level, centre and
     Lyapunov scaling.  A run converges when its final state lies
     within one percent of its initial distance to the analytic equilibrium
@@ -236,9 +227,8 @@ def falsify_sets(
     online while the state remains inside its set.  Violations are data, not
     errors.  Returns one report per set, in order.
     """
-    if not sets:
+    if not estimates:
         return []
-    estimates = [est for est, _ in sets]
     first = estimates[0]
     if any(not (np.array_equal(est.x_d, first.x_d) and np.array_equal(est.P, first.P))
            for est in estimates):
@@ -246,12 +236,10 @@ def falsify_sets(
     n = first.n
     x_d = np.asarray(first.x_d, dtype=float)
     x0, x0_star = [], []
-    for est, kind in sets:
+    for est in estimates:
         x, star = sample_in_set(est, count, seed)
-        if kind == "MFC" and star is None:
-            raise ValueError("two-loop falsification needs sampled model states")
         x0.append(x)
-        x0_star.append(star if kind == "MFC" else np.tile(x_d, (count, 1)))
+        x0_star.append(np.tile(x_d, (count, 1)) if star is None else star)
     x0 = np.concatenate(x0)
     total = len(x0)
 
@@ -263,10 +251,10 @@ def falsify_sets(
     x_s = per_column([est.x_s for est in estimates])
     spec = ControllerSpec(kind="MFC", gains=gains, reference=SetPoint(float(x_d[0])))
     loop = build_closed_loop(plant, spec, per_column([est.vartheta for est in estimates]),
-                             columns=[(kind, count) for _, kind in sets])
+                             columns=[(est.controller, count) for est in estimates])
     v_of = loop.make_v(first.P, tuple(x_s.T.copy()))
     comps = tuple(x0.T.copy())
-    if any(kind == "MFC" for _, kind in sets):
+    if any(est.controller == "MFC" for est in estimates):
         comps = tuple(np.concatenate(x0_star).T.copy()) + comps
     steps = int(round(horizon / h))
     alive = np.ones(total, dtype=bool)
@@ -289,7 +277,7 @@ def falsify_sets(
                 if np.any(newly_dead):
                     fail_time[newly_dead] = (k + 1) * h
                     alive &= finite
-            increase, inside = _decrease_step(v_prev, v_new, level, floor, decrease_tolerance)
+            increase, inside = _decrease_step(v_prev, v_new, level, floor)
             inc = in_set & increase
             fresh = inc & ~viol_v
             if np.any(fresh):
@@ -302,7 +290,7 @@ def falsify_sets(
     threshold = np.maximum(0.01 * np.linalg.norm(x0 - x_s, axis=1), 0.01)
     near = alive & (dist <= threshold)
 
-    empirical = gamma_empirical(plant.params, plant.domain, lipschitz_pairs, seed + 1)
+    empirical = gamma_empirical(plant.params, plant.domain, LIPSCHITZ_PAIRS, seed + 1)
     analytic = phi_lipschitz_sup(plant.params, plant.domain)
     reports = []
     for j, est in enumerate(estimates):

@@ -44,6 +44,14 @@ REASON_RADICAND = "negative-radicand"
 REASON_RADIUS = "negative-radius"
 REASON_CSTAR = "c-star-exceeds-budget"
 
+#: Vertices of each drawn level-set boundary.
+BOUNDARY_POINTS = 256
+#: Model starts on the c_star ellipse, and boundary rays, of the region sweep.
+SWEEP_SAMPLES = 360
+SWEEP_RAYS = 360
+#: c_star levels of the grey region sweep, 0 and the budget included.
+SWEEP_LEVELS = 17
+
 
 def aux_radius(
     p: MsdParams, gamma_bound: float, ref_norm: float
@@ -72,6 +80,14 @@ def aux_radius(
     if r < 0.0:
         return None, REASON_RADIUS
     return r, None
+
+
+def _combined_radius(
+    p: MsdParams, gamma_bound: float, ref_norm: float
+) -> tuple[float | None, str | None]:
+    """Combined two-loop (MFC1) radius: the shared radius block shrunk by sqrt(2)."""
+    r, reason = aux_radius(p, gamma_bound, ref_norm)
+    return (None if r is None else r / math.sqrt(2.0)), reason
 
 
 def c_star(vartheta: float, P: np.ndarray, x_tilde_star_0: Sequence[float]) -> float:
@@ -131,7 +147,7 @@ def compare_levels(
     """Split-frame levels of the two estimation routes sharing one c_star.
 
     Returns (c1_tilde, c2_tilde, difference) with
-    c1_tilde = lambda_min (r_a / sqrt(2))^2 - c_star and
+    c1_tilde = lambda_min r_1^2 - c_star for the combined radius r_1 = r_a / sqrt(2) and
     c2_tilde = lambda_min (r_a - sqrt(c_star / (vartheta lambda_min)))^2.
     The difference is provably positive for vartheta > 1.  Raises ValueError
     naming the reason when the split estimate is absent, including a c_star
@@ -142,8 +158,8 @@ def compare_levels(
     r, reason = r_mfc2(p, gamma_bound, ref_norm, c_star_value, vartheta, lam_min)
     if r is None:
         raise ValueError(f"level comparison undefined: {reason}")
-    ra, _ = aux_radius(p, gamma_bound, ref_norm)
-    c1_tilde = lam_min * (ra / math.sqrt(2.0)) ** 2 - c_star_value
+    r1, _ = _combined_radius(p, gamma_bound, ref_norm)
+    c1_tilde = lam_min * r1 * r1 - c_star_value
     c2_tilde = lam_min * r**2
     diff = c2_tilde - c1_tilde
     if diff <= 0:
@@ -209,6 +225,11 @@ class RoaEstimate:
         return len(self.x_d)
 
     @property
+    def controller(self) -> str:
+        """The loop the set certifies: MFC for both two-loop kinds."""
+        return "MFC" if self.kind in ("MFC1", "MFC2") else self.kind
+
+    @property
     def frame(self) -> str:
         return {
             "MFC1": "combined model error and scaled process error",
@@ -263,7 +284,7 @@ class RoaEstimate:
 
         For the scaled frames the quadratic form pulls back through the time
         scaling; for the combined frames the drawable set is the process-error
-        slice at the stored initial model error.
+        slice at the stored initial model error, zero for MFC1.
         """
         if not self.valid:
             raise ValueError(f"estimate {self.kind} is invalid ({self.reason})")
@@ -272,23 +293,13 @@ class RoaEstimate:
             return P, self.level, self.center
         Dinv = self.d_inv()
         Q = Dinv @ P @ Dinv
-        if self.kind == "SLHG":
-            return Q, self.level, self.center
         if self.kind == "MFC2":
             return Q, self.c_tilde, self.center
-        # MFC1: slice the combined ball at the stored initial model error
-        e0 = np.asarray(self.x0_star if self.x0_star is not None else self.x_d) - np.asarray(
-            self.x_d
-        )
-        spent = self.vartheta * float(e0 @ P @ e0)
-        remaining = self.level - spent
-        if remaining <= 0:
-            raise ValueError("initial model error exhausts the combined level")
-        return Q, remaining, self.center
+        return Q, self.level, self.center
 
-    def boundary(self, points: int = 256) -> np.ndarray:
+    def boundary(self) -> np.ndarray:
         Q, level, center = self.physical_shape()
-        return ellipse_boundary(Q, level, center, points)
+        return ellipse_boundary(Q, level, center, BOUNDARY_POINTS)
 
     def to_dict(self) -> dict:
         return {
@@ -304,23 +315,43 @@ class RoaEstimate:
         }
 
 
-def estimate_sl(
-    p: MsdParams, cert: LyapunovCertificate, x_s: Sequence[float], x_d: Sequence[float]
+def _estimate(
+    kind: str,
+    cert: LyapunovCertificate,
+    x_s: Sequence[float],
+    x_d: Sequence[float],
+    radius: float | None,
+    reason: str | None,
+    c_star: float | None = None,
+    x0_star: Sequence[float] | None = None,
 ) -> RoaEstimate:
-    """Level set of the plain single-loop design about its steady state."""
-    r, reason = aux_radius(p, cert.gamma_sl, float(np.linalg.norm(x_s)))
-    level = None if r is None else cert.lambda_min * r * r
+    """Estimate at level lambda_min radius^2, raised by c_star for the split set."""
+    level = None if radius is None else cert.lambda_min * radius * radius
+    c_tilde = None
+    if c_star is not None and level is not None:
+        c_tilde, level = level, c_star + level
     return RoaEstimate(
-        kind="SL",
+        kind=kind,
         level=level,
-        radius_aux=r,
+        radius_aux=radius,
         x_d=tuple(x_d),
         x_s=tuple(x_s),
         P=cert.P,
         vartheta=cert.vartheta,
         epsilon=cert.epsilon,
+        c_star=c_star,
+        c_tilde=c_tilde,
+        x0_star=None if x0_star is None else tuple(x0_star),
         reason=reason,
     )
+
+
+def estimate_sl(
+    p: MsdParams, cert: LyapunovCertificate, x_s: Sequence[float], x_d: Sequence[float]
+) -> RoaEstimate:
+    """Level set of the plain single-loop design about its steady state."""
+    r, reason = aux_radius(p, cert.gamma_sl, float(np.linalg.norm(x_s)))
+    return _estimate("SL", cert, x_s, x_d, r, reason)
 
 
 def estimate_slhg(
@@ -328,47 +359,15 @@ def estimate_slhg(
 ) -> RoaEstimate:
     """Level set of the high-gain single-loop design, in its scaled frame."""
     r, reason = aux_radius(p, cert.gamma_slhg, float(np.linalg.norm(x_s)))
-    level = None if r is None else cert.lambda_min * r * r
-    return RoaEstimate(
-        kind="SLHG",
-        level=level,
-        radius_aux=r,
-        x_d=tuple(x_d),
-        x_s=tuple(x_s),
-        P=cert.P,
-        vartheta=cert.vartheta,
-        epsilon=cert.epsilon,
-        reason=reason,
-    )
+    return _estimate("SLHG", cert, x_s, x_d, r, reason)
 
 
 def estimate_mfc1(
-    p: MsdParams,
-    cert: LyapunovCertificate,
-    x_s: Sequence[float],
-    x_d: Sequence[float],
-    x0_star: Sequence[float] | None = None,
+    p: MsdParams, cert: LyapunovCertificate, x_s: Sequence[float], x_d: Sequence[float]
 ) -> RoaEstimate:
-    """Combined-state level set of the two-loop scheme.
-
-    Its radius is the shared radius block shrunk by sqrt(2).
-    """
-    r, reason = aux_radius(p, cert.gamma_mfc, float(np.linalg.norm(x_s)))
-    if r is not None:
-        r /= math.sqrt(2.0)
-    level = None if r is None else cert.lambda_min * r * r
-    return RoaEstimate(
-        kind="MFC1",
-        level=level,
-        radius_aux=r,
-        x_d=tuple(x_d),
-        x_s=tuple(x_s),
-        P=cert.P,
-        vartheta=cert.vartheta,
-        epsilon=cert.epsilon,
-        x0_star=None if x0_star is None else tuple(x0_star),
-        reason=reason,
-    )
+    """Combined-state level set of the two-loop scheme, at zero initial model error."""
+    r, reason = _combined_radius(p, cert.gamma_mfc, float(np.linalg.norm(x_s)))
+    return _estimate("MFC1", cert, x_s, x_d, r, reason)
 
 
 def estimate_mfc2(
@@ -382,28 +381,9 @@ def estimate_mfc2(
     e0 = np.asarray(x0_star, dtype=float) - np.asarray(x_d, dtype=float)
     cs = c_star(cert.vartheta, cert.P, e0)
     r, reason = r_mfc2(
-        p,
-        cert.gamma_mfc,
-        float(np.linalg.norm(x_s)),
-        cs,
-        cert.vartheta,
-        cert.lambda_min,
+        p, cert.gamma_mfc, float(np.linalg.norm(x_s)), cs, cert.vartheta, cert.lambda_min
     )
-    ct = None if r is None else cert.lambda_min * r * r
-    return RoaEstimate(
-        kind="MFC2",
-        level=None if ct is None else cs + ct,
-        radius_aux=r,
-        x_d=tuple(x_d),
-        x_s=tuple(x_s),
-        P=cert.P,
-        vartheta=cert.vartheta,
-        epsilon=cert.epsilon,
-        c_star=cs,
-        c_tilde=ct,
-        x0_star=tuple(x0_star),
-        reason=reason,
-    )
+    return _estimate("MFC2", cert, x_s, x_d, r, reason, c_star=cs, x0_star=x0_star)
 
 
 @dataclass(frozen=True)
@@ -445,11 +425,7 @@ def mfc2_region_sweep(
     p: MsdParams,
     cert: LyapunovCertificate,
     x_s: Sequence[float],
-    x_d: Sequence[float],
     c_star_level: float,
-    samples: int = 720,
-    rays: int = 720,
-    c_grid: int = 25,
 ) -> RegionSweep:
     """Outer boundaries of the swept split-estimate regions.
 
@@ -461,9 +437,6 @@ def mfc2_region_sweep(
     stays correct where the sampled union has radial gaps, which a
     bisection search would mistake for the boundary.
     """
-    if samples < 16:
-        raise ValueError("need at least 16 sweep samples")
-    x_d = np.asarray(x_d, dtype=float)
     x_s = np.asarray(x_s, dtype=float)
     ref_norm = float(np.linalg.norm(x_s))
     ra, reason = aux_radius(p, cert.gamma_mfc, ref_norm)
@@ -478,27 +451,23 @@ def mfc2_region_sweep(
     P = np.asarray(cert.P)
     Dinv = np.diag(time_scaling(1.0 / cert.epsilon, len(x_s)))
     Q = Dinv @ P @ Dinv
-    S = _inv_sqrt(P)
     centroid = x_s.copy()  # x_d + steady offset, the c_star = 0 center
 
     def c_tilde_of(cs: float) -> float:
         return lam * (ra - math.sqrt(cs / (vth * lam))) ** 2
 
     def ring(cs: float, count: int) -> np.ndarray:
-        if cs == 0.0:
-            return centroid[None, :]
-        theta = 2.0 * math.pi * np.arange(count) / count
-        circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return centroid + math.sqrt(cs / vth) * circle @ S.T
+        # the model starts with vartheta e*' P e* = cs, on the set's own ellipse
+        return centroid[None, :] if cs == 0.0 else ellipse_boundary(P, cs / vth, centroid, count)
 
-    green_centers = ring(c_star_level, samples)
+    green_centers = ring(c_star_level, SWEEP_SAMPLES)
     green_thresholds = np.full(len(green_centers), c_tilde_of(c_star_level))
     green_contains = _union_membership(green_centers, green_thresholds, Q)
 
-    grey_count = max(32, samples // 4)
+    grey_count = SWEEP_SAMPLES // 4
     grey_centers = []
     grey_thresholds = []
-    for cs in np.linspace(0.0, c_max, c_grid):
+    for cs in np.linspace(0.0, c_max, SWEEP_LEVELS):
         pts = ring(float(cs), grey_count)
         grey_centers.append(pts)
         grey_thresholds.append(np.full(len(pts), c_tilde_of(float(cs))))
@@ -506,7 +475,7 @@ def mfc2_region_sweep(
     grey_thresholds = np.concatenate(grey_thresholds)
     grey_contains = _union_membership(grey_centers, grey_thresholds, Q)
 
-    theta = 2.0 * math.pi * np.arange(rays) / rays
+    theta = 2.0 * math.pi * np.arange(SWEEP_RAYS) / SWEEP_RAYS
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
 
     def outer_boundary(centers: np.ndarray, thresholds: np.ndarray) -> np.ndarray:

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 CONTROLLER_KINDS = ("SL", "SLHG", "MFC", "FFLIN")
+#: Distance between process and model state below which the process tracks.
+TRACK_GAP = 0.01
 
 
 class IntegrationError(RuntimeError):
@@ -395,15 +397,16 @@ def simulate_closed_loop(
     x0: Sequence[float],
     horizon: float,
     h: float,
-    vartheta: float | None = None,
+    vartheta: float,
 ) -> Trajectory:
     """Integrate one closed loop and record states, input and Lyapunov value.
 
     The two-loop scheme integrates the coupled model/process pair; the model
     loop sees no uncertainty by construction.  Single-loop runs repeat the
     reference state in the model-state slot.  V is centred on
-    ``steady_state_of``.  Raises IntegrationError when a state goes
-    non-finite; the partial trajectory rides on the exception.
+    ``steady_state_of``; ``vartheta`` weighs its model error.  Raises
+    IntegrationError when a state goes non-finite; the partial trajectory
+    rides on the exception.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -411,8 +414,6 @@ def simulate_closed_loop(
         raise ValueError("horizon must be at least one step")
     if len(x0) != 2:
         raise ValueError("x0 must have 2 components")
-    if vartheta is None:
-        vartheta = 100.0 / controller.gains.epsilon
 
     loop = build_closed_loop(plant, controller, vartheta)
     x_s = steady_state_of(plant, controller)
@@ -516,10 +517,10 @@ def metrics(traj: Trajectory, x_s_expected: Sequence[float]) -> dict:
     }
 
 
-def time_to_track(traj: Trajectory, threshold: float = 0.01) -> float | None:
-    """First grid time after which the process stays within threshold of the model."""
+def time_to_track(traj: Trajectory) -> float | None:
+    """First grid time after which the process stays within TRACK_GAP of the model."""
     gap = np.linalg.norm(traj.x - traj.x_star, axis=1)
-    above = np.nonzero(gap >= threshold)[0]
+    above = np.nonzero(gap >= TRACK_GAP)[0]
     if len(above) == 0:
         return float(traj.t[0])
     if above[-1] == len(gap) - 1:

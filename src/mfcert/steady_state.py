@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 _MARGINAL_TOL = 1e-9
+#: Set-point range of the single-loop root sweep and its transition search.
+Y_D_MIN, Y_D_MAX = 0.0, 2.5
+#: Grid steps of the reported sweep and of the (finer) transition search.
+SWEEP_STEP = 0.01
+TRANSITION_STEP = 0.005
 
 
 def _polish(coeffs: Sequence[float], root: float) -> float:
@@ -333,33 +338,29 @@ def fflin_equilibrium(p: MsdParams, gains: GainSet, y_d: float) -> float:
     return roots[_select(roots, y)[0]]
 
 
-def sl_root_sweep(
-    p: MsdParams, k1_sl: float, y_d_values: Sequence[float]
-) -> list[dict]:
-    """Root data of the single-loop steady-state cubic over a set-point sweep."""
+def sl_root_sweep(p: MsdParams, k1_sl: float) -> list[dict]:
+    """Root data of the single-loop steady-state cubic on the set-point grid."""
     rows = []
-    for y in y_d_values:
+    for y in np.arange(Y_D_MIN, Y_D_MAX + 1e-9, SWEEP_STEP):
         roots = solve_cubic(sl_steady_polynomial(p, k1_sl, y))
         rows.append({"y_d": float(y), "roots": roots})
     return rows
 
 
-def multiplicity_transition(
-    p: MsdParams, k1_sl: float, y_lo: float = 0.0, y_hi: float = 2.5, step: float = 0.005
-) -> float | None:
+def multiplicity_transition(p: MsdParams, k1_sl: float) -> float | None:
     """Set-point where the single-loop root count drops from three to one.
 
-    Returns the midpoint of the bracketing sweep interval, or None when the
-    count never changes on the sweep.
+    Steps from Y_D_MIN to Y_D_MAX by TRANSITION_STEP and returns the midpoint
+    of the bracketing interval, or None when the count never changes.
     """
-    y = y_lo
+    y = Y_D_MIN
     prev_y = None
     prev_count = None
-    while y <= y_hi + 1e-12:
+    while y <= Y_D_MAX + 1e-12:
         count = len(solve_cubic(sl_steady_polynomial(p, k1_sl, y)))
         if prev_count == 3 and count < 3:
             # a count of exactly two means the sweep hit the fold itself
             return y if count == 2 else 0.5 * (prev_y + y)
         prev_y, prev_count = y, count
-        y += step
+        y += TRANSITION_STEP
     return None

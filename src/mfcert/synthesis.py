@@ -52,17 +52,16 @@ def _check_symmetric(P: np.ndarray) -> np.ndarray:
     return P
 
 
-def place_poles(n: int, roots: Sequence[complex]) -> np.ndarray:
+def place_poles(roots: Sequence[complex]) -> np.ndarray:
     """Gain k such that the chain closed loop A + b k' has the given eigenvalues.
 
     The root set must be closed under complex conjugation and strictly in the
     open left half plane.  For the integrator chain the closed-loop companion
-    matrix has characteristic polynomial s^n - k_n s^(n-1) - ... - k_1, so the
-    gain components are the negated monic polynomial coefficients.
+    matrix has characteristic polynomial s^n - k_n s^(n-1) - ... - k_1, with
+    n the number of roots, so the gain components are the negated monic
+    polynomial coefficients.
     """
     rts = np.asarray([complex(r) for r in roots])
-    if len(rts) != n:
-        raise ValueError(f"expected {n} roots, got {len(rts)}")
     if np.any(rts.real >= 0):
         raise ValueError("all desired eigenvalues must have negative real part")
     if not np.allclose(np.sort_complex(rts), np.sort_complex(np.conj(rts)), atol=1e-12):
@@ -124,7 +123,7 @@ def design_gains(poles: Sequence[complex], epsilon: float) -> GainSet:
     Raises ArithmeticError when a gain over- or underflows to a non-finite value.
     """
     with np.errstate(all="ignore"):  # a non-finite gain is rejected below
-        k_star = place_poles(len(list(poles)), poles)
+        k_star = place_poles(poles)
         k_tilde, _ = high_gain(k_star, epsilon)
     if not (np.all(np.isfinite(k_star)) and np.all(np.isfinite(k_tilde))):
         raise ArithmeticError(f"the poles {list(poles)} give non-finite gains")
@@ -229,6 +228,7 @@ class LyapunovCertificate:
     gamma_mfc: float
     gamma_sl: float
     gamma_slhg: float
+    residual: float  # max |Acl' P + P Acl + I|; left out of to_dict
 
     def to_dict(self) -> dict:
         return {
@@ -243,14 +243,12 @@ class LyapunovCertificate:
         }
 
 
-def certify(gains: GainSet, vartheta: float | None = None) -> LyapunovCertificate:
+def certify(gains: GainSet, vartheta: float) -> LyapunovCertificate:
     """Solve for P and package the robustness bounds for a gain set.
 
-    vartheta defaults to 100 / epsilon.  Raises ArithmeticError when the
-    residual of the Lyapunov equation exceeds 1e-10 or is not finite.
+    Raises ArithmeticError when the residual of the Lyapunov equation exceeds
+    1e-10 or is not finite.
     """
-    if vartheta is None:
-        vartheta = 100.0 / gains.epsilon
     if vartheta <= 0:
         raise ValueError("vartheta must be positive")
     P = solve_lyapunov(gains.k_star)
@@ -268,4 +266,5 @@ def certify(gains: GainSet, vartheta: float | None = None) -> LyapunovCertificat
         gamma_mfc=gamma_mfc(gains.epsilon, vartheta, P),
         gamma_sl=gamma_sl(P),
         gamma_slhg=gamma_slhg(gains.epsilon, P),
+        residual=residual,
     )

@@ -165,7 +165,7 @@ def test_criterion_7_simulation_endpoints(plant, gains):
     track_times = []
     for x0 in ((0.1, -8.0), (-0.25, 6.0)):
         run = simulate_closed_loop(plant, spec, x0, 2.0, 1e-3, vartheta=1000.0)
-        track_times.append(time_to_track(run, threshold=0.01))
+        track_times.append(time_to_track(run))
     ok = (
         gap < 7.5e-4
         and elapsed < 1.0
@@ -188,8 +188,8 @@ def test_criterion_8_property_suite(table_params, plant, gains, cert):
         kind="MFC", gains=gains, reference=SetPoint(0.75), model_initial=(0.75, 0.0)
     )
     spec_hg = ControllerSpec(kind="SLHG", gains=gains, reference=SetPoint(0.75))
-    tm = simulate_closed_loop(plant, spec_m, (0.0, 0.0), 3.0, 1e-3)
-    th = simulate_closed_loop(plant, spec_hg, (0.0, 0.0), 3.0, 1e-3)
+    tm = simulate_closed_loop(plant, spec_m, (0.0, 0.0), 3.0, 1e-3, vartheta=1000.0)
+    th = simulate_closed_loop(plant, spec_hg, (0.0, 0.0), 3.0, 1e-3, vartheta=1000.0)
     checks["two-loop degenerates to high-gain loop"] = (
         float(np.max(np.abs(tm.u - th.u))) <= 1e-9
     )
@@ -266,17 +266,17 @@ def test_criterion_9_falsification_soundness(table_params, gains, cert, plant):
         x_s_sl = np.zeros(2)
         x_s_sl[0] = sl.selected
         candidates = [
-            ("MFC", estimate_mfc1(table_params, cert, x_s_mfc, x_d)),
-            ("MFC", estimate_mfc2(table_params, cert, x_s_mfc, x_d, (0.0, 0.0))),
-            ("SL", estimate_sl(table_params, cert, x_s_sl, x_d)),
-            ("SLHG", estimate_slhg(table_params, cert, x_s_mfc, x_d)),
+            estimate_mfc1(table_params, cert, x_s_mfc, x_d),
+            estimate_mfc2(table_params, cert, x_s_mfc, x_d, (0.0, 0.0)),
+            estimate_sl(table_params, cert, x_s_sl, x_d),
+            estimate_slhg(table_params, cert, x_s_mfc, x_d),
         ]
-        for controller, est in candidates:
+        for est in candidates:
             if not est.valid:
                 print(f"  criterion 9: skipping invalid {est.kind} at y_d={y_d} "
                       f"({est.reason})")
         # one stacked batch per set-point; equal to per-set runs (TestFalsifySets)
-        sets = [(est, controller) for controller, est in candidates if est.valid]
+        sets = [est for est in candidates if est.valid]
         reports = falsify_sets(sets, plant, gains, count=500, horizon=10.0, h=1e-3, seed=0)
         for rep in reports:
             total_sets += 1

@@ -19,18 +19,28 @@ def _read_json(path):
         return json.load(fh)
 
 
-def _run_cli(tmp_path, command, cfg):
-    """Run ``mfcert <command>`` on a config in a fresh interpreter."""
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+def _mfcert(*args):
+    """Run ``mfcert <args>`` in a fresh interpreter."""
     src = str(Path(mfcert.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run(
-        [sys.executable, "-m", "mfcert.cli", command, "--config", str(path),
-         "--out", str(tmp_path / "out")],
+        [sys.executable, "-m", "mfcert.cli", *map(str, args)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def _run_cli(tmp_path, command, cfg):
+    """Run ``mfcert <command>`` on a config in a fresh interpreter."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return _mfcert(command, "--config", path, "--out", tmp_path / "out")
+
+
+def _one_line_config_error(run):
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == [run.stderr.strip()]
+    assert run.stderr.startswith("config error:") and "Traceback" not in run.stderr
 
 
 class TestAnalyze:
@@ -180,6 +190,51 @@ class TestConfigErrors:
         assert run.returncode == 1
         assert "Traceback" not in run.stderr
         assert "poles" in run.stderr
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--samples", "0", "falsify.samples"),
+        ("--samples", "-5", "falsify.samples"),
+        ("--seed", "-1", "falsify.seed"),
+    ])
+    def test_falsify_flags_are_validated(self, tmp_path, capsys, flag, value, field):
+        code = main(["reproduce", "scenario2", flag, value, "--out", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert field in captured.err and "all checks passed" not in captured.out
+        assert not (tmp_path / "falsify.json").exists()
+
+    def test_config_json_records_the_falsify_flags(self, tmp_path):
+        code = main(["analyze", "--preset", "scenario2", "--samples", "50", "--seed", "3",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert _read_json(tmp_path / "config.json")["falsify"] == {"samples": 50, "seed": 3}
+
+    def test_missing_config_file(self, tmp_path):
+        run = _mfcert("analyze", "--config", tmp_path / "missing.json", "--out", tmp_path)
+        _one_line_config_error(run)
+        assert "missing.json" in run.stderr
+
+    @pytest.mark.parametrize("profile, field", [
+        ('[{"name": "gamma_mfc", "tol": 1', "tolerance-profile"),
+        ('{"name": "gamma_mfc"}', "tolerance-profile"),
+        ('[{"name": "extra", "kind": "max"}]', "tolerance-profile[0].tol"),
+        ('[{"kind": "max", "tol": 1.0}]', "tolerance-profile[0]"),
+        ('[{"name": "extra", "tol": 1.0}]', "tolerance-profile[0].kind"),
+    ], ids=["malformed-json", "not-a-list", "no-tol", "no-name", "no-kind"])
+    def test_bad_tolerance_profile(self, tmp_path, profile, field):
+        path = tmp_path / "profile.json"
+        path.write_text(profile)
+        run = _mfcert("reproduce", "scenario1", "--tolerance-profile", path,
+                      "--out", tmp_path / "out")
+        _one_line_config_error(run)
+        assert f"config error: {field}:" in run.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_reproduce_rejects_a_different_preset(self, tmp_path, capsys):
+        code = main(["reproduce", "scenario1", "--preset", "scenario2", "--out", str(tmp_path)])
+        assert code == 1
+        assert "preset" in capsys.readouterr().err
+        assert not (tmp_path / "summary.json").exists()
 
     def test_parse_error_paths(self):
         with pytest.raises(ConfigError) as err:

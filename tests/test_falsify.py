@@ -30,9 +30,6 @@ from mfcert import (
 from mfcert.falsify import DecreaseCheck
 from mfcert.roa import RoaEstimate
 
-CONTROLLER_OF = {"MFC1": "MFC", "MFC2": "MFC", "SL": "SL", "SLHG": "SLHG"}
-
-
 def _inflated(est, factor):
     return RoaEstimate(
         kind=est.kind, level=factor * est.level, radius_aux=est.radius_aux,
@@ -90,7 +87,7 @@ class TestSampleInSet:
 class TestFalsifyRoa:
     def test_split_set_certified(self, scenario1_estimates, plant, gains):
         rep = falsify_roa(
-            scenario1_estimates["MFC2"], plant, gains, "MFC",
+            scenario1_estimates["MFC2"], plant, gains,
             count=150, horizon=10.0, h=1e-3, seed=0,
         )
         assert rep.converged == rep.samples == 150
@@ -98,7 +95,7 @@ class TestFalsifyRoa:
 
     def test_single_loop_set_certified(self, scenario1_estimates, plant, gains):
         rep = falsify_roa(
-            scenario1_estimates["SL"], plant, gains, "SL",
+            scenario1_estimates["SL"], plant, gains,
             count=150, horizon=10.0, h=1e-3, seed=0,
         )
         assert rep.violations == ()
@@ -110,8 +107,7 @@ class TestFalsifyRoa:
             x_d=est.x_d, x_s=est.x_s, P=est.P,
             vartheta=est.vartheta, epsilon=est.epsilon,
         )
-        rep = falsify_roa(inflated, plant, gains, "SL",
-                          count=200, horizon=10.0, h=1e-3, seed=0)
+        rep = falsify_roa(inflated, plant, gains, count=200, horizon=10.0, h=1e-3, seed=0)
         assert rep.converged + len(rep.violations) == rep.samples
         for x0, mode, _ in rep.violations:
             assert mode in ("diverged", "wrong-equilibrium", "V-increase")
@@ -120,7 +116,7 @@ class TestFalsifyRoa:
     def test_reports_are_deterministic(self, scenario1_estimates, plant, gains):
         def run():
             rep = falsify_roa(
-                scenario1_estimates["SLHG"], plant, gains, "SLHG",
+                scenario1_estimates["SLHG"], plant, gains,
                 count=60, horizon=5.0, h=1e-3, seed=11,
             )
             return json.dumps(rep.to_dict(), sort_keys=True)
@@ -129,7 +125,7 @@ class TestFalsifyRoa:
 
     def test_gamma_fields_ordered(self, scenario1_estimates, plant, gains):
         rep = falsify_roa(
-            scenario1_estimates["SL"], plant, gains, "SL",
+            scenario1_estimates["SL"], plant, gains,
             count=20, horizon=5.0, h=1e-3, seed=2,
         )
         assert rep.empirical_gamma <= rep.analytic_gamma + 1e-9
@@ -153,11 +149,11 @@ class TestFalsifySets:
             estimate_sl(cfg.plant, cert, x_s_sl, x_d),
             estimate_slhg(cfg.plant, cert, x_s_mfc, x_d),
         ]
-        sets = [(est, CONTROLLER_OF[est.kind]) for est in estimates if est.valid]
+        sets = [est for est in estimates if est.valid]
         assert len(sets) >= 3
         kwargs = dict(count=40, horizon=2.0, h=1e-3, seed=0)
         fused = falsify_sets(sets, plant, gains, **kwargs)
-        single = [falsify_roa(est, plant, gains, kind, **kwargs) for est, kind in sets]
+        single = [falsify_roa(est, plant, gains, **kwargs) for est in sets]
         assert [r.to_dict() for r in fused] == [r.to_dict() for r in single]
         # the short horizon leaves slow runs unsettled, so the lists are not empty
         assert any(r.violations for r in fused)
@@ -166,14 +162,13 @@ class TestFalsifySets:
         inflated = _inflated(scenario1_estimates["SL"], 200.0)
         kwargs = dict(count=16, horizon=3.0, h=1e-3, seed=0)
         clean1, bad, clean2 = falsify_sets(
-            [(scenario1_estimates["MFC1"], "MFC"), (inflated, "SL"),
-             (scenario1_estimates["SLHG"], "SLHG")],
+            [scenario1_estimates["MFC1"], inflated, scenario1_estimates["SLHG"]],
             plant, gains, **kwargs,
         )
         for rep in (clean1, clean2):
             assert rep.violations == () and rep.converged == 16
         assert "diverged" in {mode for _, mode, _ in bad.violations}
-        alone = falsify_roa(inflated, plant, gains, "SL", **kwargs)
+        alone = falsify_roa(inflated, plant, gains, **kwargs)
         assert bad.to_dict() == alone.to_dict()
 
     def test_fail_time_is_the_single_run_fail_time(self, scenario1_estimates, plant, gains):
@@ -181,7 +176,7 @@ class TestFalsifySets:
         # still be the first step at which one of its components went non-finite
         inflated = _inflated(scenario1_estimates["SL"], 200.0)
         _, bad = falsify_sets(
-            [(scenario1_estimates["MFC1"], "MFC"), (inflated, "SL")],
+            [scenario1_estimates["MFC1"], inflated],
             plant, gains, count=16, horizon=3.0, h=1e-3, seed=0,
         )
         diverged = [(x0, time) for x0, mode, time in bad.violations if mode == "diverged"]
@@ -189,19 +184,15 @@ class TestFalsifySets:
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
         for x0, time in diverged:
             with pytest.raises(IntegrationError) as err:
-                simulate_closed_loop(plant, spec, x0, 3.0, 1e-3)
+                simulate_closed_loop(plant, spec, x0, 3.0, 1e-3, vartheta=1000.0)
             assert err.value.time == time
 
     def test_empty_batch(self, plant, gains):
         assert falsify_sets([], plant, gains, count=4, horizon=1.0, h=1e-3, seed=0) == []
 
-    def test_rejects_kinds_that_cannot_be_stacked(self, scenario1_estimates, plant, gains):
-        with pytest.raises(ValueError):
-            falsify_roa(scenario1_estimates["SLHG"], plant, gains, "FFLIN",
-                        count=4, horizon=0.01, h=1e-3, seed=0)
-        with pytest.raises(ValueError):
-            falsify_roa(scenario1_estimates["SL"], plant, gains, "MFC",
-                        count=4, horizon=0.01, h=1e-3, seed=0)
+    def test_each_set_runs_under_the_loop_it_certifies(self, scenario1_estimates):
+        assert {kind: est.controller for kind, est in scenario1_estimates.items()} == {
+            "MFC1": "MFC", "MFC2": "MFC", "SL": "SL", "SLHG": "SLHG"}
 
 
 class TestGammaEmpirical:
@@ -235,7 +226,7 @@ class TestLyapunovDecreaseCheck:
         )
         traj = simulate_closed_loop(plant, spec, (0.0, 0.0), 10.0, 1e-3, vartheta=1000.0)
         result = lyapunov_decrease_check(
-            traj, 1e-9, level=scenario1_estimates["MFC2"].level
+            traj, level=scenario1_estimates["MFC2"].level
         )
         assert result.passed
         assert result.first_violation_time is None
@@ -249,14 +240,14 @@ class TestLyapunovDecreaseCheck:
             u=np.zeros(K),
             V=np.full(K, 2.5),
         )
-        assert lyapunov_decrease_check(traj, 1e-9).passed
+        assert lyapunov_decrease_check(traj).passed
 
     def test_increase_and_exit_follow_the_batch_rule(self):
         def check(values, **kwargs):
             K = len(values)
             traj = Trajectory(t=np.arange(K) * 0.1, x=np.zeros((K, 2)),
                               x_star=np.zeros((K, 2)), u=np.zeros(K), V=np.array(values))
-            return lyapunov_decrease_check(traj, 1e-9, **kwargs)
+            return lyapunov_decrease_check(traj, **kwargs)
 
         assert check([3.0, 2.0, 2.5]) == DecreaseCheck(False, pytest.approx(0.2), None)
         assert not check([3.0, 5.0], level=4.0).passed
@@ -272,8 +263,8 @@ class TestLyapunovDecreaseCheck:
 
     def test_unstable_loop_fails_with_timestamp(self, plant, gains):
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(2.0))
-        traj = simulate_closed_loop(plant, spec, (0.0, 0.0), 5.0, 1e-3)
-        result = lyapunov_decrease_check(traj, 1e-9)
+        traj = simulate_closed_loop(plant, spec, (0.0, 0.0), 5.0, 1e-3, vartheta=1000.0)
+        result = lyapunov_decrease_check(traj)
         assert (not result.passed and result.first_violation_time is not None) or (
             result.passed and result.exit_time is not None
         )

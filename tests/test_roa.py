@@ -178,7 +178,7 @@ class TestEllipseGeometry:
 
     def test_boundary_satisfies_quadratic_form(self, cert, table_params, scenario1):
         est = estimate_sl(table_params, cert, scenario1["x_s_sl"], scenario1["x_d"])
-        pts = est.boundary(128)
+        pts = est.boundary()
         Q, level, center = est.physical_shape()
         diffs = pts - center
         vals = np.einsum("ki,ij,kj->k", diffs, Q, diffs)
@@ -189,7 +189,7 @@ class TestEllipseGeometry:
             table_params, cert, scenario1["x_s_mfc"], scenario1["x_d"], (0.0, 0.0)
         )
         assert est.center == pytest.approx([2.96e-4, 0.0], abs=2e-6)
-        pts = est.boundary(64)
+        pts = est.boundary()
         for pt in pts:
             v = est.lyapunov_value(pt, (0.0, 0.0))
             assert v == pytest.approx(est.c_star + est.c_tilde, rel=1e-9)
@@ -256,16 +256,7 @@ class TestEstimateBuilders:
 
 @pytest.fixture(scope="module")
 def sweep(table_params, cert, scenario1):
-    return mfc2_region_sweep(
-        table_params,
-        cert,
-        scenario1["x_s_mfc"],
-        scenario1["x_d"],
-        632.8125,
-        samples=180,
-        rays=180,
-        c_grid=13,
-    )
+    return mfc2_region_sweep(table_params, cert, scenario1["x_s_mfc"], 632.8125)
 
 
 class TestRegionSweep:
@@ -280,10 +271,7 @@ class TestRegionSweep:
             assert not np.any(contains(outward))
 
     def test_degenerate_sweep_is_single_ellipse(self, table_params, cert, scenario1):
-        region = mfc2_region_sweep(
-            table_params, cert, scenario1["x_s_mfc"], scenario1["x_d"], 0.0,
-            samples=64, rays=64, c_grid=3,
-        )
+        region = mfc2_region_sweep(table_params, cert, scenario1["x_s_mfc"], 0.0)
         est = estimate_mfc2(
             table_params, cert, scenario1["x_s_mfc"], scenario1["x_d"],
             tuple(scenario1["x_d"]),
@@ -299,9 +287,3 @@ class TestRegionSweep:
         slhg_area = math.pi * level / math.sqrt(np.linalg.det(Q))
         assert polygon_area(sweep.green) >= slhg_area
         assert polygon_area(sweep.grey) >= polygon_area(sweep.green)
-
-    def test_rejects_too_few_samples(self, table_params, cert, scenario1):
-        with pytest.raises(ValueError):
-            mfc2_region_sweep(
-                table_params, cert, scenario1["x_s_mfc"], scenario1["x_d"], 1.0, samples=4
-            )

@@ -283,7 +283,7 @@ class TestClosedLoopRuns:
 
     def test_sl_setpoint_endpoint(self, plant, gains):
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
-        traj = simulate_closed_loop(plant, spec, (0.0, 0.0), 10.0, 1e-3)
+        traj = simulate_closed_loop(plant, spec, (0.0, 0.0), 10.0, 1e-3, vartheta=1000.0)
         err = abs(traj.x[-1, 0] - 0.75) / 0.75 * 100.0
         assert err == pytest.approx(4.3, abs=0.3)
 
@@ -292,8 +292,8 @@ class TestClosedLoopRuns:
             kind="MFC", gains=gains, reference=SetPoint(0.75), model_initial=(0.0, 0.0)
         )
         for x0 in ((0.1, -8.0), (-0.25, 6.0)):
-            traj = simulate_closed_loop(plant, spec, x0, 2.0, 1e-3)
-            t_track = time_to_track(traj, threshold=0.01)
+            traj = simulate_closed_loop(plant, spec, x0, 2.0, 1e-3, vartheta=1000.0)
+            t_track = time_to_track(traj)
             assert t_track is not None and t_track <= 0.5
 
     def test_mfc_with_model_on_reference_equals_high_gain_loop(self, plant, gains):
@@ -301,8 +301,8 @@ class TestClosedLoopRuns:
             kind="MFC", gains=gains, reference=SetPoint(0.75), model_initial=(0.75, 0.0)
         )
         spec_hg = ControllerSpec(kind="SLHG", gains=gains, reference=SetPoint(0.75))
-        tm = simulate_closed_loop(plant, spec_m, (0.0, 0.0), 3.0, 1e-3)
-        th = simulate_closed_loop(plant, spec_hg, (0.0, 0.0), 3.0, 1e-3)
+        tm = simulate_closed_loop(plant, spec_m, (0.0, 0.0), 3.0, 1e-3, vartheta=1000.0)
+        th = simulate_closed_loop(plant, spec_hg, (0.0, 0.0), 3.0, 1e-3, vartheta=1000.0)
         assert np.max(np.abs(tm.u - th.u)) <= 1e-9
 
     def test_nominal_plant_all_controllers_exact(self, nominal_params, gains):
@@ -312,7 +312,7 @@ class TestClosedLoopRuns:
                 kind=kind, gains=gains, reference=SetPoint(0.75),
                 model_initial=(0.0, 0.0) if kind == "MFC" else None,
             )
-            traj = simulate_closed_loop(plant0, spec, (0.0, 0.0), 10.0, 1e-3)
+            traj = simulate_closed_loop(plant0, spec, (0.0, 0.0), 10.0, 1e-3, vartheta=1000.0)
             assert abs(traj.x[-1, 0] - 0.75) < 1e-6
 
     def test_lyapunov_decreases_inside_certified_set(self, plant, gains):
@@ -320,12 +320,12 @@ class TestClosedLoopRuns:
             kind="MFC", gains=gains, reference=SetPoint(0.75), model_initial=(0.0, 0.0)
         )
         traj = simulate_closed_loop(plant, spec, (0.0, 0.0), 10.0, 1e-3, vartheta=1000.0)
-        assert lyapunov_decrease_check(traj, 1e-9).passed
+        assert lyapunov_decrease_check(traj).passed
 
     def test_divergent_run_raises_with_partial_data(self, plant, gains):
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(2.0))
         with pytest.raises(IntegrationError) as err:
-            simulate_closed_loop(plant, spec, (0.0, 0.0), 60.0, 1e-3)
+            simulate_closed_loop(plant, spec, (0.0, 0.0), 60.0, 1e-3, vartheta=1000.0)
         assert err.value.time is not None
         partial = err.value.trajectory
         assert partial.metadata["diverged"]
@@ -334,9 +334,9 @@ class TestClosedLoopRuns:
     def test_rejects_inconsistent_grid(self, plant, gains):
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
         with pytest.raises(ValueError):
-            simulate_closed_loop(plant, spec, (0.0, 0.0), 0.0005, 1e-3)
+            simulate_closed_loop(plant, spec, (0.0, 0.0), 0.0005, 1e-3, vartheta=1000.0)
         with pytest.raises(ValueError):
-            simulate_closed_loop(plant, spec, (0.0, 0.0), 1.0, -1e-3)
+            simulate_closed_loop(plant, spec, (0.0, 0.0), 1.0, -1e-3, vartheta=1000.0)
 
 
 class TestSteadyStateResolution:
@@ -440,7 +440,7 @@ class TestMetricsAndCsv:
     def test_high_gain_metrics(self, plant, gains):
         spec = ControllerSpec(kind="SLHG", gains=gains, reference=SetPoint(0.75))
         x_s = steady_state_of(plant, spec)
-        traj = simulate_closed_loop(plant, spec, (0.0, 0.0), 10.0, 1e-3)
+        traj = simulate_closed_loop(plant, spec, (0.0, 0.0), 10.0, 1e-3, vartheta=1000.0)
         m = metrics(traj, x_s)
         assert m["u0"] == pytest.approx(310.0, rel=0.02)
         assert m["peak_abs_u"] >= m["u0"]
@@ -451,7 +451,7 @@ class TestMetricsAndCsv:
         sl_eq = single_loop_equilibria(table_params, gains, 0.75)
         x_s = (sl_eq.selected, 0.0)
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
-        traj = simulate_closed_loop(plant, spec, x_s, 5.0, 1e-3)
+        traj = simulate_closed_loop(plant, spec, x_s, 5.0, 1e-3, vartheta=1000.0)
         m = metrics(traj, np.asarray(x_s))
         analytic = abs(sl_eq.selected - 0.75) / 0.75 * 100.0
         assert m["steady_state_error_pct"] == pytest.approx(analytic, rel=1e-6)
@@ -459,7 +459,7 @@ class TestMetricsAndCsv:
 
     def test_csv_format(self, plant, gains, tmp_path):
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
-        traj = simulate_closed_loop(plant, spec, (0.0, 0.0), 0.1, 1e-3)
+        traj = simulate_closed_loop(plant, spec, (0.0, 0.0), 0.1, 1e-3, vartheta=1000.0)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)
         lines = path.read_text().splitlines()

@@ -16,6 +16,7 @@ from mfcert import (
     place_poles,
     solve_lyapunov,
 )
+from mfcert.config import parse_config, preset
 from mfcert.synthesis import closed_loop_matrix
 
 
@@ -33,24 +34,24 @@ def _random_stable_roots(rng, n):
 
 class TestPlacePoles:
     def test_double_pole_at_minus_two(self):
-        assert place_poles(2, [-2, -2]) == pytest.approx([-4.0, -4.0], abs=1e-12)
+        assert place_poles([-2, -2]) == pytest.approx([-4.0, -4.0], abs=1e-12)
 
     def test_scalar(self):
-        assert place_poles(1, [-1]) == pytest.approx([-1.0], abs=1e-15)
+        assert place_poles([-1]) == pytest.approx([-1.0], abs=1e-15)
 
     def test_three_real_poles(self):
         # (s+1)(s+2)(s+3) = s^3 + 6 s^2 + 11 s + 6
-        assert place_poles(3, [-1, -2, -3]) == pytest.approx([-6.0, -11.0, -6.0], abs=1e-12)
+        assert place_poles([-1, -2, -3]) == pytest.approx([-6.0, -11.0, -6.0], abs=1e-12)
 
     def test_rejects_unstable_roots(self):
         with pytest.raises(ValueError):
-            place_poles(2, [1.0, -2.0])
+            place_poles([1.0, -2.0])
         with pytest.raises(ValueError):
-            place_poles(1, [0.0])
+            place_poles([0.0])
 
     def test_rejects_non_conjugate_sets(self):
         with pytest.raises(ValueError):
-            place_poles(2, [complex(-1, 1), complex(-2, 0)])
+            place_poles([complex(-1, 1), complex(-2, 0)])
 
     def test_characteristic_polynomial_recovery(self):
         # determinant of (root I - Acl) vanishes at every requested root
@@ -58,7 +59,7 @@ class TestPlacePoles:
         for _ in range(50):
             n = int(rng.integers(1, 6))
             roots = _random_stable_roots(rng, n)
-            acl = closed_loop_matrix(place_poles(n, roots))
+            acl = closed_loop_matrix(place_poles(roots))
             for r in roots:
                 val = np.linalg.det(r * np.eye(n) - acl)
                 assert abs(val) <= 1e-9
@@ -95,7 +96,7 @@ class TestSolveLyapunov:
 
     def test_against_quadrature_oracle(self):
         # P = integral of expm(Acl' t) expm(Acl t) dt, Simpson on a fine grid
-        k = place_poles(3, [-1, -2, -3])
+        k = place_poles([-1, -2, -3])
         acl = closed_loop_matrix(k)
         w, V = np.linalg.eig(acl)
         Vinv = np.linalg.inv(V)
@@ -202,15 +203,20 @@ class TestCertificate:
         for _ in range(30):
             n = int(rng.integers(1, 6))
             gains = design_gains(_random_stable_roots(rng, n), rng.uniform(0.05, 1.0))
-            cert = certify(gains)
+            cert = certify(gains, 100.0 / gains.epsilon)
             acl = closed_loop_matrix(gains.k_star)
             residual = np.max(np.abs(acl.T @ cert.P + cert.P @ acl + np.eye(n)))
             assert residual <= 1e-10
+            assert cert.residual == residual
 
     def test_default_weight(self):
-        gains = design_gains([-2, -2], 0.1)
-        cert = certify(gains)
+        # the 100 / epsilon default lives in the configuration alone
+        raw = preset("scenario1").to_dict()
+        del raw["vartheta"]
+        cfg = parse_config(raw)
+        cert = certify(design_gains(cfg.poles, cfg.epsilon), cfg.vartheta)
         assert cert.vartheta == pytest.approx(1000.0)
+        assert "residual" not in cert.to_dict()
 
     def test_gain_set_relation(self, gains):
         n = gains.n
