@@ -375,6 +375,8 @@ def _resolve_config(args) -> ScenarioConfig:
     scenario = getattr(args, "scenario", None)
     if scenario and args.preset and args.preset != scenario:
         raise ConfigError("preset", f"--preset {args.preset} contradicts reproduce {scenario}")
+    if args.config and args.preset:
+        raise ConfigError("preset", "give --config or --preset, not both")
     if args.config:
         cfg = load_config(args.config)
     else:

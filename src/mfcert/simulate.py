@@ -7,13 +7,21 @@ straight-line arithmetic on the state components (x1, x2), model components
 first for the two-loop scheme.  Components may be plain floats (single runs)
 or numpy arrays (batched runs); each sum accumulates into a temporary it
 owns, so arrays cost no allocation per operation and floats just rebind, and
-both share one code path.  The control law is applied at every integrator
-stage; the recorded input samples are evaluated afterwards on the recorded
-grid states, which are the pre-step states of the stages.
+both share one code path.  The RK4 step is written out for the two state
+sizes a loop has, 2 components (single loop) and 4 (two-loop scheme).  The
+control law is applied at every integrator stage; the recorded input samples
+are evaluated afterwards on the recorded grid states, which are the pre-step
+states of the stages.
+
+``Trajectory.to_csv`` writes each cell as the Python ``repr`` of its float,
+so parsing a cell gives back the recorded float, NaN payloads aside.  A
+column whose cells all share one bit pattern (the model-state columns of a
+single-loop run, say) is formatted once, into the row format.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -94,6 +102,11 @@ class Trajectory:
     metadata: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
+        """Write one row per grid time, each cell the ``repr`` of its float.
+
+        A column whose cells all have the same bits is formatted once, into
+        the row format; bits, not values, because 0.0 == -0.0 and NaN != NaN.
+        """
         n = self.x.shape[1]
         header = (
             "t,"
@@ -102,10 +115,19 @@ class Trajectory:
             + ",".join(f"xstar{i+1}" for i in range(n))
             + ",u,V"
         )
-        table = np.column_stack((self.t, self.x, self.x_star, self.u, self.V)).tolist()
+        table = np.column_stack((self.t, self.x, self.x_star, self.u, self.V))
+        bits = table.view(np.int64)
+        constant = (bits == bits[:1]).all(axis=0)
+        first = table[0].tolist() if len(table) else []
+        row_format = ",".join(
+            repr(v) if same else "%r" for v, same in zip(first, constant)
+        ) + "\n"
+        # zip of no varying columns would yield no rows at all
+        columns = table[:, ~constant].T.tolist()
+        rows = zip(*columns) if columns else itertools.repeat((), len(table))
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in table)
+            fh.writelines(map(row_format.__mod__, rows))
 
 
 # The laws of the SL, SLHG and MFC loops cancel the known drift f and gain g,
@@ -169,33 +191,113 @@ def _fflin_law(feedforward, g_d, v_fb):
 
 
 def _rk4_components(rhs, t, y, h):
-    """One RK4 step on a tuple of components."""
+    """One RK4 step on a tuple of 2 (single loop) or 4 (two-loop) components.
+
+    Written out per component count; every component takes the same
+    operations in the same order.  A stage state is y + h k, each component
+    a fresh object (``rhs`` may hand back a component of its argument as one
+    of its own), and the step is a + s (b + 2 (c + d) + e) with s = h / 6,
+    y = a and the stage slopes b, c, d, e.
+    """
+    if len(y) == 2:
+        return _rk4_2(rhs, t, y, h)
+    if len(y) == 4:
+        return _rk4_4(rhs, t, y, h)
+    raise ValueError(f"RK4 steps take 2 or 4 components, got {len(y)}")
+
+
+def _rk4_2(rhs, t, y, h):
     h2 = 0.5 * h
-    k1 = rhs(t, y)
-    k2 = rhs(t + h2, _stage(y, k1, h2))
-    k3 = rhs(t + h2, _stage(y, k2, h2))
-    k4 = rhs(t + h, _stage(y, k3, h))
+    a1, a2 = y
+    b1, b2 = rhs(t, y)
+    z1 = b1 * h2
+    z1 += a1
+    z2 = b2 * h2
+    z2 += a2
+    c1, c2 = rhs(t + h2, (z1, z2))
+    z1 = c1 * h2
+    z1 += a1
+    z2 = c2 * h2
+    z2 += a2
+    d1, d2 = rhs(t + h2, (z1, z2))
+    z1 = d1 * h
+    z1 += a1
+    z2 = d2 * h
+    z2 += a2
+    e1, e2 = rhs(t + h, (z1, z2))
     s = h / 6.0
-    out = []
-    for a, b, c, d, e in zip(y, k1, k2, k3, k4):
-        acc = c + d  # a + s (b + 2 (c + d) + e)
-        acc *= 2.0
-        acc += b
-        acc += e
-        acc *= s
-        acc += a
-        out.append(acc)
-    return tuple(out)
+    o1 = c1 + d1
+    o1 *= 2.0
+    o1 += b1
+    o1 += e1
+    o1 *= s
+    o1 += a1
+    o2 = c2 + d2
+    o2 *= 2.0
+    o2 += b2
+    o2 += e2
+    o2 *= s
+    o2 += a2
+    return o1, o2
 
 
-def _stage(y, k, h):
-    """Stage state y + h k, one fresh component each (k may alias y)."""
-    out = []
-    for a, b in zip(y, k):
-        z = b * h
-        z += a
-        out.append(z)
-    return tuple(out)
+def _rk4_4(rhs, t, y, h):
+    h2 = 0.5 * h
+    a1, a2, a3, a4 = y
+    b1, b2, b3, b4 = rhs(t, y)
+    z1 = b1 * h2
+    z1 += a1
+    z2 = b2 * h2
+    z2 += a2
+    z3 = b3 * h2
+    z3 += a3
+    z4 = b4 * h2
+    z4 += a4
+    c1, c2, c3, c4 = rhs(t + h2, (z1, z2, z3, z4))
+    z1 = c1 * h2
+    z1 += a1
+    z2 = c2 * h2
+    z2 += a2
+    z3 = c3 * h2
+    z3 += a3
+    z4 = c4 * h2
+    z4 += a4
+    d1, d2, d3, d4 = rhs(t + h2, (z1, z2, z3, z4))
+    z1 = d1 * h
+    z1 += a1
+    z2 = d2 * h
+    z2 += a2
+    z3 = d3 * h
+    z3 += a3
+    z4 = d4 * h
+    z4 += a4
+    e1, e2, e3, e4 = rhs(t + h, (z1, z2, z3, z4))
+    s = h / 6.0
+    o1 = c1 + d1
+    o1 *= 2.0
+    o1 += b1
+    o1 += e1
+    o1 *= s
+    o1 += a1
+    o2 = c2 + d2
+    o2 *= 2.0
+    o2 += b2
+    o2 += e2
+    o2 *= s
+    o2 += a2
+    o3 = c3 + d3
+    o3 *= 2.0
+    o3 += b3
+    o3 += e3
+    o3 *= s
+    o3 += a3
+    o4 = c4 + d4
+    o4 *= 2.0
+    o4 += b4
+    o4 += e4
+    o4 *= s
+    o4 += a4
+    return o1, o2, o3, o4
 
 
 def _quadform(P):

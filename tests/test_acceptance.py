@@ -241,9 +241,9 @@ def test_criterion_8_property_suite(table_params, plant, gains, cert):
     )
 
     def rk4_error(h):
-        y = (1.0,)
+        y = (1.0, 1.0)
         for _ in range(int(round(1.0 / h))):
-            y = _rk4_components(lambda t, v: (-v[0],), 0.0, y, h)
+            y = _rk4_components(lambda t, v: (-v[0], -v[1]), 0.0, y, h)
         return abs(y[0] - math.exp(-1.0))
 
     order = math.log2(rk4_error(0.1) / rk4_error(0.05))

@@ -236,6 +236,21 @@ class TestConfigErrors:
         assert "preset" in capsys.readouterr().err
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["steady-state"], ["roa"], ["simulate"], ["falsify"],
+        ["reproduce", "scenario1"],
+    ])
+    def test_config_and_preset_together_rejected(self, tmp_path, capsys, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(preset("scenario2").to_json())
+        code = main([*command, "--config", str(path), "--preset", "scenario1",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and err.startswith("config error:")
+        assert "--config" in err and "--preset" in err
+        assert not (tmp_path / "out").exists()
+
     def test_parse_error_paths(self):
         with pytest.raises(ConfigError) as err:
             parse_config({"plant": {"k": 1.0}})

@@ -27,6 +27,7 @@ from mfcert import (
     simulate_closed_loop,
     single_loop_equilibria,
 )
+from mfcert import falsify, simulate
 from mfcert.falsify import DecreaseCheck
 from mfcert.roa import RoaEstimate
 
@@ -268,3 +269,42 @@ class TestLyapunovDecreaseCheck:
         assert (not result.passed and result.first_violation_time is not None) or (
             result.passed and result.exit_time is not None
         )
+
+
+class TestStepCounters:
+    """One ``_rk4_components`` call per step, looked up in the calling module.
+
+    A profiler that wraps the module attribute counts the steps of single
+    runs (``simulate``) apart from those of sampled batches (``falsify``).
+    """
+
+    @staticmethod
+    def _counting(monkeypatch, module):
+        calls = []
+        step = module._rk4_components
+
+        def counted(rhs, t, y, h):
+            calls.append(len(y[0]) if isinstance(y[0], np.ndarray) else 1)
+            return step(rhs, t, y, h)
+
+        monkeypatch.setattr(module, "_rk4_components", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind, horizon, h", [
+        ("SL", 0.5, 1e-3), ("MFC", 0.5, 1e-3), ("FFLIN", 0.3, 0.07), ("SLHG", 0.1, 0.1),
+    ])
+    def test_single_runs(self, monkeypatch, plant, gains, kind, horizon, h):
+        single = self._counting(monkeypatch, simulate)
+        batch = self._counting(monkeypatch, falsify)
+        spec = ControllerSpec(kind=kind, gains=gains, reference=SetPoint(0.75))
+        simulate_closed_loop(plant, spec, (0.1, 0.0), horizon, h, vartheta=1000.0)
+        assert single == [1] * round(horizon / h)
+        assert batch == []
+
+    def test_batches(self, monkeypatch, scenario1_estimates, plant, gains):
+        single = self._counting(monkeypatch, simulate)
+        batch = self._counting(monkeypatch, falsify)
+        sets = [scenario1_estimates[kind] for kind in ("MFC1", "SL")]
+        falsify_sets(sets, plant, gains, count=7, horizon=0.25, h=1e-3, seed=0)
+        assert batch == [2 * 7] * round(0.25 / 1e-3)
+        assert single == []

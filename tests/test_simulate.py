@@ -19,7 +19,7 @@ from mfcert import (
     time_to_track,
 )
 from mfcert.plant import msd_f
-from mfcert.simulate import _rk4_components, build_closed_loop
+from mfcert.simulate import Trajectory, _rk4_components, build_closed_loop
 from mfcert.synthesis import solve_lyapunov
 from mfcert.steady_state import mfc_equilibria, single_loop_equilibria
 
@@ -248,28 +248,111 @@ class TestInputsUntouched:
 
 
 def _decay(t, y):
-    return (-y[0],)
+    return -y[0], -y[1]
+
+
+def _rk4_reference(rhs, t, y, h):
+    """The per-component RK4 step that the written-out kernel reproduces bit for bit."""
+
+    def stage(y, k, h):
+        out = []
+        for a, b in zip(y, k):
+            z = b * h
+            z += a
+            out.append(z)
+        return tuple(out)
+
+    h2 = 0.5 * h
+    k1 = rhs(t, y)
+    k2 = rhs(t + h2, stage(y, k1, h2))
+    k3 = rhs(t + h2, stage(y, k2, h2))
+    k4 = rhs(t + h, stage(y, k3, h))
+    s = h / 6.0
+    out = []
+    for a, b, c, d, e in zip(y, k1, k2, k3, k4):
+        acc = c + d
+        acc *= 2.0
+        acc += b
+        acc += e
+        acc *= s
+        acc += a
+        out.append(acc)
+    return tuple(out)
+
+
+def _mixing(t, y):
+    """A derivative mixing neighbouring components and t; its first component is y[1] itself."""
+    out = [y[1]]
+    for i in range(1, len(y)):
+        dy = np.sin(y[i - 1])
+        dy *= i + 1.0
+        dy -= y[i]
+        dy += t
+        out.append(dy)
+    return tuple(out)
+
+
+def _same_bits(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(np.asarray(p, dtype=float).view(np.int64),
+                       np.asarray(q, dtype=float).view(np.int64))
+        for p, q in zip(a, b)
+    )
 
 
 class TestStepRk4:
     """One classical RK4 step on a tuple of components."""
 
     def test_exponential_decay(self):
-        (y,) = _rk4_components(_decay, 0.0, (1.0,), 0.1)
+        y, _ = _rk4_components(_decay, 0.0, (1.0, 1.0), 0.1)
         assert y == pytest.approx(math.exp(-0.1), abs=1e-6)
 
     def test_zero_dynamics(self):
-        assert _rk4_components(lambda t, y: (0.0 * y[0],), 0.0, (3.5,), 0.2) == (3.5,)
+        zero = lambda t, y: (0.0 * y[0], 0.0 * y[1])  # noqa: E731
+        assert _rk4_components(zero, 0.0, (3.5, 3.5), 0.2) == (3.5, 3.5)
 
     def test_convergence_order(self):
         def run(h):
-            y = (1.0,)
+            y = (1.0, 1.0)
             for _ in range(int(round(1.0 / h))):
                 y = _rk4_components(_decay, 0.0, y, h)
             return abs(y[0] - math.exp(-1.0))
 
         order = math.log2(run(0.1) / run(0.05))
         assert order >= 3.9
+
+
+class TestStepKernel:
+    """The written-out step against the per-component formula it replaces."""
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("count", [None, 64])
+    def test_matches_the_per_component_formula(self, dim, count):
+        y = _random_states(dim, count or 1, seed=dim)
+        if count is None:
+            y = _column(y, 0)
+        # long steps too: with s = h / 6 small, a reordered sum rarely shows in a + s (...)
+        for t, h in ((0.0, 1e-3), (0.37, 0.05), (2.0, -0.01), (0.5, 2.0), (1.0, 6.0)):
+            assert _same_bits(_rk4_components(_mixing, t, y, h),
+                              _rk4_reference(_mixing, t, y, h))
+
+    @pytest.mark.parametrize("kind", ["SL", "SLHG", "MFC", "FFLIN"])
+    def test_closed_loops_match_the_formula(self, plant, gains, kind):
+        spec = ControllerSpec(kind=kind, gains=gains, reference=SetPoint(0.75))
+        loop = build_closed_loop(plant, spec, 1000.0)
+        y = _random_states(4 if kind == "MFC" else 2, 32, seed=9)
+        assert _same_bits(_rk4_components(loop.rhs, 0.0, y, 1e-3),
+                          _rk4_reference(loop.rhs, 0.0, y, 1e-3))
+        scalar = _column(y, 5)
+        for _ in range(100):
+            step = _rk4_components(loop.rhs, 0.0, scalar, 1e-3)
+            assert _same_bits(step, _rk4_reference(loop.rhs, 0.0, scalar, 1e-3))
+            scalar = step
+
+    @pytest.mark.parametrize("dim", [0, 1, 3, 5])
+    def test_other_component_counts_are_rejected(self, dim):
+        with pytest.raises(ValueError, match="2 or 4 components"):
+            _rk4_components(lambda t, y: y, 0.0, (1.0,) * dim, 0.1)
 
 
 class TestClosedLoopRuns:
@@ -456,6 +539,41 @@ class TestMetricsAndCsv:
         analytic = abs(sl_eq.selected - 0.75) / 0.75 * 100.0
         assert m["steady_state_error_pct"] == pytest.approx(analytic, rel=1e-6)
         assert m["settle_time"] == 0.0
+
+    @staticmethod
+    def _reference_csv(traj):
+        table = np.column_stack((traj.t, traj.x, traj.x_star, traj.u, traj.V)).tolist()
+        return "t,x1,x2,xstar1,xstar2,u,V\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in table)
+
+    @pytest.mark.parametrize("kind", ["SL", "MFC"])
+    def test_csv_bytes_of_runs(self, plant, gains, tmp_path, kind):
+        spec = ControllerSpec(kind=kind, gains=gains, reference=SetPoint(0.75))
+        traj = simulate_closed_loop(plant, spec, (0.1, -0.2), 0.2, 1e-3, vartheta=1000.0)
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        assert path.read_bytes() == self._reference_csv(traj).encode()
+
+    @pytest.mark.parametrize("columns", [
+        # signed zeros: equal values, different bits
+        [[0.0, 1.0], [0.5, 0.5], [0.0, -0.0], [-0.0, -0.0], [2.0, 3.0], [0.0, 0.0]],
+        # the partial trajectory of a diverged run
+        [[0.0, 1e308], [1.0, math.inf], [0.75, 0.75], [0.0, 0.0], [math.inf, math.nan],
+         [math.nan, math.nan]],
+        [[1.0, -math.inf, math.nan], [math.nan, math.inf, 0.0], [1e-5] * 3, [1e16] * 3,
+         [-math.inf] * 3, [math.inf] * 3],
+        # one row: every column is constant
+        [[0.0], [0.75], [-0.0], [0.75], [math.nan], [12.81]],
+    ])
+    def test_csv_bytes_of_edge_tables(self, tmp_path, columns):
+        x1, x2, xs1, xs2, u, V = (np.array(c) for c in columns)
+        traj = Trajectory(t=np.arange(len(x1)) * 1e-3, x=np.column_stack((x1, x2)),
+                          x_star=np.column_stack((xs1, xs2)), u=u, V=V)
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        expected = self._reference_csv(traj)
+        assert len(expected.splitlines()) == len(x1) + 1
+        assert path.read_bytes() == expected.encode()
 
     def test_csv_format(self, plant, gains, tmp_path):
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
