@@ -24,7 +24,6 @@ from . import simulate as sim_mod
 from . import steady_state as ss_mod
 from . import synthesis
 from .config import (
-    FALSIFY_SAMPLES,
     ConfigError,
     PRESET_NAMES,
     ScenarioConfig,
@@ -111,16 +110,12 @@ def _estimates(cfg: ScenarioConfig, gains, cert) -> dict:
     return {kind: builders[kind]() for kind in cfg.roa_kinds}
 
 
-def run_roa(cfg: ScenarioConfig, sweep: bool = True) -> tuple[dict, list[tuple]]:
+def run_roa(cfg: ScenarioConfig) -> tuple[dict, list[tuple]]:
     gains, cert = _design(cfg)
     estimates = _estimates(cfg, gains, cert)
     report = {kind: est.to_dict() for kind, est in estimates.items()}
-    boundaries: list[tuple] = []
-    for kind, est in estimates.items():
-        if est.valid:
-            for pt in est.boundary():
-                boundaries.append((kind, float(pt[0]), float(pt[1])))
-    if sweep and "MFC2" in estimates and estimates["MFC2"].valid:
+    polylines = [(kind, est.boundary()) for kind, est in estimates.items() if est.valid]
+    if "MFC2" in estimates and estimates["MFC2"].valid:
         est = estimates["MFC2"]
         region = roa_mod.mfc2_region_sweep(cfg.plant, cert, est.x_s, est.c_star)
         report["MFC2_sweep"] = {
@@ -130,11 +125,8 @@ def run_roa(cfg: ScenarioConfig, sweep: bool = True) -> tuple[dict, list[tuple]]
             "green_area": roa_mod.polygon_area(region.green),
             "grey_area": roa_mod.polygon_area(region.grey),
         }
-        for pt in region.green:
-            boundaries.append(("MFC2_SWEEP_GREEN", float(pt[0]), float(pt[1])))
-        for pt in region.grey:
-            boundaries.append(("MFC2_SWEEP_GREY", float(pt[0]), float(pt[1])))
-    return report, boundaries
+        polylines += [("MFC2_SWEEP_GREEN", region.green), ("MFC2_SWEEP_GREY", region.grey)]
+    return report, [(kind, x1, x2) for kind, pts in polylines for x1, x2 in pts.tolist()]
 
 
 def _controller_spec(cfg: ScenarioConfig, gains, kind: str) -> sim_mod.ControllerSpec:
@@ -187,7 +179,7 @@ def run_falsify(cfg: ScenarioConfig, samples: int | None = None, seed: int | Non
         [estimates[kind] for kind in valid],
         plant,
         gains,
-        count=samples if samples is not None else (cfg.falsify_samples or FALSIFY_SAMPLES),
+        count=samples if samples is not None else cfg.falsify_samples,
         horizon=cfg.horizon,
         h=cfg.step,
         seed=seed if seed is not None else cfg.falsify_seed,
@@ -252,8 +244,8 @@ def run_reproduce(
         "gamma_slhg": cert.gamma_slhg,
     }
     y_d = cfg.y_d
-    computed["sl_error_pct"] = abs(steady["SL"]["selected"] - y_d) / abs(y_d) * 100.0
-    computed["mfc_error_pct"] = abs(steady["MFC"]["selected"]) / abs(y_d) * 100.0
+    computed["sl_error_pct"] = sim_mod._percent_of_set_point(steady["SL"]["selected"] - y_d, y_d)
+    computed["mfc_error_pct"] = sim_mod._percent_of_set_point(steady["MFC"]["selected"], y_d)
     if steady["sl_multiplicity_transition_y_d"] is not None:
         computed["multiplicity_transition"] = steady["sl_multiplicity_transition_y_d"]
     computed["sl_root_count"] = float(len(steady["SL"]["roots"]))
@@ -278,11 +270,10 @@ def run_reproduce(
     if scenario == "scenario1":
         spec = _controller_spec(cfg, gains, "MFC")
         loop = sim_mod.build_closed_loop(plant, spec, cfg.vartheta)
+        times = []
         for label, x0 in (("a", (0.1, -8.0)), ("b", (-0.25, 6.0))):
             u = loop.control(0.0, (*cfg.x0_star, *x0))
             computed[f"u_mfc_0_perturbed_{label}"] = float(u)
-        times = []
-        for x0 in ((0.1, -8.0), (-0.25, 6.0)):
             traj = sim_mod.simulate_closed_loop(
                 plant, spec, x0, 2.0, cfg.step, vartheta=cfg.vartheta
             )
@@ -387,7 +378,7 @@ def _resolve_config(args) -> ScenarioConfig:
     falsify = {name: getattr(args, name) for name in ("samples", "seed")
                if getattr(args, name) is not None}
     if falsify:
-        updates["falsify"] = {**data.get("falsify", {"samples": FALSIFY_SAMPLES}), **falsify}
+        updates["falsify"] = {**data["falsify"], **falsify}
     if updates:
         cfg = parse_config({**data, **updates})
     return cfg

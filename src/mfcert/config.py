@@ -83,11 +83,11 @@ class ScenarioConfig:
     controllers: tuple
     roa_kinds: tuple
     domain: Box = DEFAULT_DOMAIN
-    falsify_samples: int | None = None
+    falsify_samples: int = FALSIFY_SAMPLES
     falsify_seed: int = 0
 
     def to_dict(self) -> dict:
-        data = {
+        return {
             "plant": self.plant.to_dict(),
             "poles": [[r.real, r.imag] if isinstance(r, complex) else r for r in self.poles],
             "epsilon": self.epsilon,
@@ -100,10 +100,8 @@ class ScenarioConfig:
             "controllers": list(self.controllers),
             "roa_kinds": list(self.roa_kinds),
             "domain": {"lo": list(self.domain.lo), "hi": list(self.domain.hi)},
+            "falsify": {"samples": self.falsify_samples, "seed": self.falsify_seed},
         }
-        if self.falsify_samples is not None:
-            data["falsify"] = {"samples": self.falsify_samples, "seed": self.falsify_seed}
-        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -183,7 +181,7 @@ def parse_config(data: Mapping) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError("domain", str(exc)) from None
 
-    falsify_samples = None
+    falsify_samples = FALSIFY_SAMPLES
     falsify_seed = 0
     if "falsify" in data and data["falsify"] is not None:
         fal = data["falsify"]
@@ -262,7 +260,6 @@ def preset(name: str) -> ScenarioConfig:
             "step": 1e-3,
             "controllers": ["SL", "SLHG", "MFC"],
             "roa_kinds": ["MFC1", "MFC2", "SL", "SLHG"],
-            "falsify": {"samples": FALSIFY_SAMPLES, "seed": 0},
         }
     )
 

@@ -63,41 +63,30 @@ def sample_in_set(
     """Uniform initial states inside a certified set, in physical coordinates.
 
     Unit-ball samples are pushed through the inverse symmetric square root of
-    the set's shape matrix and mapped to physical coordinates.  Returns the
-    process states (count, n) and, for the two-loop kinds, the matching model
-    states; single-loop kinds return None for the model part.
+    the set's shape matrix and mapped to physical coordinates through the
+    set's frame (``RoaEstimate.to_physical``).  Returns the process states
+    (count, n) and, for the two-loop kinds, the matching model states;
+    single-loop kinds return None for the model part.
     """
     if not estimate.valid:
         raise ValueError(f"cannot sample the invalid {estimate.kind} estimate "
                          f"({estimate.reason})")
-    rng = _rng(seed)
     n = estimate.n
-    P = np.asarray(estimate.P)
-    S = _inv_sqrt(P)
-    D = estimate.d_matrix()
-    x_s = np.asarray(estimate.x_s)
-    x_d = np.asarray(estimate.x_d)
+    S = _inv_sqrt(np.asarray(estimate.P))
     # the combined set draws model and process error from one 2n-ball
-    u = _unit_ball(rng, count, 2 * n if estimate.kind == "MFC1" else n)
-
-    if estimate.kind == "SL":
-        x0 = x_s + math.sqrt(BOUNDARY_MARGIN * estimate.level) * u @ S.T
-        return x0, None
-    if estimate.kind == "SLHG":
-        z = math.sqrt(BOUNDARY_MARGIN * estimate.level) * u @ S.T
-        return x_s + z @ D.T, None
-    if estimate.kind == "MFC2":
-        zt = math.sqrt(BOUNDARY_MARGIN * estimate.c_tilde) * u @ S.T
-        e_star = np.asarray(estimate.x0_star) - x_d
-        x0 = x_s + e_star + zt @ D.T
-        x0_star = np.tile(np.asarray(estimate.x0_star), (count, 1))
-        return x0, x0_star
+    u = _unit_ball(_rng(seed), count, 2 * n if estimate.kind == "MFC1" else n)
+    z = math.sqrt(BOUNDARY_MARGIN * estimate.slice_level) * u[:, -n:] @ S.T
     if estimate.kind == "MFC1":
-        es = math.sqrt(BOUNDARY_MARGIN * estimate.level / estimate.vartheta) * u[:, :n] @ S.T
-        zt = math.sqrt(BOUNDARY_MARGIN * estimate.level) * u[:, n:] @ S.T
-        x0 = x_s + es + zt @ D.T
-        return x0, x_d + es
-    raise ValueError(f"unknown estimate kind {estimate.kind!r}")
+        scale = math.sqrt(BOUNDARY_MARGIN * estimate.level / estimate.vartheta)
+        e_star = scale * u[:, :n] @ S.T
+    else:  # the slice's own model error: zero without a model start
+        e_star = np.asarray(estimate.x0_star or estimate.x_d) - np.asarray(estimate.x_d)
+    x_star, x0 = estimate.to_physical(e_star, z)
+    if estimate.controller != "MFC":
+        return x0, None
+    if estimate.kind == "MFC2":  # the stored model start itself, for every sample
+        x_star = np.tile(np.asarray(estimate.x0_star), (count, 1))
+    return x0, x_star
 
 
 @dataclass(frozen=True)

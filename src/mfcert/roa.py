@@ -192,15 +192,26 @@ def ellipse_boundary(
     return np.asarray(center, dtype=float) + math.sqrt(level) * circle @ S.T
 
 
+_FRAMES = {
+    "MFC1": "combined model error and scaled process error",
+    "MFC2": "combined model error and scaled process error",
+    "SL": "deviation from the steady state",
+    "SLHG": "scaled deviation from the steady state",
+}
+
+
 @dataclass(frozen=True)
 class RoaEstimate:
     """One certified level set: its level, frame, and physical-frame geometry.
 
     ``level`` is None for invalid estimates, with ``reason`` naming the
     failing radicand.  For the split estimate the level decomposes as
-    c_star + c_tilde.  Membership is evaluable through ``lyapunov_value``;
-    the drawable two-dimensional set is exposed through ``physical_shape``
-    and ``boundary``.
+    c_star + c_tilde.  Every kind lives in one frame: the model error
+    e* = x* - x_d and the scaled process error z = D^-1 (x - x_s - e*), with
+    V = vartheta e*' P e* + z' P z.  The single loops have e* = 0, and plain
+    SL also D = I.  Membership is evaluable through ``lyapunov_value``; the
+    drawable two-dimensional set is exposed through ``physical_shape`` and
+    ``boundary``.
     """
 
     kind: str
@@ -215,6 +226,10 @@ class RoaEstimate:
     c_tilde: float | None = None
     x0_star: tuple | None = None
     reason: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in _FRAMES:
+            raise ValueError(f"unknown estimate kind {self.kind!r}")
 
     @property
     def valid(self) -> bool:
@@ -231,46 +246,46 @@ class RoaEstimate:
 
     @property
     def frame(self) -> str:
-        return {
-            "MFC1": "combined model error and scaled process error",
-            "MFC2": "combined model error and scaled process error",
-            "SL": "deviation from the steady state",
-            "SLHG": "scaled deviation from the steady state",
-        }[self.kind]
+        return _FRAMES[self.kind]
 
     def d_matrix(self) -> np.ndarray:
-        return np.diag(time_scaling(self.epsilon, self.n))
+        """Time scaling D of the frame; the identity for plain SL."""
+        return np.diag(time_scaling(1.0 if self.kind == "SL" else self.epsilon, self.n))
 
     def d_inv(self) -> np.ndarray:
-        return np.diag(time_scaling(1.0 / self.epsilon, self.n))
+        return np.diag(time_scaling(1.0 if self.kind == "SL" else 1.0 / self.epsilon, self.n))
+
+    @property
+    def slice_level(self) -> float | None:
+        """Level of z' P z on the drawable slice: c_tilde for MFC2, else the level."""
+        return self.c_tilde if self.kind == "MFC2" else self.level
 
     @property
     def center(self) -> np.ndarray:
         """Physical-frame center of the drawable set."""
         x_s = np.asarray(self.x_s)
-        if self.kind in ("SL", "SLHG"):
+        if self.controller != "MFC":
             return x_s
         x0s = np.asarray(self.x0_star if self.x0_star is not None else self.x_d)
         return x0s + (x_s - np.asarray(self.x_d))
 
+    def to_physical(self, e_star, z) -> tuple[np.ndarray, np.ndarray]:
+        """Model and process states x* = x_d + e* and x = x_s + e* + D z of a frame point."""
+        x_star = np.asarray(self.x_d) + e_star
+        return x_star, np.asarray(self.x_s) + e_star + z @ self.d_matrix().T
+
     def lyapunov_value(self, x: Sequence[float], x_star: Sequence[float] | None = None):
         """Lyapunov value of a physical state (pair) in the estimate's frame."""
-        P = np.asarray(self.P)
-        x = np.asarray(x, dtype=float)
-        x_s = np.asarray(self.x_s)
-        if self.kind == "SL":
-            e = x - x_s
-            return float(e @ P @ e) if e.ndim == 1 else np.einsum("...i,ij,...j", e, P, e)
-        if self.kind == "SLHG":
-            z = (x - x_s) @ self.d_inv().T
-            return float(z @ P @ z) if z.ndim == 1 else np.einsum("...i,ij,...j", z, P, z)
-        if x_star is None:
+        if self.controller != "MFC":
+            e_star = np.zeros(self.n)
+        elif x_star is None:
             raise ValueError(f"{self.kind} membership needs the model state as well")
-        xs = np.asarray(x_star, dtype=float)
-        e_star = xs - np.asarray(self.x_d)
-        zt = ((x - x_s) - e_star) @ self.d_inv().T
+        else:
+            e_star = np.asarray(x_star, dtype=float) - np.asarray(self.x_d)
+        z = ((np.asarray(x, dtype=float) - np.asarray(self.x_s)) - e_star) @ self.d_inv().T
+        P = np.asarray(self.P)
         v = self.vartheta * np.einsum("...i,ij,...j", e_star, P, e_star) + np.einsum(
-            "...i,ij,...j", zt, P, zt
+            "...i,ij,...j", z, P, z
         )
         return float(v) if np.ndim(v) == 0 else v
 
@@ -282,20 +297,14 @@ class RoaEstimate:
     def physical_shape(self) -> tuple[np.ndarray, float, np.ndarray]:
         """Shape matrix, level and center of the drawable set in physical coordinates.
 
-        For the scaled frames the quadratic form pulls back through the time
-        scaling; for the combined frames the drawable set is the process-error
-        slice at the stored initial model error, zero for MFC1.
+        The quadratic form pulls back through the time scaling; the drawable
+        set is the process-error slice at the stored initial model error,
+        zero for MFC1 and the single loops.
         """
         if not self.valid:
             raise ValueError(f"estimate {self.kind} is invalid ({self.reason})")
-        P = np.asarray(self.P)
-        if self.kind == "SL":
-            return P, self.level, self.center
         Dinv = self.d_inv()
-        Q = Dinv @ P @ Dinv
-        if self.kind == "MFC2":
-            return Q, self.c_tilde, self.center
-        return Q, self.level, self.center
+        return Dinv @ np.asarray(self.P) @ Dinv, self.slice_level, self.center
 
     def boundary(self) -> np.ndarray:
         Q, level, center = self.physical_shape()
@@ -444,7 +453,7 @@ def mfc2_region_sweep(
         raise ValueError(f"region sweep undefined: {reason}")
     lam = cert.lambda_min
     vth = cert.vartheta
-    c_max = vth * lam * ra * ra
+    c_max = c_star_budget(p, cert.gamma_mfc, ref_norm, vth, lam)
     if c_star_level < 0 or c_star_level > c_max:
         raise ValueError(f"c_star level {c_star_level} outside [0, {c_max}]")
 
@@ -460,19 +469,16 @@ def mfc2_region_sweep(
         # the model starts with vartheta e*' P e* = cs, on the set's own ellipse
         return centroid[None, :] if cs == 0.0 else ellipse_boundary(P, cs / vth, centroid, count)
 
-    green_centers = ring(c_star_level, SWEEP_SAMPLES)
-    green_thresholds = np.full(len(green_centers), c_tilde_of(c_star_level))
-    green_contains = _union_membership(green_centers, green_thresholds, Q)
+    def members(levels, count: int) -> tuple[np.ndarray, np.ndarray]:
+        # member centers on the rings of the c_star levels, each with its c_tilde
+        rings = [ring(float(cs), count) for cs in levels]
+        thresholds = [np.full(len(pts), c_tilde_of(float(cs))) for pts, cs in zip(rings, levels)]
+        return np.concatenate(rings, axis=0), np.concatenate(thresholds)
 
-    grey_count = SWEEP_SAMPLES // 4
-    grey_centers = []
-    grey_thresholds = []
-    for cs in np.linspace(0.0, c_max, SWEEP_LEVELS):
-        pts = ring(float(cs), grey_count)
-        grey_centers.append(pts)
-        grey_thresholds.append(np.full(len(pts), c_tilde_of(float(cs))))
-    grey_centers = np.concatenate(grey_centers, axis=0)
-    grey_thresholds = np.concatenate(grey_thresholds)
+    green_centers, green_thresholds = members([c_star_level], SWEEP_SAMPLES)
+    green_contains = _union_membership(green_centers, green_thresholds, Q)
+    grey_centers, grey_thresholds = members(
+        np.linspace(0.0, c_max, SWEEP_LEVELS), SWEEP_SAMPLES // 4)
     grey_contains = _union_membership(grey_centers, grey_thresholds, Q)
 
     theta = 2.0 * math.pi * np.arange(SWEEP_RAYS) / SWEEP_RAYS

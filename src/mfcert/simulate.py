@@ -597,34 +597,32 @@ def metrics(traj: Trajectory, x_s_expected: Sequence[float]) -> dict:
     y_d = traj.metadata["y_d"]
     tail = max(1, len(traj.t) // 10)
     mean_tail = float(np.mean(traj.x[-tail:, 0]))
-    scale = abs(y_d) if y_d != 0 else 1.0
-    sse_pct = abs(mean_tail - y_d) / scale * 100.0
 
     dist = np.linalg.norm(traj.x - x_s, axis=1)
     d0 = float(dist[0])
-    threshold = 0.01 * d0 if d0 > 0 else 0.01
-    above = np.nonzero(dist >= threshold)[0]
-    if len(above) == 0:
-        settle = float(traj.t[0])
-    elif above[-1] == len(dist) - 1:
-        settle = None
-    else:
-        settle = float(traj.t[above[-1] + 1])
-
     return {
         "u0": u0,
         "peak_abs_u": peak,
-        "steady_state_error_pct": sse_pct,
-        "settle_time": settle,
+        "steady_state_error_pct": _percent_of_set_point(mean_tail - y_d, y_d),
+        "settle_time": _settle_time(traj.t, dist, 0.01 * d0 if d0 > 0 else 0.01),
     }
+
+
+def _percent_of_set_point(error: float, y_d: float) -> float:
+    """|error| in percent of |y_d|; of 1 when the set-point is zero."""
+    return abs(error) / (abs(y_d) if y_d != 0 else 1.0) * 100.0
+
+
+def _settle_time(t: np.ndarray, dist: np.ndarray, threshold: float) -> float | None:
+    """First grid time after which ``dist`` stays below ``threshold``; None if it ends above."""
+    above = np.nonzero(dist >= threshold)[0]
+    if len(above) == 0:
+        return float(t[0])
+    if above[-1] == len(dist) - 1:
+        return None
+    return float(t[above[-1] + 1])
 
 
 def time_to_track(traj: Trajectory) -> float | None:
     """First grid time after which the process stays within TRACK_GAP of the model."""
-    gap = np.linalg.norm(traj.x - traj.x_star, axis=1)
-    above = np.nonzero(gap >= TRACK_GAP)[0]
-    if len(above) == 0:
-        return float(traj.t[0])
-    if above[-1] == len(gap) - 1:
-        return None
-    return float(traj.t[above[-1] + 1])
+    return _settle_time(traj.t, np.linalg.norm(traj.x - traj.x_star, axis=1), TRACK_GAP)

@@ -175,24 +175,18 @@ def classify_stability(
     kind = closed_loop_kind.upper()
     if gains.n != 2:
         raise ValueError("stability classification is implemented for n = 2")
-    if kind == "SL":
-        x_s1 = float(root)
-        k = gains.k_star
-        d1, d2 = msd_phi_gradient(p, (x_s1, 0.0))
-        row = (k[0] + d1, k[1] + d2)
-    elif kind == "SLHG":
-        x_s1 = float(root)
-        k = gains.k_tilde
-        d1, d2 = msd_phi_gradient(p, (x_s1, 0.0))
-        row = (k[0] + d1, k[1] + d2)
-    elif kind == "MFC":
-        x_s1 = float(y_d) + float(root)
-        eps = gains.epsilon
-        k = gains.k_star
-        d1, d2 = msd_phi_gradient(p, (x_s1, 0.0))
-        row = (k[0] + eps * eps * d1, k[1] + eps * d2)
-    else:
+    eps = gains.epsilon
+    # gain k, gradient weights (s1, s2) and equilibrium output x_s1 of each kind
+    rows = {
+        "SL": (gains.k_star, 1.0, 1.0, float(root)),
+        "SLHG": (gains.k_tilde, 1.0, 1.0, float(root)),
+        "MFC": (gains.k_star, eps * eps, eps, float(y_d) + float(root)),
+    }
+    if kind not in rows:
         raise ValueError(f"unknown closed-loop kind {closed_loop_kind!r}")
+    k, s1, s2, x_s1 = rows[kind]
+    d1, d2 = msd_phi_gradient(p, (x_s1, 0.0))
+    row = (k[0] + s1 * d1, k[1] + s2 * d2)
 
     tr = row[1]
     det = -row[0]
@@ -280,22 +274,29 @@ def _select(roots: Sequence[float], reference: float) -> tuple[int, bool]:
     return hits[0], False
 
 
-def mfc_equilibria(p: MsdParams, gains: GainSet, y_d: float) -> EquilibriumSet:
-    """Equilibria of the two-loop closed loop in the output-error frame."""
+def _equilibria(kind, p, gains, y_d, polynomial, reference, frame) -> EquilibriumSet:
+    """Solve the cubic ``polynomial()``, select the root closest to ``reference``, classify."""
     with _cubic_for(y_d):
-        coeffs = mfc_steady_polynomial(p, gains.k_star[0], gains.epsilon, y_d)
+        coeffs = polynomial()
         roots = _real_roots(coeffs)
-    idx, tie = _select(roots, 0.0)
-    stability = tuple(classify_stability(r, "MFC", p, gains, y_d=y_d) for r in roots)
+    idx, tie = _select(roots, reference)
     return EquilibriumSet(
         coefficients=tuple(coeffs),
         roots=tuple(roots),
-        stability=stability,
+        stability=tuple(classify_stability(r, kind, p, gains, y_d=y_d) for r in roots),
         selected=roots[idx],
         selected_index=idx,
-        frame="x_tilde_1",
+        frame=frame,
         y_d=float(y_d),
         tie=tie,
+    )
+
+
+def mfc_equilibria(p: MsdParams, gains: GainSet, y_d: float) -> EquilibriumSet:
+    """Equilibria of the two-loop closed loop in the output-error frame."""
+    return _equilibria(
+        "MFC", p, gains, y_d,
+        lambda: mfc_steady_polynomial(p, gains.k_star[0], gains.epsilon, y_d), 0.0, "x_tilde_1",
     )
 
 
@@ -304,21 +305,9 @@ def single_loop_equilibria(
 ) -> EquilibriumSet:
     """Equilibria of a single-loop closed loop, in the physical output frame."""
     k1 = gains.k_tilde[0] if high_gain else gains.k_star[0]
-    kind = "SLHG" if high_gain else "SL"
-    with _cubic_for(y_d):
-        coeffs = sl_steady_polynomial(p, k1, y_d)
-        roots = _real_roots(coeffs)
-    idx, tie = _select(roots, float(y_d))
-    stability = tuple(classify_stability(r, kind, p, gains) for r in roots)
-    return EquilibriumSet(
-        coefficients=tuple(coeffs),
-        roots=tuple(roots),
-        stability=stability,
-        selected=roots[idx],
-        selected_index=idx,
-        frame="x_1",
-        y_d=float(y_d),
-        tie=tie,
+    return _equilibria(
+        "SLHG" if high_gain else "SL", p, gains, y_d,
+        lambda: sl_steady_polynomial(p, k1, y_d), float(y_d), "x_1",
     )
 
 

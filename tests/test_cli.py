@@ -209,6 +209,14 @@ class TestConfigErrors:
         assert code == 0
         assert _read_json(tmp_path / "config.json")["falsify"] == {"samples": 50, "seed": 3}
 
+    def test_config_json_records_the_default_falsify_block(self, tmp_path):
+        cfg = preset("scenario1").to_dict()
+        del cfg["falsify"]
+        run = _run_cli(tmp_path, "analyze", cfg)
+        assert run.returncode == 0, run.stderr
+        assert _read_json(tmp_path / "out" / "config.json")["falsify"] == {
+            "samples": 500, "seed": 0}
+
     def test_missing_config_file(self, tmp_path):
         run = _mfcert("analyze", "--config", tmp_path / "missing.json", "--out", tmp_path)
         _one_line_config_error(run)
@@ -353,6 +361,20 @@ class TestReproduce:
         valid = [rep for rep in _read_json(tmp_path / "falsify.json").values()
                  if rep["valid"]]
         assert valid and all(rep["horizon"] == 2.0 and rep["h"] == 0.002 for rep in valid)
+
+    def test_zero_set_point_is_a_mismatch_not_a_failure(self, tmp_path, capsys):
+        cfg = {**preset("scenario1").to_dict(), "y_d": 0.0, "horizon": 1.0,
+               "falsify": {"samples": 4, "seed": 0}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["reproduce", "scenario1", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert "MISMATCH" in capsys.readouterr().out
+        # errors at a zero set-point are percent of 1, as in metrics.json
+        rows = {row["name"]: row for row in _read_json(tmp_path / "out" / "summary.json")["rows"]}
+        assert rows["sl_error_pct"]["computed"] == 0.0
+        assert rows["mfc_error_pct"]["computed"] == 0.0
 
     def test_tolerance_profile_forces_mismatch(self, tmp_path):
         profile = tmp_path / "tight.json"

@@ -1,9 +1,10 @@
 """Golden bytes of the closed-loop kernels.
 
 The digests pin the trajectory CSVs of ``run_simulate`` (every controller
-kind, 1 s horizon) and a small ``run_falsify`` report on both presets.  A
-change to the kernels that moves any bit of an integrated state, input or
-Lyapunov value fails here, and has to say so and re-pin the digests.
+kind, 1 s horizon), a small ``run_falsify`` report, and the analyze,
+steady-state and ROA reports on both presets.  A change that moves any bit of
+an integrated state, input, Lyapunov value, equilibrium, level or boundary
+fails here, and has to say so and re-pin the digests.
 """
 
 import dataclasses
@@ -36,6 +37,25 @@ FALSIFY_SHA256 = {
     "scenario2": "c10a3791b74ad5372925ceb2084af8ec111b5d1d1162d47d298f8246d390ca95",
 }
 
+REPORT_SHA256 = {
+    "scenario1": {
+        "analyze.json": "85d3f138734c3b7b9729ce13104a2803f4bc461faf52831fbd589b2625ba0fa3",
+        "steady_state.json": "027383c479dcd6fe0ee25163e22b9dc655776dbbd13f5039d41864c1678171ab",
+        "steady_state_sweep.csv":
+            "3d4941cf1f901d57d1355013e5097eaea9aac037ff4ab80f11ed0e4a100c5db5",
+        "roa.json": "ce276681cfbfe2a816d6c0bfc15bcf76e06040d51f754945d9c137d7252a8cc6",
+        "roa_boundaries.csv": "ba70c93ff94bf83036ff57b0f5ea97a075817b82033cdb007d3a278be9ed7a61",
+    },
+    "scenario2": {
+        "analyze.json": "85d3f138734c3b7b9729ce13104a2803f4bc461faf52831fbd589b2625ba0fa3",
+        "steady_state.json": "e09a16afa0c1598eacc6f3e345b38153817e96fecfd4f4d2781e8bb0c1127e13",
+        "steady_state_sweep.csv":
+            "3d4941cf1f901d57d1355013e5097eaea9aac037ff4ab80f11ed0e4a100c5db5",
+        "roa.json": "b58d1c128d2fe0a466018ffc62a94c01ed5ed68366f78e7a04f1782069461a33",
+        "roa_boundaries.csv": "1e8ffd5ee4a1c10769bbe95efe744edcf5019768acc5a793f616f08e64325865",
+    },
+}
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -57,3 +77,17 @@ def test_falsify_report_bytes(tmp_path, name):
     report = cli.run_falsify(_short(name), samples=40, seed=0)
     cli._write_json(tmp_path / "falsify.json", report)
     assert _sha256(tmp_path / "falsify.json") == FALSIFY_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_design_report_bytes(tmp_path, name):
+    cfg = preset(name)
+    cli._write_json(tmp_path / "analyze.json", cli.run_analyze(cfg))
+    report, sweep = cli.run_steady_state(cfg)
+    cli._write_json(tmp_path / "steady_state.json", report)
+    cli._write_sweep_csv(tmp_path / "steady_state_sweep.csv", sweep)
+    report, boundaries = cli.run_roa(cfg)
+    cli._write_json(tmp_path / "roa.json", report)
+    cli._write_boundaries_csv(tmp_path / "roa_boundaries.csv", boundaries)
+    digests = {file: _sha256(tmp_path / file) for file in REPORT_SHA256[name]}
+    assert digests == REPORT_SHA256[name]

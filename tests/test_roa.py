@@ -19,7 +19,13 @@ from mfcert import (
     r_mfc2,
     single_loop_equilibria,
 )
-from mfcert.roa import REASON_CSTAR, REASON_RADICAND, c_star_budget, polygon_area
+from mfcert.roa import (
+    REASON_CSTAR,
+    REASON_RADICAND,
+    RoaEstimate,
+    c_star_budget,
+    polygon_area,
+)
 
 
 @pytest.fixture(scope="module")
@@ -245,6 +251,32 @@ class TestEstimateBuilders:
         assert est.reason == REASON_RADICAND
         with pytest.raises(ValueError):
             est.boundary()
+
+    def test_unknown_kind_rejected(self, cert):
+        with pytest.raises(ValueError, match="MFC3"):
+            RoaEstimate(kind="MFC3", level=1.0, radius_aux=1.0, x_d=(0.75, 0.0),
+                        x_s=(0.75, 0.0), P=cert.P, vartheta=cert.vartheta,
+                        epsilon=cert.epsilon)
+
+    @pytest.mark.parametrize("kind", ["MFC1", "MFC2", "SL", "SLHG"])
+    def test_frame_map_round_trip(self, table_params, cert, scenario1, kind):
+        """V of x* = x_d + e*, x = x_s + e* + D z is vartheta e*'P e* + z'P z."""
+        x_s = scenario1["x_s_sl" if kind == "SL" else "x_s_mfc"]
+        args = (table_params, cert, x_s, scenario1["x_d"])
+        est = {"MFC1": lambda: estimate_mfc1(*args),
+               "MFC2": lambda: estimate_mfc2(*args, (0.0, 0.0)),
+               "SL": lambda: estimate_sl(*args),
+               "SLHG": lambda: estimate_slhg(*args)}[kind]()
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=(50, 2))
+        e_star = rng.normal(size=(50, 2)) if est.controller == "MFC" else np.zeros(2)
+        x_star, x = est.to_physical(e_star, z)
+        expected = np.einsum("ki,ij,kj->k", z, cert.P, z)
+        if est.controller == "MFC":
+            expected += cert.vartheta * np.einsum("ki,ij,kj->k", e_star, cert.P, e_star)
+        assert est.lyapunov_value(x, x_star) == pytest.approx(expected, rel=1e-9)
+        if kind == "SL":
+            assert np.array_equal(est.d_matrix(), np.eye(2))
 
     def test_perturbed_benchmark_states_inside_split_set(self, table_params, cert, scenario1):
         est = estimate_mfc2(
