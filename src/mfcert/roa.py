@@ -51,6 +51,9 @@ SWEEP_SAMPLES = 360
 SWEEP_RAYS = 360
 #: c_star levels of the grey region sweep, 0 and the budget included.
 SWEEP_LEVELS = 17
+#: Rays (or query points) per block of the region sweep's (rows, members) arrays:
+#: about 0.5 MB each at the grey region's 1,441 members, so a block stays in L2.
+_BLOCK_ROWS = 48
 
 
 def aux_radius(
@@ -176,6 +179,17 @@ def _inv_sqrt(P: np.ndarray) -> np.ndarray:
     return V @ np.diag(1.0 / np.sqrt(w)) @ V.T
 
 
+def _unit_circle(points: int) -> np.ndarray:
+    """Unit vectors at ``points`` equally spaced angles, shape (points, 2)."""
+    theta = 2.0 * math.pi * np.arange(points) / points
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
+def _on_ellipse(S: np.ndarray, circle: np.ndarray, level: float, center) -> np.ndarray:
+    """center + (sqrt(level) * circle) @ S.T; the other grouping changes bits."""
+    return np.asarray(center, dtype=float) + math.sqrt(level) * circle @ S.T
+
+
 def ellipse_boundary(
     P_effective: np.ndarray, level: float, center: Sequence[float], points: int
 ) -> np.ndarray:
@@ -186,10 +200,7 @@ def ellipse_boundary(
     """
     if level <= 0:
         raise ValueError("level must be positive")
-    S = _inv_sqrt(P_effective)
-    theta = 2.0 * math.pi * np.arange(points) / points
-    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    return np.asarray(center, dtype=float) + math.sqrt(level) * circle @ S.T
+    return _on_ellipse(_inv_sqrt(P_effective), _unit_circle(points), level, center)
 
 
 _FRAMES = {
@@ -423,11 +434,36 @@ def polygon_area(polygon: np.ndarray) -> float:
 def _union_membership(centers: np.ndarray, thresholds: np.ndarray, Q: np.ndarray):
     def contains(points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        diffs = pts[:, None, :] - centers[None, :, :]
-        vals = np.einsum("kmi,ij,kmj->km", diffs, Q, diffs)
-        return np.any(vals <= thresholds[None, :], axis=1)
+        inside = np.empty(len(pts), dtype=bool)
+        for lo in range(0, len(pts), _BLOCK_ROWS):
+            diffs = pts[lo:lo + _BLOCK_ROWS, None, :] - centers[None, :, :]
+            vals = np.einsum("kmi,ij,kmj->km", diffs, Q, diffs)
+            inside[lo:lo + _BLOCK_ROWS] = np.any(vals <= thresholds[None, :], axis=1)
+        return inside
 
     return contains
+
+
+def _outer_extent(
+    dirs: np.ndarray, Q: np.ndarray, centroid: np.ndarray,
+    centers: np.ndarray, thresholds: np.ndarray,
+) -> np.ndarray:
+    """Largest t >= 0 per ray d with centroid + t d in the members' union (see the sweep)."""
+    alpha = np.einsum("ri,ij,rj->r", dirs, Q, dirs)
+    diff = centroid - centers
+    q_diff = Q @ diff.T
+    gamma = np.einsum("mi,ij,mj->m", diff, Q, diff) - thresholds
+    best = np.empty(len(dirs))
+    for lo in range(0, len(dirs), _BLOCK_ROWS):
+        rays = slice(lo, lo + _BLOCK_ROWS)
+        beta = 2.0 * dirs[rays] @ q_diff
+        disc = beta * beta
+        disc -= 4.0 * alpha[rays, None] * gamma[None, :]
+        with np.errstate(invalid="ignore"):
+            np.sqrt(disc, out=disc)
+        disc -= beta  # -beta + sqrt(disc), exactly
+        best[rays] = np.fmax.reduce(disc, axis=1) / (2.0 * alpha[rays])
+    return np.fmax(best, 0.0)
 
 
 def mfc2_region_sweep(
@@ -445,6 +481,13 @@ def mfc2_region_sweep(
     extent is the maximum of the interval endpoints in closed form.  This
     stays correct where the sampled union has radial gaps, which a
     bisection search would mistake for the boundary.
+
+    Rays go in blocks of _BLOCK_ROWS, so the (rays, members) temporaries stay
+    cache-sized.  A member the ray misses has a negative discriminant and a
+    NaN root, which the maximum (fmax) skips; a ray that meets no member gets
+    0.  The division by 2 alpha follows the maximum: alpha > 0, and correctly
+    rounded division by a positive number is monotone, so
+    max(a / c) == max(a) / c bit for bit.
     """
     x_s = np.asarray(x_s, dtype=float)
     ref_norm = float(np.linalg.norm(x_s))
@@ -461,17 +504,17 @@ def mfc2_region_sweep(
     Dinv = np.diag(time_scaling(1.0 / cert.epsilon, len(x_s)))
     Q = Dinv @ P @ Dinv
     centroid = x_s.copy()  # x_d + steady offset, the c_star = 0 center
+    S = _inv_sqrt(P)
 
     def c_tilde_of(cs: float) -> float:
         return lam * (ra - math.sqrt(cs / (vth * lam))) ** 2
 
-    def ring(cs: float, count: int) -> np.ndarray:
-        # the model starts with vartheta e*' P e* = cs, on the set's own ellipse
-        return centroid[None, :] if cs == 0.0 else ellipse_boundary(P, cs / vth, centroid, count)
-
     def members(levels, count: int) -> tuple[np.ndarray, np.ndarray]:
-        # member centers on the rings of the c_star levels, each with its c_tilde
-        rings = [ring(float(cs), count) for cs in levels]
+        # member centers on the rings of the c_star levels, each with its c_tilde;
+        # the model starts with vartheta e*' P e* = cs, on the set's own ellipse
+        circle = _unit_circle(count)
+        rings = [centroid[None, :] if float(cs) == 0.0
+                 else _on_ellipse(S, circle, float(cs) / vth, centroid) for cs in levels]
         thresholds = [np.full(len(pts), c_tilde_of(float(cs))) for pts, cs in zip(rings, levels)]
         return np.concatenate(rings, axis=0), np.concatenate(thresholds)
 
@@ -480,29 +523,10 @@ def mfc2_region_sweep(
     grey_centers, grey_thresholds = members(
         np.linspace(0.0, c_max, SWEEP_LEVELS), SWEEP_SAMPLES // 4)
     grey_contains = _union_membership(grey_centers, grey_thresholds, Q)
-
-    theta = 2.0 * math.pi * np.arange(SWEEP_RAYS) / SWEEP_RAYS
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    dirs = _unit_circle(SWEEP_RAYS)
 
     def outer_boundary(centers: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-        # along ray x = centroid + t d each ellipse is the interval where
-        # alpha t^2 + beta t + gamma <= 0; the outer boundary is the largest
-        # upper interval endpoint over all member ellipses
-        alpha = np.einsum("ri,ij,rj->r", dirs, Q, dirs)
-        diff = centroid - centers
-        beta = 2.0 * dirs @ (Q @ diff.T)
-        gamma = np.einsum("mi,ij,mj->m", diff, Q, diff) - thresholds
-        # the (rays, members) arrays are updated in place: they set the peak
-        # memory of the whole pipeline
-        t_plus = 4.0 * alpha[:, None] * gamma[None, :]
-        disc = beta * beta
-        disc -= t_plus
-        with np.errstate(invalid="ignore"):
-            np.sqrt(disc, out=t_plus)
-        t_plus -= beta  # -beta + sqrt(disc), exactly
-        t_plus /= 2.0 * alpha[:, None]
-        t_plus[~(disc >= 0.0)] = -np.inf
-        t_outer = np.maximum(np.max(t_plus, axis=1), 0.0)
+        t_outer = _outer_extent(dirs, Q, centroid, centers, thresholds)
         # nudge inward so the vertices satisfy the membership test in floats
         return centroid + (t_outer * (1.0 - 1e-9))[:, None] * dirs
 

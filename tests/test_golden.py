@@ -2,18 +2,21 @@
 
 The digests pin the trajectory CSVs of ``run_simulate`` (every controller
 kind, 1 s horizon), a small ``run_falsify`` report, and the analyze,
-steady-state and ROA reports on both presets.  A change that moves any bit of
-an integrated state, input, Lyapunov value, equilibrium, level or boundary
-fails here, and has to say so and re-pin the digests.
+steady-state and ROA reports on both presets, and one digest over the
+steady-state and ROA outputs of twelve seeded designs around ``scenario1``.  A
+change that moves any bit of an integrated state, input, Lyapunov value,
+equilibrium, level or boundary fails here, and has to say so and re-pin the
+digests.
 """
 
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from mfcert import cli
-from mfcert.config import preset
+from mfcert.config import parse_config, preset
 
 KINDS = ("SL", "SLHG", "MFC", "FFLIN")
 
@@ -91,3 +94,39 @@ def test_design_report_bytes(tmp_path, name):
     cli._write_boundaries_csv(tmp_path / "roa_boundaries.csv", boundaries)
     digests = {file: _sha256(tmp_path / file) for file in REPORT_SHA256[name]}
     assert digests == REPORT_SHA256[name]
+
+
+#: One SHA-256 over the steady-state and ROA outputs of the seeded designs.
+DESIGNS_SHA256 = "a18b5abba34f213beb6a1206cba59ed3737c52ec7f8be924ed8b0444dde97aee"
+
+
+def _seeded_designs(count=12, seed=2024):
+    """Designs around scenario1: each (epsilon, vartheta) pair, a drawn set-point and pole."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    base = preset("scenario1").to_dict()
+    designs = []
+    for i in range(count):
+        pole = float(rng.uniform(-3.0, -1.0))
+        designs.append(parse_config({
+            **base,
+            "epsilon": (0.05, 0.1, 0.2)[i % 3],
+            "vartheta": (1e2, 1e3, 1e4)[(i // 3) % 3],
+            "y_d": float(rng.uniform(0.1, 2.5)),
+            "poles": [pole, pole],
+        }))
+    return designs
+
+
+def test_seeded_design_outputs_bytes(tmp_path):
+    digest = hashlib.sha256()
+    for cfg in _seeded_designs():
+        report, sweep = cli.run_steady_state(cfg)
+        cli._write_json(tmp_path / "steady_state.json", report)
+        cli._write_sweep_csv(tmp_path / "steady_state_sweep.csv", sweep)
+        report, boundaries = cli.run_roa(cfg)
+        cli._write_json(tmp_path / "roa.json", report)
+        cli._write_boundaries_csv(tmp_path / "roa_boundaries.csv", boundaries)
+        for file in ("steady_state.json", "steady_state_sweep.csv", "roa.json",
+                     "roa_boundaries.csv"):
+            digest.update((tmp_path / file).read_bytes())
+    assert digest.hexdigest() == DESIGNS_SHA256

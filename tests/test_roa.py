@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from mfcert import (
     MsdParams,
     aux_radius,
     c_star,
+    cli,
     compare_levels,
+    config,
     ellipse_boundary,
     estimate_mfc1,
     estimate_mfc2,
@@ -22,10 +25,17 @@ from mfcert import (
 from mfcert.roa import (
     REASON_CSTAR,
     REASON_RADICAND,
+    SWEEP_LEVELS,
+    SWEEP_RAYS,
+    SWEEP_SAMPLES,
     RoaEstimate,
+    _BLOCK_ROWS,
+    _outer_extent,
+    _union_membership,
     c_star_budget,
     polygon_area,
 )
+from mfcert.synthesis import time_scaling
 
 
 @pytest.fixture(scope="module")
@@ -319,3 +329,130 @@ class TestRegionSweep:
         slhg_area = math.pi * level / math.sqrt(np.linalg.det(Q))
         assert polygon_area(sweep.green) >= slhg_area
         assert polygon_area(sweep.grey) >= polygon_area(sweep.green)
+
+
+def _outer_boundary_reference(dirs, Q, centroid, centers, thresholds):
+    """Outer extent per ray on the full (rays, members) matrices, masked by the discriminant."""
+    alpha = np.einsum("ri,ij,rj->r", dirs, Q, dirs)
+    diff = centroid - centers
+    beta = 2.0 * dirs @ (Q @ diff.T)
+    gamma = np.einsum("mi,ij,mj->m", diff, Q, diff) - thresholds
+    t_plus = 4.0 * alpha[:, None] * gamma[None, :]
+    disc = beta * beta
+    disc -= t_plus
+    with np.errstate(invalid="ignore"):
+        np.sqrt(disc, out=t_plus)
+    t_plus -= beta
+    t_plus /= 2.0 * alpha[:, None]
+    t_plus[~(disc >= 0.0)] = -np.inf
+    return np.maximum(np.max(t_plus, axis=1), 0.0)
+
+
+def _union_reference(centers, thresholds, Q, points):
+    """Union membership of all points against all members at once."""
+    diffs = points[:, None, :] - centers[None, :, :]
+    vals = np.einsum("kmi,ij,kmj->km", diffs, Q, diffs)
+    return np.any(vals <= thresholds[None, :], axis=1)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+def _sweep_case(name):
+    """Plant, certificate, split-set center and c_star of a preset's MFC2 set."""
+    cfg = config.preset(name)
+    gains, cert = cli._design(cfg)
+    est = cli._estimates(cfg, gains, cert)["MFC2"]
+    return cfg.plant, cert, np.asarray(est.x_s, dtype=float), est.c_star
+
+
+def _fans(p, cert, x_s, c_star_level):
+    """Ray fan and green and grey member sets of a sweep, one ellipse_boundary per ring."""
+    ra, _ = aux_radius(p, cert.gamma_mfc, float(np.linalg.norm(x_s)))
+    lam, vth = cert.lambda_min, cert.vartheta
+    c_max = c_star_budget(p, cert.gamma_mfc, float(np.linalg.norm(x_s)), vth, lam)
+    Dinv = np.diag(time_scaling(1.0 / cert.epsilon, len(x_s)))
+    Q = Dinv @ np.asarray(cert.P) @ Dinv
+
+    def members(levels, count):
+        rings = [x_s[None, :] if cs == 0.0 else ellipse_boundary(cert.P, cs / vth, x_s, count)
+                 for cs in map(float, levels)]
+        thresholds = [np.full(len(pts), lam * (ra - math.sqrt(cs / (vth * lam))) ** 2)
+                      for pts, cs in zip(rings, map(float, levels))]
+        return np.concatenate(rings), np.concatenate(thresholds)
+
+    theta = 2.0 * math.pi * np.arange(SWEEP_RAYS) / SWEEP_RAYS
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    green = members([c_star_level], SWEEP_SAMPLES)
+    grey = members(np.linspace(0.0, c_max, SWEEP_LEVELS), SWEEP_SAMPLES // 4)
+    return dirs, Q, green, grey, c_max
+
+
+class TestOuterExtent:
+    @pytest.mark.parametrize("name,level", [
+        ("scenario1", "preset"), ("scenario2", "preset"),
+        ("scenario1", "zero"), ("scenario2", "budget"),
+    ])
+    def test_sweep_fans_match_full_matrix_reference(self, name, level):
+        p, cert, x_s, cs = _sweep_case(name)
+        if level != "preset":
+            cs = 0.0 if level == "zero" else _fans(p, cert, x_s, 0.0)[-1]
+        dirs, Q, green, grey, _ = _fans(p, cert, x_s, cs)
+        region = mfc2_region_sweep(p, cert, x_s, cs)
+        for (centers, thresholds), polygon in ((green, region.green), (grey, region.grey)):
+            ref = _outer_boundary_reference(dirs, Q, x_s, centers, thresholds)
+            assert np.array_equal(_bits(_outer_extent(dirs, Q, x_s, centers, thresholds)),
+                                  _bits(ref))
+            # the sweep's own members and nudge give the same vertices
+            expected = x_s + (ref * (1.0 - 1e-9))[:, None] * dirs
+            assert np.array_equal(_bits(polygon), _bits(expected))
+
+    def test_missed_members_and_negative_discriminants(self):
+        rng = np.random.Generator(np.random.PCG64(7))
+        A = rng.normal(size=(2, 2))
+        Q = A @ A.T + 0.5 * np.eye(2)
+        centroid = np.array([0.3, -0.2])
+        theta = 2.0 * math.pi * np.arange(100) / 100
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        # small members far off the centroid: most rays miss them all, and
+        # the rays pointing away meet them behind the centroid only
+        far = centroid + np.array([[6.0, 0.0], [5.5, 0.5], [6.0, -0.3]])
+        cases = [
+            (far, np.full(3, 0.4)),
+            (np.vstack([far, centroid + rng.normal(scale=0.1, size=(5, 2))]),
+             rng.uniform(0.05, 2.0, size=8)),
+        ]
+        for centers, thresholds in cases:
+            got = _outer_extent(dirs, Q, centroid, centers, thresholds)
+            ref = _outer_boundary_reference(dirs, Q, centroid, centers, thresholds)
+            assert np.array_equal(_bits(got), _bits(ref))
+        got = _outer_extent(dirs, Q, centroid, *cases[0])
+        assert np.count_nonzero(got == 0.0) > len(dirs) // 2
+        assert np.count_nonzero(got > 0.0) > 0
+
+
+class TestSweepMemory:
+    def test_sweep_peak_memory_bounded(self, table_params, cert, scenario1):
+        mfc2_region_sweep(table_params, cert, scenario1["x_s_mfc"], 632.8125)  # warm up
+        tracemalloc.start()
+        try:
+            mfc2_region_sweep(table_params, cert, scenario1["x_s_mfc"], 632.8125)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000
+
+    def test_blocked_membership_matches_unblocked(self, table_params, cert, scenario1):
+        x_s = scenario1["x_s_mfc"]
+        _, Q, green, grey, _ = _fans(table_params, cert, x_s, 632.8125)
+        region = mfc2_region_sweep(table_params, cert, x_s, 632.8125)
+        for (centers, thresholds), polygon in ((green, region.green), (grey, region.grey)):
+            lo, hi = polygon.min(axis=0), polygon.max(axis=0)
+            g1, g2 = np.meshgrid(np.linspace(lo[0], hi[0], 23), np.linspace(lo[1], hi[1], 17))
+            grid = np.stack([g1.ravel(), g2.ravel()], axis=1)
+            assert len(grid) > 5 * _BLOCK_ROWS
+            blocked = _union_membership(centers, thresholds, Q)(grid)
+            expected = _union_reference(centers, thresholds, Q, grid)
+            assert np.array_equal(blocked, expected)
+            assert 0 < np.count_nonzero(expected) < len(grid)

@@ -12,7 +12,14 @@ from mfcert import (
     sl_steady_polynomial,
     solve_cubic,
 )
-from mfcert.steady_state import _select, sl_root_sweep
+from mfcert.steady_state import (
+    SWEEP_STEP,
+    TRANSITION_STEP,
+    Y_D_MAX,
+    Y_D_MIN,
+    _select,
+    sl_root_sweep,
+)
 
 
 def _scan_roots(coeffs, lo=-100.0, hi=100.0, n=2_000_001):
@@ -177,6 +184,28 @@ class TestInvariants:
             for row in sl_root_sweep(table_params, gains.k_star[0])
         }
         assert counts <= {1, 2, 3}
+
+    @pytest.mark.parametrize("gain", ["k_star", "k_tilde"])
+    def test_scans_match_per_point_reference(self, table_params, gains, gain):
+        k1 = getattr(gains, gain)[0]
+        rows = [
+            {"y_d": float(y),
+             "roots": solve_cubic(sl_steady_polynomial(table_params, k1, y))}
+            for y in np.arange(Y_D_MIN, Y_D_MAX + 1e-9, SWEEP_STEP)
+        ]
+        assert repr(sl_root_sweep(table_params, k1)) == repr(rows)
+        # the transition search steps by repeated addition, as its grid is defined
+        expected, y, prev_y, prev_count = None, Y_D_MIN, None, None
+        while y <= Y_D_MAX + 1e-12:
+            count = len(solve_cubic(sl_steady_polynomial(table_params, k1, y)))
+            if prev_count == 3 and count < 3:
+                expected = y if count == 2 else 0.5 * (prev_y + y)
+                break
+            prev_y, prev_count = y, count
+            y += TRANSITION_STEP
+        got = multiplicity_transition(table_params, k1)
+        assert repr(got) == repr(expected)
+        assert (got is None) == (gain == "k_tilde")
 
     def test_selection_tie_prefers_smaller_root(self):
         idx, tie = _select([-1.0, 1.0], 0.0)
