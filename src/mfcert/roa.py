@@ -51,7 +51,7 @@ SWEEP_SAMPLES = 360
 SWEEP_RAYS = 360
 #: c_star levels of the grey region sweep, 0 and the budget included.
 SWEEP_LEVELS = 17
-#: Rays (or query points) per block of the region sweep's (rows, members) arrays:
+#: Rays per block of the region sweep's (rays, members) arrays:
 #: about 0.5 MB each at the grey region's 1,441 members, so a block stays in L2.
 _BLOCK_ROWS = 48
 
@@ -434,12 +434,9 @@ def polygon_area(polygon: np.ndarray) -> float:
 def _union_membership(centers: np.ndarray, thresholds: np.ndarray, Q: np.ndarray):
     def contains(points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = np.empty(len(pts), dtype=bool)
-        for lo in range(0, len(pts), _BLOCK_ROWS):
-            diffs = pts[lo:lo + _BLOCK_ROWS, None, :] - centers[None, :, :]
-            vals = np.einsum("kmi,ij,kmj->km", diffs, Q, diffs)
-            inside[lo:lo + _BLOCK_ROWS] = np.any(vals <= thresholds[None, :], axis=1)
-        return inside
+        diffs = pts[:, None, :] - centers[None, :, :]
+        vals = np.einsum("kmi,ij,kmj->km", diffs, Q, diffs)
+        return np.any(vals <= thresholds[None, :], axis=1)
 
     return contains
 

@@ -329,10 +329,10 @@ def fflin_equilibrium(p: MsdParams, gains: GainSet, y_d: float) -> float:
 
 def sl_root_sweep(p: MsdParams, k1_sl: float) -> list[dict]:
     """Root data of the single-loop steady-state cubic on the set-point grid."""
-    a3, a2, a1, _ = sl_steady_polynomial(p, k1_sl, 0.0).tolist()  # y_d enters a0 only
+    a3, a2, a1, a0 = sl_steady_polynomial(p, k1_sl, 1.0).tolist()  # a0 is linear in y_d
     rows = []
     for y in np.arange(Y_D_MIN, Y_D_MAX + 1e-9, SWEEP_STEP).tolist():
-        rows.append({"y_d": y, "roots": solve_cubic((a3, a2, a1, -k1_sl * y))})
+        rows.append({"y_d": y, "roots": solve_cubic((a3, a2, a1, a0 * y))})
     return rows
 
 
@@ -342,12 +342,12 @@ def multiplicity_transition(p: MsdParams, k1_sl: float) -> float | None:
     Steps from Y_D_MIN to Y_D_MAX by TRANSITION_STEP and returns the midpoint
     of the bracketing interval, or None when the count never changes.
     """
-    a3, a2, a1, _ = sl_steady_polynomial(p, k1_sl, 0.0).tolist()  # y_d enters a0 only
+    a3, a2, a1, a0 = sl_steady_polynomial(p, k1_sl, 1.0).tolist()  # a0 is linear in y_d
     y = Y_D_MIN
     prev_y = None
     prev_count = None
     while y <= Y_D_MAX + 1e-12:
-        count = len(solve_cubic((a3, a2, a1, -k1_sl * y)))
+        count = len(solve_cubic((a3, a2, a1, a0 * y)))
         if prev_count == 3 and count < 3:
             # a count of exactly two means the sweep hit the fold itself
             return y if count == 2 else 0.5 * (prev_y + y)

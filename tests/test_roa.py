@@ -29,9 +29,7 @@ from mfcert.roa import (
     SWEEP_RAYS,
     SWEEP_SAMPLES,
     RoaEstimate,
-    _BLOCK_ROWS,
     _outer_extent,
-    _union_membership,
     c_star_budget,
     polygon_area,
 )
@@ -348,13 +346,6 @@ def _outer_boundary_reference(dirs, Q, centroid, centers, thresholds):
     return np.maximum(np.max(t_plus, axis=1), 0.0)
 
 
-def _union_reference(centers, thresholds, Q, points):
-    """Union membership of all points against all members at once."""
-    diffs = points[:, None, :] - centers[None, :, :]
-    vals = np.einsum("kmi,ij,kmj->km", diffs, Q, diffs)
-    return np.any(vals <= thresholds[None, :], axis=1)
-
-
 def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
@@ -442,17 +433,3 @@ class TestSweepMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 4_000_000
-
-    def test_blocked_membership_matches_unblocked(self, table_params, cert, scenario1):
-        x_s = scenario1["x_s_mfc"]
-        _, Q, green, grey, _ = _fans(table_params, cert, x_s, 632.8125)
-        region = mfc2_region_sweep(table_params, cert, x_s, 632.8125)
-        for (centers, thresholds), polygon in ((green, region.green), (grey, region.grey)):
-            lo, hi = polygon.min(axis=0), polygon.max(axis=0)
-            g1, g2 = np.meshgrid(np.linspace(lo[0], hi[0], 23), np.linspace(lo[1], hi[1], 17))
-            grid = np.stack([g1.ravel(), g2.ravel()], axis=1)
-            assert len(grid) > 5 * _BLOCK_ROWS
-            blocked = _union_membership(centers, thresholds, Q)(grid)
-            expected = _union_reference(centers, thresholds, Q, grid)
-            assert np.array_equal(blocked, expected)
-            assert 0 < np.count_nonzero(expected) < len(grid)
