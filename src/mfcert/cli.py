@@ -117,7 +117,7 @@ def run_roa(cfg: ScenarioConfig) -> tuple[dict, list[tuple]]:
     polylines = [(kind, est.boundary()) for kind, est in estimates.items() if est.valid]
     if "MFC2" in estimates and estimates["MFC2"].valid:
         est = estimates["MFC2"]
-        region = roa_mod.mfc2_region_sweep(cfg.plant, cert, est.x_s, est.c_star)
+        region = roa_mod.mfc2_region_sweep(cfg.plant, cert, est)
         report["MFC2_sweep"] = {
             "c_star_level": region.c_star_level,
             "c_tilde_level": region.c_tilde_level,

@@ -56,6 +56,11 @@ SWEEP_LEVELS = 17
 _BLOCK_ROWS = 48
 
 
+def _level(lam_min: float, radius: float) -> float:
+    """lambda_min radius^2: the largest level whose z' P z sublevel set lies in that ball."""
+    return lam_min * radius * radius
+
+
 def aux_radius(
     p: MsdParams, gamma_bound: float, ref_norm: float
 ) -> tuple[float | None, str | None]:
@@ -162,8 +167,8 @@ def compare_levels(
     if r is None:
         raise ValueError(f"level comparison undefined: {reason}")
     r1, _ = _combined_radius(p, gamma_bound, ref_norm)
-    c1_tilde = lam_min * r1 * r1 - c_star_value
-    c2_tilde = lam_min * r**2
+    c1_tilde = _level(lam_min, r1) - c_star_value
+    c2_tilde = _level(lam_min, r)
     diff = c2_tilde - c1_tilde
     if diff <= 0:
         raise ArithmeticError(
@@ -346,7 +351,7 @@ def _estimate(
     x0_star: Sequence[float] | None = None,
 ) -> RoaEstimate:
     """Estimate at level lambda_min radius^2, raised by c_star for the split set."""
-    level = None if radius is None else cert.lambda_min * radius * radius
+    level = None if radius is None else _level(cert.lambda_min, radius)
     c_tilde = None
     if c_star is not None and level is not None:
         c_tilde, level = level, c_star + level
@@ -464,16 +469,20 @@ def _outer_extent(
 
 
 def mfc2_region_sweep(
-    p: MsdParams,
-    cert: LyapunovCertificate,
-    x_s: Sequence[float],
-    c_star_level: float,
+    p: MsdParams, cert: LyapunovCertificate, estimate: RoaEstimate
 ) -> RegionSweep:
-    """Outer boundaries of the swept split-estimate regions.
+    """Outer boundaries of the swept regions of a valid MFC2 estimate.
+
+    Members are the estimate's process slice (``physical_shape``) moved to
+    model starts on the ellipse of a c_star level, at the ``r_mfc2`` level
+    lambda_min r^2 of that c_star (0 where rounding leaves r below 0 at the
+    budget).  Green members start on the estimate's own ellipse, at its
+    ``c_tilde``; grey ones on SWEEP_LEVELS ellipses from 0 to ``c_star_budget``.
+    Raises ValueError for an invalid or non-MFC2 estimate.
 
     The union membership is tested directly against densely sampled center
     ellipses.  Boundaries are extracted on a ray fan from the common
-    centroid: along a ray each member ellipse occupies an exact interval
+    centroid x_s: along a ray each member ellipse occupies an exact interval
     (its quadratic form is quadratic in the ray parameter), so the outer
     extent is the maximum of the interval endpoints in closed form.  This
     stays correct where the sampled union has radial gaps, which a
@@ -486,40 +495,29 @@ def mfc2_region_sweep(
     rounded division by a positive number is monotone, so
     max(a / c) == max(a) / c bit for bit.
     """
-    x_s = np.asarray(x_s, dtype=float)
-    ref_norm = float(np.linalg.norm(x_s))
-    ra, reason = aux_radius(p, cert.gamma_mfc, ref_norm)
-    if ra is None:
-        raise ValueError(f"region sweep undefined: {reason}")
-    lam = cert.lambda_min
-    vth = cert.vartheta
+    if estimate.kind != "MFC2":
+        raise ValueError(f"region sweep needs an MFC2 estimate, not {estimate.kind}")
+    Q, c_tilde, _ = estimate.physical_shape()
+    centroid = np.asarray(estimate.x_s, dtype=float)  # the c_star = 0 center
+    ref_norm = float(np.linalg.norm(centroid))
+    lam, vth = cert.lambda_min, cert.vartheta
     c_max = c_star_budget(p, cert.gamma_mfc, ref_norm, vth, lam)
-    if c_star_level < 0 or c_star_level > c_max:
-        raise ValueError(f"c_star level {c_star_level} outside [0, {c_max}]")
-
-    P = np.asarray(cert.P)
-    Dinv = np.diag(time_scaling(1.0 / cert.epsilon, len(x_s)))
-    Q = Dinv @ P @ Dinv
-    centroid = x_s.copy()  # x_d + steady offset, the c_star = 0 center
-    S = _inv_sqrt(P)
-
-    def c_tilde_of(cs: float) -> float:
-        return lam * (ra - math.sqrt(cs / (vth * lam))) ** 2
+    S = _inv_sqrt(estimate.P)
 
     def members(levels, count: int) -> tuple[np.ndarray, np.ndarray]:
-        # member centers on the rings of the c_star levels, each with its c_tilde;
-        # the model starts with vartheta e*' P e* = cs, on the set's own ellipse
+        # model starts with vartheta e*' P e* = cs, shifted by the steady offset
         circle = _unit_circle(count)
-        rings = [centroid[None, :] if float(cs) == 0.0
-                 else _on_ellipse(S, circle, float(cs) / vth, centroid) for cs in levels]
-        thresholds = [np.full(len(pts), c_tilde_of(float(cs))) for pts, cs in zip(rings, levels)]
+        rings, thresholds = [], []
+        for cs in map(float, levels):
+            r, _ = r_mfc2(p, cert.gamma_mfc, ref_norm, cs, vth, lam)
+            rings.append(centroid[None, :] if cs == 0.0
+                         else _on_ellipse(S, circle, cs / vth, centroid))
+            thresholds.append(np.full(len(rings[-1]), _level(lam, 0.0 if r is None else r)))
         return np.concatenate(rings, axis=0), np.concatenate(thresholds)
 
-    green_centers, green_thresholds = members([c_star_level], SWEEP_SAMPLES)
-    green_contains = _union_membership(green_centers, green_thresholds, Q)
+    green_centers, green_thresholds = members([estimate.c_star], SWEEP_SAMPLES)
     grey_centers, grey_thresholds = members(
         np.linspace(0.0, c_max, SWEEP_LEVELS), SWEEP_SAMPLES // 4)
-    grey_contains = _union_membership(grey_centers, grey_thresholds, Q)
     dirs = _unit_circle(SWEEP_RAYS)
 
     def outer_boundary(centers: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -530,9 +528,9 @@ def mfc2_region_sweep(
     return RegionSweep(
         green=outer_boundary(green_centers, green_thresholds),
         grey=outer_boundary(grey_centers, grey_thresholds),
-        c_star_level=float(c_star_level),
-        c_tilde_level=c_tilde_of(c_star_level),
+        c_star_level=estimate.c_star,
+        c_tilde_level=c_tilde,
         c_star_max=c_max,
-        green_contains=green_contains,
-        grey_contains=grey_contains,
+        green_contains=_union_membership(green_centers, green_thresholds, Q),
+        grey_contains=_union_membership(grey_centers, grey_thresholds, Q),
     )

@@ -6,7 +6,8 @@ steady-state and ROA reports on both presets, and one digest over the
 steady-state and ROA outputs of twelve seeded designs around ``scenario1``.  A
 change that moves any bit of an integrated state, input, Lyapunov value,
 equilibrium, level or boundary fails here, and has to say so and re-pin the
-digests.
+digests.  On the same presets and designs, the region sweep's split level is
+checked against the MFC2 estimate's, bit for bit.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from mfcert import cli
+from mfcert import cli, roa
 from mfcert.config import parse_config, preset
 
 KINDS = ("SL", "SLHG", "MFC", "FFLIN")
@@ -46,16 +47,16 @@ REPORT_SHA256 = {
         "steady_state.json": "027383c479dcd6fe0ee25163e22b9dc655776dbbd13f5039d41864c1678171ab",
         "steady_state_sweep.csv":
             "3d4941cf1f901d57d1355013e5097eaea9aac037ff4ab80f11ed0e4a100c5db5",
-        "roa.json": "ce276681cfbfe2a816d6c0bfc15bcf76e06040d51f754945d9c137d7252a8cc6",
-        "roa_boundaries.csv": "ba70c93ff94bf83036ff57b0f5ea97a075817b82033cdb007d3a278be9ed7a61",
+        "roa.json": "f3418bb21b07bd8812af6f73df4bbb068b01b39d7b6cbfaad50eeb3ba153fa7d",
+        "roa_boundaries.csv": "7ffdf609d78f1879193b861ff0d2411c1bf7db6506c4d89497702148fe867727",
     },
     "scenario2": {
         "analyze.json": "85d3f138734c3b7b9729ce13104a2803f4bc461faf52831fbd589b2625ba0fa3",
         "steady_state.json": "e09a16afa0c1598eacc6f3e345b38153817e96fecfd4f4d2781e8bb0c1127e13",
         "steady_state_sweep.csv":
             "3d4941cf1f901d57d1355013e5097eaea9aac037ff4ab80f11ed0e4a100c5db5",
-        "roa.json": "b58d1c128d2fe0a466018ffc62a94c01ed5ed68366f78e7a04f1782069461a33",
-        "roa_boundaries.csv": "1e8ffd5ee4a1c10769bbe95efe744edcf5019768acc5a793f616f08e64325865",
+        "roa.json": "7c95b4984511493a302a93a2bcabaa0989031ebb89dfa015f67a17b5729935fa",
+        "roa_boundaries.csv": "97f0c5b2a7985bea9d25dab7d94659867538180a4b989a74cf90e8d88c67e9bc",
     },
 }
 
@@ -97,7 +98,7 @@ def test_design_report_bytes(tmp_path, name):
 
 
 #: One SHA-256 over the steady-state and ROA outputs of the seeded designs.
-DESIGNS_SHA256 = "a18b5abba34f213beb6a1206cba59ed3737c52ec7f8be924ed8b0444dde97aee"
+DESIGNS_SHA256 = "5d699edbc9f9ba5e127e004c0abaf311eb18cab09a44b8ec1e753e888759589d"
 
 
 def _seeded_designs(count=12, seed=2024):
@@ -130,3 +131,43 @@ def test_seeded_design_outputs_bytes(tmp_path):
                      "roa_boundaries.csv"):
             digest.update((tmp_path / file).read_bytes())
     assert digest.hexdigest() == DESIGNS_SHA256
+
+
+def test_sweep_split_levels_are_the_estimates(monkeypatch):
+    """c_tilde_level, MFC2.c_tilde and compare_levels agree bit for bit, and every
+    grey ring of the sweep sits at lambda_min r r of r_mfc2 at its c_star."""
+    fans = []
+    outer_extent = roa._outer_extent
+
+    def recording(dirs, Q, centroid, centers, thresholds):
+        fans.append(thresholds)
+        return outer_extent(dirs, Q, centroid, centers, thresholds)
+
+    monkeypatch.setattr(roa, "_outer_extent", recording)
+    ring_starts = 1 + roa.SWEEP_SAMPLES // 4 * np.arange(roa.SWEEP_LEVELS - 1)
+    swept = 0
+    for cfg in [preset(name) for name in sorted(REPORT_SHA256)] + _seeded_designs():
+        fans.clear()
+        report, _ = cli.run_roa(cfg)
+        if not report["MFC2"]["valid"]:
+            assert "MFC2_sweep" not in report and not fans
+            continue
+        swept += 1
+        gains, cert = cli._design(cfg)
+        est = cli._estimates(cfg, gains, cert)["MFC2"]
+        ref = float(np.linalg.norm(est.x_s))
+        lam, vth = cert.lambda_min, cert.vartheta
+        sweep = report["MFC2_sweep"]
+        levels = (sweep["c_tilde_level"], report["MFC2"]["c_tilde"],
+                  roa.compare_levels(est.c_star, cfg.plant, cert.gamma_mfc, ref, vth, lam)[1])
+        assert all(type(level) is float for level in levels)
+        assert len({level.hex() for level in levels}) == 1
+        green, grey = fans
+        assert green.tolist() == [est.c_tilde] * roa.SWEEP_SAMPLES
+        rings = np.split(grey, ring_starts)
+        for ring, cs in zip(rings, np.linspace(0.0, sweep["c_star_max"], roa.SWEEP_LEVELS)):
+            r, _ = roa.r_mfc2(cfg.plant, cert.gamma_mfc, ref, float(cs), vth, lam)
+            # at the budget r may round below 0 and the members shrink to points
+            expected = 0.0 if r is None else lam * r * r
+            assert ring.tolist() == [expected] * len(ring)
+    assert swept == 12  # both presets and 10 of the 12 designs

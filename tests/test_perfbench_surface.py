@@ -4,7 +4,8 @@
 package by name, and ``perfbench/kernels.py`` times a closed loop through
 ``build_closed_loop``'s ``make_v`` and the private ``_rk4_components``.  A
 deleted or renamed name fails here, in the tier-1 suite, and not only under
-``python -m pytest perfbench``.  The benchmark modules are loaded by path and
+``python -m pytest perfbench``.  A counter that goes dead or doubles when a
+stage is rewired fails here too.  The benchmark modules are loaded by path and
 left unchanged.
 """
 
@@ -12,7 +13,8 @@ import importlib.util
 import math
 from pathlib import Path
 
-from mfcert import roa, simulate
+from mfcert import cli, roa, simulate
+from mfcert.config import preset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,3 +48,15 @@ def test_kernel_loop_calls():
     assert math.isfinite(v_of(0.0, y))
     step = simulate._rk4_components(loop.rhs, 0.0, y, kernels.STEP)
     assert len(step) == 4 and all(map(math.isfinite, step))
+
+
+def test_roa_stage_records_one_sweep_and_one_split_estimate():
+    layers = _load("layers")
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        cli.run_roa(preset("scenario1"))
+    finally:
+        tracer.uninstall()
+    assert len(tracer.spans["roa.region_sweep"]) == 1
+    assert tracer.counts["roa.attempted.MFC2"] == 1

@@ -29,6 +29,7 @@ from mfcert.roa import (
     SWEEP_RAYS,
     SWEEP_SAMPLES,
     RoaEstimate,
+    _level,
     _outer_extent,
     c_star_budget,
     polygon_area,
@@ -295,8 +296,13 @@ class TestEstimateBuilders:
 
 
 @pytest.fixture(scope="module")
-def sweep(table_params, cert, scenario1):
-    return mfc2_region_sweep(table_params, cert, scenario1["x_s_mfc"], 632.8125)
+def split_set(table_params, cert, scenario1):
+    return estimate_mfc2(table_params, cert, scenario1["x_s_mfc"], scenario1["x_d"], (0.0, 0.0))
+
+
+@pytest.fixture(scope="module")
+def sweep(table_params, cert, split_set):
+    return mfc2_region_sweep(table_params, cert, split_set)
 
 
 class TestRegionSweep:
@@ -311,11 +317,12 @@ class TestRegionSweep:
             assert not np.any(contains(outward))
 
     def test_degenerate_sweep_is_single_ellipse(self, table_params, cert, scenario1):
-        region = mfc2_region_sweep(table_params, cert, scenario1["x_s_mfc"], 0.0)
         est = estimate_mfc2(
             table_params, cert, scenario1["x_s_mfc"], scenario1["x_d"],
             tuple(scenario1["x_d"]),
         )
+        assert est.c_star == 0.0
+        region = mfc2_region_sweep(table_params, cert, est)
         Q, level, center = est.physical_shape()
         diffs = region.green - center
         vals = np.einsum("ki,ij,kj->k", diffs, Q, diffs)
@@ -327,6 +334,23 @@ class TestRegionSweep:
         slhg_area = math.pi * level / math.sqrt(np.linalg.det(Q))
         assert polygon_area(sweep.green) >= slhg_area
         assert polygon_area(sweep.grey) >= polygon_area(sweep.green)
+
+    def test_rejects_over_budget_split_set(self, table_params, cert, scenario1):
+        est = estimate_mfc2(
+            table_params, cert, scenario1["x_s_mfc"], scenario1["x_d"], (-5.0, 0.0)
+        )
+        assert est.reason == REASON_CSTAR
+        with pytest.raises(ValueError, match=REASON_CSTAR):
+            mfc2_region_sweep(table_params, cert, est)
+
+    def test_rejects_other_kinds(self, table_params, cert, scenario1):
+        for est in (
+            estimate_mfc1(table_params, cert, scenario1["x_s_mfc"], scenario1["x_d"]),
+            estimate_slhg(table_params, cert, scenario1["x_s_mfc"], scenario1["x_d"]),
+        ):
+            assert est.valid
+            with pytest.raises(ValueError, match="MFC2"):
+                mfc2_region_sweep(table_params, cert, est)
 
 
 def _outer_boundary_reference(dirs, Q, centroid, centers, thresholds):
@@ -351,33 +375,50 @@ def _bits(a):
 
 
 def _sweep_case(name):
-    """Plant, certificate, split-set center and c_star of a preset's MFC2 set."""
+    """Plant, certificate and MFC2 estimate of a preset."""
     cfg = config.preset(name)
     gains, cert = cli._design(cfg)
-    est = cli._estimates(cfg, gains, cert)["MFC2"]
-    return cfg.plant, cert, np.asarray(est.x_s, dtype=float), est.c_star
+    return cfg.plant, cert, cli._estimates(cfg, gains, cert)["MFC2"]
 
 
-def _fans(p, cert, x_s, c_star_level):
+def _budget(p, cert, est):
+    return c_star_budget(p, cert.gamma_mfc, float(np.linalg.norm(est.x_s)),
+                         cert.vartheta, cert.lambda_min)
+
+
+def _at_budget(p, cert, est):
+    """The MFC2 estimate whose model start, on the ray of est's, is scaled to the budget."""
+    e0 = np.asarray(est.x0_star) - np.asarray(est.x_d)
+    scale = math.sqrt(_budget(p, cert, est) / est.c_star)
+    return estimate_mfc2(p, cert, est.x_s, est.x_d, np.asarray(est.x_d) + scale * e0)
+
+
+def _ring_level(p, cert, x_s, cs):
+    """lambda_min r^2 of the split radius at c_star = cs; 0 where r rounds below 0."""
+    r, _ = r_mfc2(p, cert.gamma_mfc, float(np.linalg.norm(x_s)), cs,
+                  cert.vartheta, cert.lambda_min)
+    return 0.0 if r is None else _level(cert.lambda_min, r)
+
+
+def _fans(p, cert, est):
     """Ray fan and green and grey member sets of a sweep, one ellipse_boundary per ring."""
-    ra, _ = aux_radius(p, cert.gamma_mfc, float(np.linalg.norm(x_s)))
-    lam, vth = cert.lambda_min, cert.vartheta
-    c_max = c_star_budget(p, cert.gamma_mfc, float(np.linalg.norm(x_s)), vth, lam)
+    x_s = np.asarray(est.x_s, dtype=float)
+    vth = cert.vartheta
     Dinv = np.diag(time_scaling(1.0 / cert.epsilon, len(x_s)))
     Q = Dinv @ np.asarray(cert.P) @ Dinv
 
     def members(levels, count):
         rings = [x_s[None, :] if cs == 0.0 else ellipse_boundary(cert.P, cs / vth, x_s, count)
                  for cs in map(float, levels)]
-        thresholds = [np.full(len(pts), lam * (ra - math.sqrt(cs / (vth * lam))) ** 2)
+        thresholds = [np.full(len(pts), _ring_level(p, cert, x_s, cs))
                       for pts, cs in zip(rings, map(float, levels))]
         return np.concatenate(rings), np.concatenate(thresholds)
 
     theta = 2.0 * math.pi * np.arange(SWEEP_RAYS) / SWEEP_RAYS
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    green = members([c_star_level], SWEEP_SAMPLES)
-    grey = members(np.linspace(0.0, c_max, SWEEP_LEVELS), SWEEP_SAMPLES // 4)
-    return dirs, Q, green, grey, c_max
+    green = members([est.c_star], SWEEP_SAMPLES)
+    grey = members(np.linspace(0.0, _budget(p, cert, est), SWEEP_LEVELS), SWEEP_SAMPLES // 4)
+    return dirs, Q, green, grey
 
 
 class TestOuterExtent:
@@ -386,11 +427,16 @@ class TestOuterExtent:
         ("scenario1", "zero"), ("scenario2", "budget"),
     ])
     def test_sweep_fans_match_full_matrix_reference(self, name, level):
-        p, cert, x_s, cs = _sweep_case(name)
-        if level != "preset":
-            cs = 0.0 if level == "zero" else _fans(p, cert, x_s, 0.0)[-1]
-        dirs, Q, green, grey, _ = _fans(p, cert, x_s, cs)
-        region = mfc2_region_sweep(p, cert, x_s, cs)
+        p, cert, est = _sweep_case(name)
+        if level == "zero":
+            est = estimate_mfc2(p, cert, est.x_s, est.x_d, est.x_d)
+            assert est.c_star == 0.0
+        elif level == "budget":
+            est = _at_budget(p, cert, est)
+            assert est.valid and est.c_tilde == 0.0
+        x_s = np.asarray(est.x_s, dtype=float)
+        dirs, Q, green, grey = _fans(p, cert, est)
+        region = mfc2_region_sweep(p, cert, est)
         for (centers, thresholds), polygon in ((green, region.green), (grey, region.grey)):
             ref = _outer_boundary_reference(dirs, Q, x_s, centers, thresholds)
             assert np.array_equal(_bits(_outer_extent(dirs, Q, x_s, centers, thresholds)),
@@ -424,11 +470,11 @@ class TestOuterExtent:
 
 
 class TestSweepMemory:
-    def test_sweep_peak_memory_bounded(self, table_params, cert, scenario1):
-        mfc2_region_sweep(table_params, cert, scenario1["x_s_mfc"], 632.8125)  # warm up
+    def test_sweep_peak_memory_bounded(self, table_params, cert, split_set):
+        mfc2_region_sweep(table_params, cert, split_set)  # warm up
         tracemalloc.start()
         try:
-            mfc2_region_sweep(table_params, cert, scenario1["x_s_mfc"], 632.8125)
+            mfc2_region_sweep(table_params, cert, split_set)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
