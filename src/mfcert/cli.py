@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -38,20 +39,59 @@ from .plant import msd_plant, phi_lipschitz_sup
 __all__ = ["main"]
 
 
-def _design(cfg: ScenarioConfig):
-    gains = synthesis.design_gains(cfg.poles, cfg.epsilon)
-    cert = synthesis.certify(gains, cfg.vartheta)
-    return gains, cert
+class _Design:
+    """One configuration's design, read by every stage: gains, certificate, plant
+    and x_d at once, the MFC and SL equilibria and certified sets on first use."""
+
+    def __init__(self, cfg: ScenarioConfig):
+        self.cfg = cfg
+        self.gains = synthesis.design_gains(cfg.poles, cfg.epsilon)
+        self.cert = synthesis.certify(self.gains, cfg.vartheta)
+        self.plant = msd_plant(cfg.plant, cfg.domain)
+        self.x_d = np.array([cfg.y_d, 0.0])
+
+    @cached_property
+    def mfc(self) -> ss_mod.EquilibriumSet:
+        return ss_mod.mfc_equilibria(self.cfg.plant, self.gains, self.cfg.y_d)
+
+    @cached_property
+    def sl(self) -> ss_mod.EquilibriumSet:
+        return ss_mod.single_loop_equilibria(self.cfg.plant, self.gains, self.cfg.y_d,
+                                             high_gain=False)
+
+    @cached_property
+    def estimates(self) -> dict:
+        """Certified sets of ``cfg.roa_kinds``, centred on the design's own equilibria."""
+        cfg, cert, x_d = self.cfg, self.cert, self.x_d
+        x_s_mfc, x_s_sl = x_d + (self.mfc.selected, 0.0), np.array([self.sl.selected, 0.0])
+        builders = {
+            "MFC1": lambda: roa_mod.estimate_mfc1(cfg.plant, cert, x_s_mfc, x_d),
+            "MFC2": lambda: roa_mod.estimate_mfc2(cfg.plant, cert, x_s_mfc, x_d, cfg.x0_star),
+            "SL": lambda: roa_mod.estimate_sl(cfg.plant, cert, x_s_sl, x_d),
+            "SLHG": lambda: roa_mod.estimate_slhg(cfg.plant, cert, x_s_mfc, x_d),
+        }
+        return {kind: builders[kind]() for kind in cfg.roa_kinds}
+
+    def controller(self, kind: str) -> sim_mod.ControllerSpec:
+        x0_star = self.cfg.x0_star if kind == "MFC" else None
+        return sim_mod.ControllerSpec(kind, self.gains, sim_mod.SetPoint(self.cfg.y_d), x0_star)
 
 
-def _x_d(cfg: ScenarioConfig) -> np.ndarray:
-    x_d = np.zeros(len(cfg.poles))
-    x_d[0] = cfg.y_d
-    return x_d
+_last_design: _Design | None = None
+
+
+def _design(cfg: ScenarioConfig) -> _Design:
+    """The design of ``cfg``, kept for the last config object (by identity, since
+    equal configs may still differ in the sign of a zero)."""
+    global _last_design
+    if getattr(_last_design, "cfg", None) is not cfg:
+        _last_design = _Design(cfg)
+    return _last_design
 
 
 def run_analyze(cfg: ScenarioConfig) -> dict:
-    gains, cert = _design(cfg)
+    design = _design(cfg)
+    gains, cert = design.gains, design.cert
     domain_gamma = phi_lipschitz_sup(cfg.plant, cfg.domain)
     positive, M = synthesis.m_matrix_positive(
         cfg.vartheta, cfg.epsilon, domain_gamma, cert.P
@@ -80,44 +120,26 @@ def run_analyze(cfg: ScenarioConfig) -> dict:
 
 
 def run_steady_state(cfg: ScenarioConfig) -> tuple[dict, list[dict]]:
-    gains, _ = _design(cfg)
-    mfc = ss_mod.mfc_equilibria(cfg.plant, gains, cfg.y_d)
-    sl = ss_mod.single_loop_equilibria(cfg.plant, gains, cfg.y_d, high_gain=False)
-    slhg = ss_mod.single_loop_equilibria(cfg.plant, gains, cfg.y_d, high_gain=True)
-    transition = ss_mod.multiplicity_transition(cfg.plant, gains.k_star[0])
+    design = _design(cfg)
+    k1 = design.gains.k_star[0]
     report = {
-        "MFC": mfc.to_dict(),
-        "SL": sl.to_dict(),
-        "SLHG": slhg.to_dict(),
-        "sl_multiplicity_transition_y_d": transition,
+        "MFC": design.mfc.to_dict(),
+        "SL": design.sl.to_dict(),
+        "SLHG": ss_mod.single_loop_equilibria(
+            cfg.plant, design.gains, cfg.y_d, high_gain=True).to_dict(),
+        "sl_multiplicity_transition_y_d": ss_mod.multiplicity_transition(cfg.plant, k1),
     }
-    return report, ss_mod.sl_root_sweep(cfg.plant, gains.k_star[0])
-
-
-def _estimates(cfg: ScenarioConfig, gains, cert) -> dict:
-    x_d = _x_d(cfg)
-    plant = msd_plant(cfg.plant, cfg.domain)
-    x_s_mfc, x_s_sl = (
-        sim_mod.steady_state_of(plant, _controller_spec(cfg, gains, kind), cfg.vartheta)
-        for kind in ("MFC", "SL")
-    )
-    builders = {
-        "MFC1": lambda: roa_mod.estimate_mfc1(cfg.plant, cert, x_s_mfc, x_d),
-        "MFC2": lambda: roa_mod.estimate_mfc2(cfg.plant, cert, x_s_mfc, x_d, cfg.x0_star),
-        "SL": lambda: roa_mod.estimate_sl(cfg.plant, cert, x_s_sl, x_d),
-        "SLHG": lambda: roa_mod.estimate_slhg(cfg.plant, cert, x_s_mfc, x_d),
-    }
-    return {kind: builders[kind]() for kind in cfg.roa_kinds}
+    return report, ss_mod.sl_root_sweep(cfg.plant, k1)
 
 
 def run_roa(cfg: ScenarioConfig) -> tuple[dict, list[tuple]]:
-    gains, cert = _design(cfg)
-    estimates = _estimates(cfg, gains, cert)
+    design = _design(cfg)
+    estimates = design.estimates
     report = {kind: est.to_dict() for kind, est in estimates.items()}
     polylines = [(kind, est.boundary()) for kind, est in estimates.items() if est.valid]
     if "MFC2" in estimates and estimates["MFC2"].valid:
         est = estimates["MFC2"]
-        region = roa_mod.mfc2_region_sweep(cfg.plant, cert, est)
+        region = roa_mod.mfc2_region_sweep(cfg.plant, design.cert, est)
         report["MFC2_sweep"] = {
             "c_star_level": region.c_star_level,
             "c_tilde_level": region.c_tilde_level,
@@ -129,27 +151,17 @@ def run_roa(cfg: ScenarioConfig) -> tuple[dict, list[tuple]]:
     return report, [(kind, x1, x2) for kind, pts in polylines for x1, x2 in pts.tolist()]
 
 
-def _controller_spec(cfg: ScenarioConfig, gains, kind: str) -> sim_mod.ControllerSpec:
-    return sim_mod.ControllerSpec(
-        kind=kind,
-        gains=gains,
-        reference=sim_mod.SetPoint(cfg.y_d),
-        model_initial=cfg.x0_star if kind == "MFC" else None,
-    )
-
-
 def run_simulate(
     cfg: ScenarioConfig, out_dir: Path | None = None
 ) -> tuple[dict, dict]:
-    gains, _ = _design(cfg)
-    plant = msd_plant(cfg.plant, cfg.domain)
+    design = _design(cfg)
     all_metrics: dict = {}
     trajectories: dict = {}
     for kind in cfg.controllers:
-        spec = _controller_spec(cfg, gains, kind)
+        spec = design.controller(kind)
         try:
             traj = sim_mod.simulate_closed_loop(
-                plant, spec, cfg.x0, cfg.horizon, cfg.step, vartheta=cfg.vartheta
+                design.plant, spec, cfg.x0, cfg.horizon, cfg.step, vartheta=cfg.vartheta
             )
             x_s = traj.metadata["x_s"]
             entry = sim_mod.metrics(traj, x_s)
@@ -171,14 +183,13 @@ def run_simulate(
 
 
 def run_falsify(cfg: ScenarioConfig, samples: int | None = None, seed: int | None = None) -> dict:
-    gains, cert = _design(cfg)
-    plant = msd_plant(cfg.plant, cfg.domain)
-    estimates = _estimates(cfg, gains, cert)
+    design = _design(cfg)
+    estimates = design.estimates
     valid = [kind for kind, est in estimates.items() if est.valid]
     batch = falsify_mod.falsify_sets(
         [estimates[kind] for kind in valid],
-        plant,
-        gains,
+        design.plant,
+        design.gains,
         count=samples if samples is not None else cfg.falsify_samples,
         horizon=cfg.horizon,
         h=cfg.step,
@@ -220,9 +231,6 @@ def run_reproduce(
     seed: int | None = None,
     tolerance_rows: list[dict] | None = None,
 ) -> dict:
-    gains, cert = _design(cfg)
-    plant = msd_plant(cfg.plant, cfg.domain)
-
     analysis = run_analyze(cfg)
     _write_json(out_dir / "analyze.json", analysis)
     steady, sweep = run_steady_state(cfg)
@@ -237,11 +245,12 @@ def run_reproduce(
     _write_json(out_dir / "falsify.json", fals)
     _write_violations_csv(out_dir / "falsify_violations.csv", fals)
 
+    design = _design(cfg)  # the one the stages above built
     computed: dict = {
         "lyapunov_residual": analysis["lyapunov_residual"],
-        "gamma_mfc": cert.gamma_mfc,
-        "gamma_sl": cert.gamma_sl,
-        "gamma_slhg": cert.gamma_slhg,
+        "gamma_mfc": design.cert.gamma_mfc,
+        "gamma_sl": design.cert.gamma_sl,
+        "gamma_slhg": design.cert.gamma_slhg,
     }
     y_d = cfg.y_d
     computed["sl_error_pct"] = sim_mod._percent_of_set_point(steady["SL"]["selected"] - y_d, y_d)
@@ -268,14 +277,14 @@ def run_reproduce(
         computed["mfc_final_output_gap"] = abs(float(traj.x[-1, 0]) - y_d)
 
     if scenario == "scenario1":
-        spec = _controller_spec(cfg, gains, "MFC")
-        loop = sim_mod.build_closed_loop(plant, spec, cfg.vartheta)
+        spec = design.controller("MFC")
+        loop = sim_mod.build_closed_loop(design.plant, spec, cfg.vartheta)
         times = []
         for label, x0 in (("a", (0.1, -8.0)), ("b", (-0.25, 6.0))):
             u = loop.control(0.0, (*cfg.x0_star, *x0))
             computed[f"u_mfc_0_perturbed_{label}"] = float(u)
             traj = sim_mod.simulate_closed_loop(
-                plant, spec, x0, 2.0, cfg.step, vartheta=cfg.vartheta
+                design.plant, spec, x0, 2.0, cfg.step, vartheta=cfg.vartheta
             )
             times.append(sim_mod.time_to_track(traj))
         computed["mfc_reconverge_time_s"] = max(

@@ -323,8 +323,9 @@ class RoaEstimate:
         return Dinv @ np.asarray(self.P) @ Dinv, self.slice_level, self.center
 
     def boundary(self) -> np.ndarray:
+        """Drawable boundary; a zero slice level (c_tilde of a split set) draws the centre."""
         Q, level, center = self.physical_shape()
-        return ellipse_boundary(Q, level, center, BOUNDARY_POINTS)
+        return _on_ellipse(_inv_sqrt(Q), _unit_circle(BOUNDARY_POINTS), level, center)
 
     def to_dict(self) -> dict:
         return {

@@ -98,6 +98,29 @@ class TestRoaCommand:
         assert report["SL"]["reason"] == "negative-radicand"
         assert report["MFC2"]["c_star"] == pytest.approx(4500.0, abs=1e-6)
 
+    def test_split_set_at_the_budget_draws_its_centre(self, tmp_path):
+        # a model start on the c_star budget leaves a valid split set with c_tilde 0,
+        # whose drawable slice is the one point at its centre
+        cfg = preset("scenario1").to_dict()
+        cfg["x0_star"] = [-2.8646711856482483, 0.0]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["roa", "--config", str(path), "--out", str(tmp_path)]) == 0
+        mfc2 = _read_json(tmp_path / "roa.json")["MFC2"]
+        assert mfc2["valid"] and mfc2["c_tilde"] == 0.0
+        lines = (tmp_path / "roa_boundaries.csv").read_text().splitlines()[1:]
+        rows = [[float(v) for v in line.split(",")[1:]]
+                for line in lines if line.startswith("MFC2,")]
+        assert rows and all(row == mfc2["center"] for row in rows)
+
+
+class TestDesign:
+    def test_kept_for_the_same_config_object_only(self):
+        cfg = preset("scenario1")
+        design = cli._design(cfg)
+        assert cli._design(cfg) is design
+        assert cli._design(preset("scenario1")) is not design
+
 
 class TestSimulateCommand:
     def test_trajectories_and_metrics(self, tmp_path):
@@ -308,6 +331,11 @@ class TestNumericalFailures:
         assert "RuntimeWarning" not in run.stderr and "Traceback" not in run.stderr
         for path in (tmp_path / "out").glob("roa.json"):
             assert "Infinity" not in path.read_text()
+
+    def test_analyze_solves_no_cubic(self, tmp_path):
+        cfg = preset("scenario1").to_dict()
+        cfg["y_d"] = 1e200  # the steady-state cubics overflow; the gains do not
+        assert _run_cli(tmp_path, "analyze", cfg).returncode == 0
 
     @pytest.mark.parametrize("command", ["roa", "steady-state"])
     def test_cubic_overflow_names_the_set_point(self, tmp_path, command):

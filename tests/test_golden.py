@@ -153,8 +153,8 @@ def test_sweep_split_levels_are_the_estimates(monkeypatch):
             assert "MFC2_sweep" not in report and not fans
             continue
         swept += 1
-        gains, cert = cli._design(cfg)
-        est = cli._estimates(cfg, gains, cert)["MFC2"]
+        design = cli._design(cfg)
+        cert, est = design.cert, design.estimates["MFC2"]
         ref = float(np.linalg.norm(est.x_s))
         lam, vth = cert.lambda_min, cert.vartheta
         sweep = report["MFC2_sweep"]

@@ -50,13 +50,34 @@ def test_kernel_loop_calls():
     assert len(step) == 4 and all(map(math.isfinite, step))
 
 
-def test_roa_stage_records_one_sweep_and_one_split_estimate():
+def _traced(run):
     layers = _load("layers")
     tracer = layers.Tracer()
     tracer.install()
     try:
-        cli.run_roa(preset("scenario1"))
+        run()
     finally:
         tracer.uninstall()
+    return layers, tracer
+
+
+def test_roa_stage_records_one_sweep_and_one_split_estimate():
+    _, tracer = _traced(lambda: cli.run_roa(preset("scenario1")))
     assert len(tracer.spans["roa.region_sweep"]) == 1
     assert tracer.counts["roa.attempted.MFC2"] == 1
+
+
+def test_reproduce_builds_its_design_once(tmp_path):
+    layers, tracer = _traced(lambda: cli.run_reproduce(
+        preset("scenario1"), "scenario1", tmp_path, samples=2, seed=0))
+    assert len(tracer.spans["synthesis.design_gains"]) == 1
+    for stage in layers.STAGES:
+        assert len(tracer.spans[f"cli.stage.{stage}"]) == 1
+    assert tracer.counts["roa.attempted.MFC2"] == 1
+
+
+def test_stages_on_one_config_share_its_design():
+    cfg = preset("scenario1")
+    _, tracer = _traced(lambda: (cli.run_analyze(cfg), cli.run_steady_state(cfg),
+                                 cli.run_roa(cfg)))
+    assert len(tracer.spans["synthesis.design_gains"]) == 1

@@ -377,8 +377,8 @@ def _bits(a):
 def _sweep_case(name):
     """Plant, certificate and MFC2 estimate of a preset."""
     cfg = config.preset(name)
-    gains, cert = cli._design(cfg)
-    return cfg.plant, cert, cli._estimates(cfg, gains, cert)["MFC2"]
+    design = cli._design(cfg)
+    return cfg.plant, design.cert, design.estimates["MFC2"]
 
 
 def _budget(p, cert, est):
