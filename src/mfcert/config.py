@@ -60,6 +60,13 @@ def _as_float(value, path: str) -> float:
     return number
 
 
+def _as_whole(value, path: str, minimum: int, message: str) -> int:
+    """An int taken exactly (a float would round it above 2**53), or an integral float."""
+    number = _as_float(value, path)
+    _expect(number == int(number) and number >= minimum, path, message)
+    return value if isinstance(value, int) else int(number)
+
+
 def _as_vector(value, path: str, length: int) -> tuple:
     _expect(isinstance(value, Sequence) and not isinstance(value, str),
             path, f"must be a list of {length} numbers")
@@ -187,15 +194,11 @@ def parse_config(data: Mapping) -> ScenarioConfig:
         fal = data["falsify"]
         _expect(isinstance(fal, Mapping), "falsify", "must be an object")
         _expect("samples" in fal, "falsify.samples", "is required")
-        samples = _as_float(fal["samples"], "falsify.samples")
-        _expect(samples == int(samples) and samples >= 1,
-                "falsify.samples", "must be a positive integer")
-        falsify_samples = int(samples)
+        falsify_samples = _as_whole(fal["samples"], "falsify.samples", 1,
+                                    "must be a positive integer")
         if "seed" in fal:
-            seed = _as_float(fal["seed"], "falsify.seed")
-            _expect(seed == int(seed) and seed >= 0,
-                    "falsify.seed", "must be a nonnegative integer")
-            falsify_seed = int(seed)
+            falsify_seed = _as_whole(fal["seed"], "falsify.seed", 0,
+                                     "must be a nonnegative integer")
 
     return ScenarioConfig(
         plant=plant,

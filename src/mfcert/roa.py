@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -418,7 +418,7 @@ class RegionSweep:
 
     ``green`` is the boundary polygon of the union over initial model states
     on the fixed c_star ellipse; ``grey`` sweeps all admissible c_star levels
-    as well.  The membership closures evaluate the underlying union tests.
+    as well.
     """
 
     green: np.ndarray
@@ -426,8 +426,6 @@ class RegionSweep:
     c_star_level: float
     c_tilde_level: float
     c_star_max: float
-    green_contains: Callable
-    grey_contains: Callable
 
 
 def polygon_area(polygon: np.ndarray) -> float:
@@ -435,16 +433,6 @@ def polygon_area(polygon: np.ndarray) -> float:
     x = polygon[:, 0]
     y = polygon[:, 1]
     return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
-
-
-def _union_membership(centers: np.ndarray, thresholds: np.ndarray, Q: np.ndarray):
-    def contains(points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        diffs = pts[:, None, :] - centers[None, :, :]
-        vals = np.einsum("kmi,ij,kmj->km", diffs, Q, diffs)
-        return np.any(vals <= thresholds[None, :], axis=1)
-
-    return contains
 
 
 def _outer_extent(
@@ -481,11 +469,11 @@ def mfc2_region_sweep(
     ``c_tilde``; grey ones on SWEEP_LEVELS ellipses from 0 to ``c_star_budget``.
     Raises ValueError for an invalid or non-MFC2 estimate.
 
-    The union membership is tested directly against densely sampled center
-    ellipses.  Boundaries are extracted on a ray fan from the common
-    centroid x_s: along a ray each member ellipse occupies an exact interval
-    (its quadratic form is quadratic in the ray parameter), so the outer
-    extent is the maximum of the interval endpoints in closed form.  This
+    The union is taken over densely sampled center ellipses.  Boundaries are
+    extracted on a ray fan from the common centroid x_s: along a ray each
+    member ellipse occupies an exact interval (its quadratic form is
+    quadratic in the ray parameter), so the outer extent is the maximum of
+    the interval endpoints in closed form.  This
     stays correct where the sampled union has radial gaps, which a
     bisection search would mistake for the boundary.
 
@@ -532,6 +520,4 @@ def mfc2_region_sweep(
         c_star_level=estimate.c_star,
         c_tilde_level=c_tilde,
         c_star_max=c_max,
-        green_contains=_union_membership(green_centers, green_thresholds, Q),
-        grey_contains=_union_membership(grey_centers, grey_thresholds, Q),
     )

@@ -5,7 +5,8 @@ polynomials: in the model-following error coordinate for the two-loop scheme
 and in the physical output coordinate for the single-loop designs.  Roots are
 found in closed form, classified by linearising the matching error dynamics,
 and the canonical equilibrium is the root closest to the frame's reference
-point.
+point.  The set-point at which the single-loop cubic goes from three real
+roots to one is its fold, also in closed form.
 """
 
 from __future__ import annotations
@@ -34,11 +35,10 @@ __all__ = [
 ]
 
 _MARGINAL_TOL = 1e-9
-#: Set-point range of the single-loop root sweep and its transition search.
+#: Set-point range of the single-loop root sweep and of the reported transition.
 Y_D_MIN, Y_D_MAX = 0.0, 2.5
-#: Grid steps of the reported sweep and of the (finer) transition search.
+#: Grid step of the reported root sweep.
 SWEEP_STEP = 0.01
-TRANSITION_STEP = 0.005
 
 
 def _polish(coeffs: Sequence[float], root: float) -> float:
@@ -339,18 +339,18 @@ def sl_root_sweep(p: MsdParams, k1_sl: float) -> list[dict]:
 def multiplicity_transition(p: MsdParams, k1_sl: float) -> float | None:
     """Set-point where the single-loop root count drops from three to one.
 
-    Steps from Y_D_MIN to Y_D_MAX by TRANSITION_STEP and returns the midpoint
-    of the bracketing interval, or None when the count never changes.
+    With P = a1/a3 and Q = a0/a3 at y_d = 1, the cubic is x^3 + P x + Q y_d,
+    which has three distinct real roots iff 4 P^3 + 27 Q^2 y_d^2 < 0.  The
+    fold is therefore y_f = 2 (-P/3)^(3/2) / |Q|.  Returns it when the cubic
+    has a cubic term, P < 0 and Y_D_MIN < y_f <= Y_D_MAX; otherwise None.
     """
-    a3, a2, a1, a0 = sl_steady_polynomial(p, k1_sl, 1.0).tolist()  # a0 is linear in y_d
-    y = Y_D_MIN
-    prev_y = None
-    prev_count = None
-    while y <= Y_D_MAX + 1e-12:
-        count = len(solve_cubic((a3, a2, a1, a0 * y)))
-        if prev_count == 3 and count < 3:
-            # a count of exactly two means the sweep hit the fold itself
-            return y if count == 2 else 0.5 * (prev_y + y)
-        prev_y, prev_count = y, count
-        y += TRANSITION_STEP
-    return None
+    a3, _, a1, a0 = sl_steady_polynomial(p, k1_sl, 1.0).tolist()  # a0 is linear in y_d
+    if a3 == 0.0:
+        return None  # linear: one root at every set-point
+    P, Q = a1 / a3, a0 / a3
+    if not P < 0.0:
+        return None  # monotone cubic: one root at every set-point
+    t = -P / 3.0
+    # t * sqrt(t) overflows to inf (and the fold to None), where t ** 1.5 would raise
+    y_f = 2.0 * t * math.sqrt(t) / abs(Q)
+    return y_f if Y_D_MIN < y_f <= Y_D_MAX else None

@@ -232,6 +232,21 @@ class TestConfigErrors:
         assert code == 0
         assert _read_json(tmp_path / "config.json")["falsify"] == {"samples": 50, "seed": 3}
 
+    def test_falsify_integers_above_two_to_the_53_are_exact(self, tmp_path):
+        big = 2**53 + 1  # the nearest float is 2**53
+        code = main(["analyze", "--preset", "scenario1", "--seed", str(big),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert _read_json(tmp_path / "config.json")["falsify"]["seed"] == big
+        cfg = parse_config({**preset("scenario1").to_dict(),
+                            "falsify": {"samples": big, "seed": big}})
+        assert (cfg.falsify_samples, cfg.falsify_seed) == (big, big)
+        # integral floats are still whole numbers
+        cfg = parse_config({**preset("scenario1").to_dict(),
+                            "falsify": {"samples": 50.0, "seed": 3.0}})
+        assert (cfg.falsify_samples, cfg.falsify_seed) == (50, 3)
+        assert type(cfg.falsify_samples) is int and type(cfg.falsify_seed) is int
+
     def test_config_json_records_the_default_falsify_block(self, tmp_path):
         cfg = preset("scenario1").to_dict()
         del cfg["falsify"]

@@ -44,7 +44,7 @@ FALSIFY_SHA256 = {
 REPORT_SHA256 = {
     "scenario1": {
         "analyze.json": "85d3f138734c3b7b9729ce13104a2803f4bc461faf52831fbd589b2625ba0fa3",
-        "steady_state.json": "027383c479dcd6fe0ee25163e22b9dc655776dbbd13f5039d41864c1678171ab",
+        "steady_state.json": "fb204c96077e4011a7d730755fd7449e15008cc13da10837e61317547e1f166e",
         "steady_state_sweep.csv":
             "3d4941cf1f901d57d1355013e5097eaea9aac037ff4ab80f11ed0e4a100c5db5",
         "roa.json": "f3418bb21b07bd8812af6f73df4bbb068b01b39d7b6cbfaad50eeb3ba153fa7d",
@@ -52,7 +52,7 @@ REPORT_SHA256 = {
     },
     "scenario2": {
         "analyze.json": "85d3f138734c3b7b9729ce13104a2803f4bc461faf52831fbd589b2625ba0fa3",
-        "steady_state.json": "e09a16afa0c1598eacc6f3e345b38153817e96fecfd4f4d2781e8bb0c1127e13",
+        "steady_state.json": "bd0a9d89dfdb340404634c12daf829099441891cbfb9f7c8ecad05e1557805ca",
         "steady_state_sweep.csv":
             "3d4941cf1f901d57d1355013e5097eaea9aac037ff4ab80f11ed0e4a100c5db5",
         "roa.json": "7c95b4984511493a302a93a2bcabaa0989031ebb89dfa015f67a17b5729935fa",
@@ -98,7 +98,7 @@ def test_design_report_bytes(tmp_path, name):
 
 
 #: One SHA-256 over the steady-state and ROA outputs of the seeded designs.
-DESIGNS_SHA256 = "5d699edbc9f9ba5e127e004c0abaf311eb18cab09a44b8ec1e753e888759589d"
+DESIGNS_SHA256 = "661b82e5269116bf2ae826e096cdcbc36682f97cdfddcd3c1fdfecae9074cc7e"
 
 
 def _seeded_designs(count=12, seed=2024):

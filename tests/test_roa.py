@@ -306,15 +306,16 @@ def sweep(table_params, cert, split_set):
 
 
 class TestRegionSweep:
-    def test_vertices_on_union_boundary(self, sweep, scenario1):
+    def test_vertices_on_union_boundary(self, sweep, table_params, cert, split_set, scenario1):
         center = scenario1["x_s_mfc"]
-        for polygon, contains in (
-            (sweep.green, sweep.green_contains),
-            (sweep.grey, sweep.grey_contains),
-        ):
-            assert bool(np.all(contains(polygon)))
+        _, Q, green, grey = _fans(table_params, cert, split_set)
+        for polygon, (centers, thresholds) in ((sweep.green, green), (sweep.grey, grey)):
             outward = center + 1.01 * (polygon - center)
-            assert not np.any(contains(outward))
+            for points, inside in ((polygon, True), (outward, False)):
+                diffs = points[:, None, :] - centers[None, :, :]
+                vals = np.einsum("kmi,ij,kmj->km", diffs, Q, diffs)
+                members = np.any(vals <= thresholds[None, :], axis=1)
+                assert np.all(members) if inside else not np.any(members)
 
     def test_degenerate_sweep_is_single_ellipse(self, table_params, cert, scenario1):
         est = estimate_mfc2(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,13 @@ from mfcert import (
 )
 from mfcert.steady_state import (
     SWEEP_STEP,
-    TRANSITION_STEP,
     Y_D_MAX,
     Y_D_MIN,
     _select,
     sl_root_sweep,
 )
+from mfcert.cli import main
+from mfcert.config import preset
 
 
 def _scan_roots(coeffs, lo=-100.0, hi=100.0, n=2_000_001):
@@ -193,19 +196,46 @@ class TestInvariants:
              "roots": solve_cubic(sl_steady_polynomial(table_params, k1, y))}
             for y in np.arange(Y_D_MIN, Y_D_MAX + 1e-9, SWEEP_STEP)
         ]
-        assert repr(sl_root_sweep(table_params, k1)) == repr(rows)
-        # the transition search steps by repeated addition, as its grid is defined
-        expected, y, prev_y, prev_count = None, Y_D_MIN, None, None
+        sweep = sl_root_sweep(table_params, k1)
+        assert repr(sweep) == repr(rows)
+        fold = multiplicity_transition(table_params, k1)
+        assert (fold is None) == (gain == "k_tilde")  # the high-gain fold lies past Y_D_MAX
+        for row in sweep:
+            below = fold is None or row["y_d"] < fold
+            assert len(row["roots"]) == (3 if below else 1)
+        # the 0.005-step scan that reported the grid midpoint before the closed form
+        scanned, y, prev_y, prev_count = None, Y_D_MIN, None, None
         while y <= Y_D_MAX + 1e-12:
             count = len(solve_cubic(sl_steady_polynomial(table_params, k1, y)))
             if prev_count == 3 and count < 3:
-                expected = y if count == 2 else 0.5 * (prev_y + y)
+                scanned = y if count == 2 else 0.5 * (prev_y + y)
                 break
             prev_y, prev_count = y, count
-            y += TRANSITION_STEP
-        got = multiplicity_transition(table_params, k1)
-        assert repr(got) == repr(expected)
-        assert (got is None) == (gain == "k_tilde")
+            y += 0.005
+        assert (scanned is None) == (fold is None)
+        if fold is not None:
+            assert abs(scanned - fold) <= 0.0025
+            # at the fold itself the cubic has a double root
+            assert len(solve_cubic(sl_steady_polynomial(table_params, k1, fold))) == 2
+
+    def test_no_transition_without_cubic_term(self, tmp_path, gains):
+        p = MsdParams(k=1.5, c_d=0.3, alpha=0.5, m=1.0, g0=9.81, dk=0.0, dc_d=0.06, dalpha=0.0)
+        assert sl_steady_polynomial(p, gains.k_star[0], 1.0)[0] == 0.0
+        assert multiplicity_transition(p, gains.k_star[0]) is None
+        cfg = preset("scenario1").to_dict()
+        cfg["plant"] = {**cfg["plant"], "delta_k": 0.0, "delta_alpha": 0.0}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["steady-state", "--config", str(path), "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "steady_state.json").read_text())
+        assert report["sl_multiplicity_transition_y_d"] is None
+
+    def test_no_transition_for_a_softening_plant(self, gains):
+        p = MsdParams(k=1.5, c_d=0.3, alpha=0.5, m=1.0, g0=9.81,
+                      dk=0.075, dc_d=0.06, dalpha=0.1)
+        a3, _, a1, _ = sl_steady_polynomial(p, gains.k_star[0], 1.0)
+        assert a1 / a3 > 0.0  # P > 0: a monotone cubic, one root at every set-point
+        assert multiplicity_transition(p, gains.k_star[0]) is None
 
     def test_selection_tie_prefers_smaller_root(self):
         idx, tie = _select([-1.0, 1.0], 0.0)
