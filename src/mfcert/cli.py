@@ -151,9 +151,7 @@ def run_roa(cfg: ScenarioConfig) -> tuple[dict, list[tuple]]:
     return report, [(kind, x1, x2) for kind, pts in polylines for x1, x2 in pts.tolist()]
 
 
-def run_simulate(
-    cfg: ScenarioConfig, out_dir: Path | None = None
-) -> tuple[dict, dict]:
+def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
     design = _design(cfg)
     all_metrics: dict = {}
     trajectories: dict = {}
@@ -177,8 +175,6 @@ def run_simulate(
         entry["x_s"] = [float(v) for v in x_s]
         all_metrics[kind] = entry
         trajectories[kind] = traj
-        if out_dir is not None:
-            traj.to_csv(out_dir / f"traj_{kind}.csv")
     return all_metrics, trajectories
 
 
@@ -223,6 +219,38 @@ def _evaluate_rows(rows: list[dict], computed: dict) -> tuple[list[dict], bool]:
     return out, all_pass
 
 
+def _run_stage(cfg: ScenarioConfig, stage: str, out_dir: Path,
+               samples: int | None = None, seed: int | None = None):
+    """Run one stage, write its reports into ``out_dir`` and return its result.
+
+    The stage and its writers are looked up by their module names at each call,
+    so a wrapped ``run_<stage>`` or writer is the one that runs.
+    """
+    if stage == "analyze":
+        result = run_analyze(cfg)
+        _write_json(out_dir / "analyze.json", result)
+    elif stage == "steady_state":
+        result = report, sweep = run_steady_state(cfg)
+        _write_json(out_dir / "steady_state.json", report)
+        _write_sweep_csv(out_dir / "steady_state_sweep.csv", sweep)
+    elif stage == "roa":
+        result = report, boundaries = run_roa(cfg)
+        _write_json(out_dir / "roa.json", report)
+        _write_boundaries_csv(out_dir / "roa_boundaries.csv", boundaries)
+    elif stage == "simulate":
+        result = metrics, trajectories = run_simulate(cfg)
+        _write_json(out_dir / "metrics.json", metrics)
+        for kind, traj in trajectories.items():
+            traj.to_csv(out_dir / f"traj_{kind}.csv")
+    elif stage == "falsify":
+        result = run_falsify(cfg, samples=samples, seed=seed)
+        _write_json(out_dir / "falsify.json", result)
+        _write_violations_csv(out_dir / "falsify_violations.csv", result)
+    else:
+        raise ValueError(f"unknown stage {stage!r}")
+    return result
+
+
 def run_reproduce(
     cfg: ScenarioConfig,
     scenario: str,
@@ -231,71 +259,56 @@ def run_reproduce(
     seed: int | None = None,
     tolerance_rows: list[dict] | None = None,
 ) -> dict:
-    analysis = run_analyze(cfg)
-    _write_json(out_dir / "analyze.json", analysis)
-    steady, sweep = run_steady_state(cfg)
-    _write_json(out_dir / "steady_state.json", steady)
-    _write_sweep_csv(out_dir / "steady_state_sweep.csv", sweep)
-    roa_report, boundaries = run_roa(cfg)
-    _write_json(out_dir / "roa.json", roa_report)
-    _write_boundaries_csv(out_dir / "roa_boundaries.csv", boundaries)
-    metrics, trajectories = run_simulate(cfg, out_dir)
-    _write_json(out_dir / "metrics.json", metrics)
-    fals = run_falsify(cfg, samples=samples, seed=seed)
-    _write_json(out_dir / "falsify.json", fals)
-    _write_violations_csv(out_dir / "falsify_violations.csv", fals)
+    _run_stage(cfg, "analyze", out_dir)
+    steady, _ = _run_stage(cfg, "steady_state", out_dir)
+    _run_stage(cfg, "roa", out_dir)
+    metrics, trajectories = _run_stage(cfg, "simulate", out_dir)
+    fals = _run_stage(cfg, "falsify", out_dir, samples, seed)
 
     design = _design(cfg)  # the one the stages above built
+    cert, sl, y_d = design.cert, design.sl, cfg.y_d
     computed: dict = {
-        "lyapunov_residual": analysis["lyapunov_residual"],
-        "gamma_mfc": design.cert.gamma_mfc,
-        "gamma_sl": design.cert.gamma_sl,
-        "gamma_slhg": design.cert.gamma_slhg,
+        "lyapunov_residual": cert.residual,
+        "gamma_mfc": cert.gamma_mfc,
+        "gamma_sl": cert.gamma_sl,
+        "gamma_slhg": cert.gamma_slhg,
+        "sl_error_pct": sim_mod._percent_of_set_point(sl.selected - y_d, y_d),
+        "mfc_error_pct": sim_mod._percent_of_set_point(design.mfc.selected, y_d),
     }
-    y_d = cfg.y_d
-    computed["sl_error_pct"] = sim_mod._percent_of_set_point(steady["SL"]["selected"] - y_d, y_d)
-    computed["mfc_error_pct"] = sim_mod._percent_of_set_point(steady["MFC"]["selected"], y_d)
     if steady["sl_multiplicity_transition_y_d"] is not None:
         computed["multiplicity_transition"] = steady["sl_multiplicity_transition_y_d"]
-    computed["sl_root_count"] = float(len(steady["SL"]["roots"]))
-    sel_stab = steady["SL"]["stability"][steady["SL"]["selected_index"]]
-    computed["sl_root_unstable"] = 1.0 if sel_stab == "unstable" else 0.0
+    computed["sl_root_count"] = float(len(sl.roots))
+    computed["sl_root_unstable"] = 1.0 if sl.stability[sl.selected_index] == "unstable" else 0.0
 
-    for key, name in (("SL", "c_sl"), ("SLHG", "c_slhg")):
-        if key in roa_report and roa_report[key]["valid"]:
-            computed[name] = roa_report[key]["level"]
-    if "MFC2" in roa_report and roa_report["MFC2"]["valid"]:
-        computed["c_star"] = roa_report["MFC2"]["c_star"]
-        computed["c_tilde"] = roa_report["MFC2"]["c_tilde"]
-        computed["c_total"] = roa_report["MFC2"]["level"]
+    valid = {kind: est for kind, est in design.estimates.items() if est.valid}
+    for kind, name in (("SL", "c_sl"), ("SLHG", "c_slhg")):
+        if kind in valid:
+            computed[name] = valid[kind].level
+    if "MFC2" in valid:
+        est = valid["MFC2"]
+        computed.update(c_star=est.c_star, c_tilde=est.c_tilde, c_total=est.level)
 
     if "SLHG" in metrics:
         computed["u_slhg_0"] = metrics["SLHG"]["u0"]
     if "MFC" in metrics:
         computed["u_mfc_0"] = metrics["MFC"]["u0"]
-        traj = trajectories["MFC"]
-        computed["mfc_final_output_gap"] = abs(float(traj.x[-1, 0]) - y_d)
+        computed["mfc_final_output_gap"] = abs(float(trajectories["MFC"].x[-1, 0]) - y_d)
 
     if scenario == "scenario1":
         spec = design.controller("MFC")
-        loop = sim_mod.build_closed_loop(design.plant, spec, cfg.vartheta)
         times = []
         for label, x0 in (("a", (0.1, -8.0)), ("b", (-0.25, 6.0))):
-            u = loop.control(0.0, (*cfg.x0_star, *x0))
-            computed[f"u_mfc_0_perturbed_{label}"] = float(u)
             traj = sim_mod.simulate_closed_loop(
                 design.plant, spec, x0, 2.0, cfg.step, vartheta=cfg.vartheta
             )
+            computed[f"u_mfc_0_perturbed_{label}"] = float(traj.u[0])
             times.append(sim_mod.time_to_track(traj))
         computed["mfc_reconverge_time_s"] = max(
             t if t is not None else float("inf") for t in times
         )
 
-    total_violations = 0
-    for rep in fals.values():
-        if rep.get("valid"):
-            total_violations += len(rep["violations"])
-    computed["falsify_violations"] = float(total_violations)
+    computed["falsify_violations"] = float(
+        sum(len(rep["violations"]) for rep in fals.values() if rep["valid"]))
 
     rows = tolerance_rows if tolerance_rows is not None else reference_rows(scenario)
     evaluated, all_pass = _evaluate_rows(rows, computed)
@@ -441,25 +454,8 @@ def main(argv=None) -> int:
             print(f"summary: {'all checks passed' if summary['passed'] else 'MISMATCH'}")
             return 0 if summary["passed"] else 3
 
-        out_dir.mkdir(parents=True, exist_ok=True)
         _write_json(out_dir / "config.json", cfg.to_dict())
-        if args.command == "analyze":
-            _write_json(out_dir / "analyze.json", run_analyze(cfg))
-        elif args.command == "steady-state":
-            report, sweep = run_steady_state(cfg)
-            _write_json(out_dir / "steady_state.json", report)
-            _write_sweep_csv(out_dir / "steady_state_sweep.csv", sweep)
-        elif args.command == "roa":
-            report, boundaries = run_roa(cfg)
-            _write_json(out_dir / "roa.json", report)
-            _write_boundaries_csv(out_dir / "roa_boundaries.csv", boundaries)
-        elif args.command == "simulate":
-            metrics, _ = run_simulate(cfg, out_dir)
-            _write_json(out_dir / "metrics.json", metrics)
-        elif args.command == "falsify":
-            reports = run_falsify(cfg)
-            _write_json(out_dir / "falsify.json", reports)
-            _write_violations_csv(out_dir / "falsify_violations.csv", reports)
+        _run_stage(cfg, args.command.replace("-", "_"), out_dir)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -61,10 +61,14 @@ def _as_float(value, path: str) -> float:
 
 
 def _as_whole(value, path: str, minimum: int, message: str) -> int:
-    """An int taken exactly (a float would round it above 2**53), or an integral float."""
+    """An int taken exactly (a float would round it above 2**53 and overflow beyond
+    the float range), or an integral float."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        _expect(value >= minimum, path, message)
+        return value
     number = _as_float(value, path)
     _expect(number == int(number) and number >= minimum, path, message)
-    return value if isinstance(value, int) else int(number)
+    return int(number)
 
 
 def _as_vector(value, path: str, length: int) -> tuple:

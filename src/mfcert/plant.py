@@ -126,21 +126,14 @@ class MsdParams:
 def msd_f_of(p: MsdParams) -> Callable:
     """``msd_f`` with its coefficients bound, as a function of (x1, x2).
 
-    Evaluated as (c3 x1^2 + c1) x1 + c2 x2 - g0, accumulating into one
-    temporary; the input components are not written.
+    Evaluated as (c3 x1^2 + c1) x1 + c2 x2 - g0 in one expression: the
+    integrator calls it on floats only, and the recorded inputs once per run.
     """
     km = p.k / p.m
     c3, c1, c2, g0 = -km * p.alpha * p.alpha, -km, -p.c_d / p.m, p.g0
 
     def f(x1, x2):
-        acc = x1 * x1
-        acc *= c3
-        acc += c1
-        acc *= x1
-        term = x2 * c2
-        acc += term
-        acc -= g0
-        return acc
+        return (x1 * x1 * c3 + c1) * x1 + x2 * c2 - g0
 
     return f
 

@@ -5,13 +5,14 @@ reference is a ``SetPoint``.  ``build_closed_loop`` binds the gains, the
 set-point and the plant's coefficients once and closes each loop as
 straight-line arithmetic on the state components (x1, x2), model components
 first for the two-loop scheme.  Components may be plain floats (single runs)
-or numpy arrays (batched runs); each sum accumulates into a temporary it
-owns, so arrays cost no allocation per operation and floats just rebind, and
-both share one code path.  The RK4 step is written out for the two state
-sizes a loop has, 2 components (single loop) and 4 (two-loop scheme).  The
-control law is applied at every integrator stage; the recorded input samples
-are evaluated afterwards on the recorded grid states, which are the pre-step
-states of the stages.
+or numpy arrays (batched runs) and share one code path.  The kernels that a
+batch runs every step accumulate each sum into a temporary they own, so arrays
+cost no allocation per operation; ``_input``, ``_fflin_law`` and the FFLIN
+right-hand side, which see only floats per step, are plain expressions.  The
+RK4 step is written out for the two state sizes a loop has, 2 components
+(single loop) and 4 (two-loop scheme).  The control law is applied at every
+integrator stage; the recorded input samples are evaluated afterwards on the
+recorded grid states, which are the pre-step states of the stages.
 
 ``Trajectory.to_csv`` writes each cell as the Python ``repr`` of its float,
 so parsing a cell gives back the recorded float, NaN payloads aside.  A
@@ -178,16 +179,12 @@ def _two_loop_targets(k_star, k_tilde, y_d):
 
 def _input(f, g, v, x1, x2):
     """Input (v - f(x1, x2)) / g that gives the nominal chain the acceleration v."""
-    u = v - f(x1, x2)
-    u /= g
-    return u
+    return (v - f(x1, x2)) / g
 
 
 def _fflin_law(feedforward, g_d, v_fb):
     """(y_d^(n) - f(x_d) + v_fb) / g(x_d), with feedforward = y_d^(n) - f(x_d) and g_d = g(x_d)."""
-    u = feedforward + v_fb
-    u /= g_d
-    return u
+    return (feedforward + v_fb) / g_d
 
 
 def _rk4_components(rhs, t, y, h):
@@ -398,11 +395,7 @@ def build_closed_loop(
 
         def rhs(t, y):
             x1, x2 = y
-            acc = control(t, y)
-            acc *= g
-            acc += f(x1, x2)
-            acc += phi(x1, x2)
-            return x2, acc
+            return x2, control(t, y) * g + f(x1, x2) + phi(x1, x2)
 
     elif kind == "MFC":
         targets = _two_loop_targets(kst, ktd, y_d)

@@ -114,6 +114,39 @@ class TestRoaCommand:
         assert rows and all(row == mfc2["center"] for row in rows)
 
 
+STAGE_FILES = {
+    "analyze": {"analyze.json"},
+    "steady-state": {"steady_state.json", "steady_state_sweep.csv"},
+    "roa": {"roa.json", "roa_boundaries.csv"},
+    "simulate": {"metrics.json", "traj_SL.csv", "traj_SLHG.csv", "traj_MFC.csv"},
+    "falsify": {"falsify.json", "falsify_violations.csv"},
+}
+SHORT_RUN = ["--preset", "scenario1", "--horizon", "1", "--samples", "8"]
+
+
+class TestOneStageRunner:
+    """Every command writes what the same stage writes inside ``reproduce``."""
+
+    @pytest.fixture(scope="class")
+    def reproduced(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("reproduce")
+        # one second is too short for every reference row, so this may exit 3
+        assert main(["reproduce", "scenario1", *SHORT_RUN, "--out", str(out)]) in (0, 3)
+        return out
+
+    def test_reproduce_writes_the_stage_files_and_its_summary(self, reproduced):
+        written = {path.name for path in reproduced.iterdir()}
+        assert written == set().union(*STAGE_FILES.values()) | {"summary.json"}
+
+    @pytest.mark.parametrize("command", sorted(STAGE_FILES))
+    def test_command_writes_the_reproduce_bytes(self, tmp_path, reproduced, command):
+        assert main([command, *SHORT_RUN, "--out", str(tmp_path)]) == 0
+        written = {path.name for path in tmp_path.iterdir()}
+        assert written == STAGE_FILES[command] | {"config.json"}
+        for name in STAGE_FILES[command]:
+            assert (tmp_path / name).read_bytes() == (reproduced / name).read_bytes(), name
+
+
 class TestDesign:
     def test_kept_for_the_same_config_object_only(self):
         cfg = preset("scenario1")
@@ -246,6 +279,13 @@ class TestConfigErrors:
                             "falsify": {"samples": 50.0, "seed": 3.0}})
         assert (cfg.falsify_samples, cfg.falsify_seed) == (50, 3)
         assert type(cfg.falsify_samples) is int and type(cfg.falsify_seed) is int
+
+    def test_seed_beyond_the_float_range_is_exact(self, tmp_path):
+        huge = 10**400  # float() of it overflows; Philox takes it as it is
+        code = main(["analyze", "--preset", "scenario1", "--seed", str(huge),
+                     "--samples", "8", "--out", str(tmp_path)])
+        assert code == 0
+        assert _read_json(tmp_path / "config.json")["falsify"] == {"samples": 8, "seed": huge}
 
     def test_config_json_records_the_default_falsify_block(self, tmp_path):
         cfg = preset("scenario1").to_dict()

@@ -1,13 +1,13 @@
 """Golden bytes of the closed-loop kernels.
 
-The digests pin the trajectory CSVs of ``run_simulate`` (every controller
-kind, 1 s horizon), a small ``run_falsify`` report, and the analyze,
-steady-state and ROA reports on both presets, and one digest over the
-steady-state and ROA outputs of twelve seeded designs around ``scenario1``.  A
-change that moves any bit of an integrated state, input, Lyapunov value,
-equilibrium, level or boundary fails here, and has to say so and re-pin the
-digests.  On the same presets and designs, the region sweep's split level is
-checked against the MFC2 estimate's, bit for bit.
+The digests pin the files that ``cli._run_stage`` writes: the trajectory CSVs
+of the simulate stage (every controller kind, 1 s horizon), a small falsify
+report, and the analyze, steady-state and ROA reports on both presets, and one
+digest over the steady-state and ROA outputs of twelve seeded designs around
+``scenario1``.  A change that moves any bit of an integrated state, input,
+Lyapunov value, equilibrium, level or boundary fails here, and has to say so
+and re-pin the digests.  On the same presets and designs, the region sweep's
+split level is checked against the MFC2 estimate's, bit for bit.
 """
 
 import dataclasses
@@ -71,28 +71,22 @@ def _short(name):
 
 @pytest.mark.parametrize("name", sorted(TRAJECTORY_SHA256))
 def test_trajectory_csv_bytes(tmp_path, name):
-    cli.run_simulate(_short(name), tmp_path)
+    cli._run_stage(_short(name), "simulate", tmp_path)
     digests = {kind: _sha256(tmp_path / f"traj_{kind}.csv") for kind in KINDS}
     assert digests == TRAJECTORY_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(FALSIFY_SHA256))
 def test_falsify_report_bytes(tmp_path, name):
-    report = cli.run_falsify(_short(name), samples=40, seed=0)
-    cli._write_json(tmp_path / "falsify.json", report)
+    cli._run_stage(_short(name), "falsify", tmp_path, samples=40, seed=0)
     assert _sha256(tmp_path / "falsify.json") == FALSIFY_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_SHA256))
 def test_design_report_bytes(tmp_path, name):
     cfg = preset(name)
-    cli._write_json(tmp_path / "analyze.json", cli.run_analyze(cfg))
-    report, sweep = cli.run_steady_state(cfg)
-    cli._write_json(tmp_path / "steady_state.json", report)
-    cli._write_sweep_csv(tmp_path / "steady_state_sweep.csv", sweep)
-    report, boundaries = cli.run_roa(cfg)
-    cli._write_json(tmp_path / "roa.json", report)
-    cli._write_boundaries_csv(tmp_path / "roa_boundaries.csv", boundaries)
+    for stage in ("analyze", "steady_state", "roa"):
+        cli._run_stage(cfg, stage, tmp_path)
     digests = {file: _sha256(tmp_path / file) for file in REPORT_SHA256[name]}
     assert digests == REPORT_SHA256[name]
 
@@ -121,12 +115,8 @@ def _seeded_designs(count=12, seed=2024):
 def test_seeded_design_outputs_bytes(tmp_path):
     digest = hashlib.sha256()
     for cfg in _seeded_designs():
-        report, sweep = cli.run_steady_state(cfg)
-        cli._write_json(tmp_path / "steady_state.json", report)
-        cli._write_sweep_csv(tmp_path / "steady_state_sweep.csv", sweep)
-        report, boundaries = cli.run_roa(cfg)
-        cli._write_json(tmp_path / "roa.json", report)
-        cli._write_boundaries_csv(tmp_path / "roa_boundaries.csv", boundaries)
+        for stage in ("steady_state", "roa"):
+            cli._run_stage(cfg, stage, tmp_path)
         for file in ("steady_state.json", "steady_state_sweep.csv", "roa.json",
                      "roa_boundaries.csv"):
             digest.update((tmp_path / file).read_bytes())
