@@ -144,8 +144,8 @@ def run_roa(cfg: ScenarioConfig) -> tuple[dict, list[tuple]]:
             "c_star_level": region.c_star_level,
             "c_tilde_level": region.c_tilde_level,
             "c_star_max": region.c_star_max,
-            "green_area": roa_mod.polygon_area(region.green),
-            "grey_area": roa_mod.polygon_area(region.grey),
+            "green_area": region.green_area,
+            "grey_area": region.grey_area,
         }
         polylines += [("MFC2_SWEEP_GREEN", region.green), ("MFC2_SWEEP_GREY", region.grey)]
     return report, [(kind, x1, x2) for kind, pts in polylines for x1, x2 in pts.tolist()]
@@ -261,7 +261,7 @@ def run_reproduce(
 ) -> dict:
     _run_stage(cfg, "analyze", out_dir)
     steady, _ = _run_stage(cfg, "steady_state", out_dir)
-    _run_stage(cfg, "roa", out_dir)
+    roa_report, _ = _run_stage(cfg, "roa", out_dir)
     metrics, trajectories = _run_stage(cfg, "simulate", out_dir)
     fals = _run_stage(cfg, "falsify", out_dir, samples, seed)
 
@@ -287,6 +287,10 @@ def run_reproduce(
     if "MFC2" in valid:
         est = valid["MFC2"]
         computed.update(c_star=est.c_star, c_tilde=est.c_tilde, c_total=est.level)
+        if "SLHG" in valid:  # the headline: the high-gain set against the grey region
+            Q, level, _ = valid["SLHG"].physical_shape()
+            slhg_area = float(np.pi * level / np.sqrt(np.linalg.det(Q)))
+            computed["slhg_grey_area_ratio"] = slhg_area / roa_report["MFC2_sweep"]["grey_area"]
 
     if "SLHG" in metrics:
         computed["u_slhg_0"] = metrics["SLHG"]["u0"]
@@ -440,10 +444,11 @@ def main(argv=None) -> int:
     out_dir = Path(args.out)
     try:
         cfg = _resolve_config(args)
+        tolerance_rows = None
+        if args.command == "reproduce" and args.tolerance_profile:
+            tolerance_rows = _load_tolerance_profile(args.tolerance_profile, args.scenario)
+        _write_json(out_dir / "config.json", cfg.to_dict())
         if args.command == "reproduce":
-            tolerance_rows = None
-            if args.tolerance_profile:
-                tolerance_rows = _load_tolerance_profile(args.tolerance_profile, args.scenario)
             summary = run_reproduce(cfg, args.scenario, out_dir, tolerance_rows=tolerance_rows)
             for row in summary["rows"]:
                 status = "PASS" if row["pass"] else "FAIL"
@@ -454,7 +459,6 @@ def main(argv=None) -> int:
             print(f"summary: {'all checks passed' if summary['passed'] else 'MISMATCH'}")
             return 0 if summary["passed"] else 3
 
-        _write_json(out_dir / "config.json", cfg.to_dict())
         _run_stage(cfg, args.command.replace("-", "_"), out_dir)
         return 0
     except ConfigError as exc:

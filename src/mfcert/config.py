@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -200,6 +201,8 @@ def parse_config(data: Mapping) -> ScenarioConfig:
         _expect("samples" in fal, "falsify.samples", "is required")
         falsify_samples = _as_whole(fal["samples"], "falsify.samples", 1,
                                     "must be a positive integer")
+        _expect(falsify_samples <= sys.maxsize, "falsify.samples",
+                f"must be at most {sys.maxsize}, numpy's largest array dimension")
         if "seed" in fal:
             falsify_seed = _as_whole(fal["seed"], "falsify.seed", 0,
                                      "must be a nonnegative integer")
@@ -301,6 +304,8 @@ _REFERENCE_SCENARIO1 = _REFERENCE_COMMON + [
     {"name": "mfc_final_output_gap", "kind": "max", "tol": 7.5e-4},
     {"name": "mfc_reconverge_time_s", "kind": "max", "tol": 0.5},
     {"name": "falsify_violations", "kind": "max", "tol": 0.5},
+    # the headline: the SLHG set against the region that choosing the model start certifies
+    {"name": "slhg_grey_area_ratio", "kind": "rel", "expected": 0.09982, "tol": 0.01},
 ]
 
 _REFERENCE_SCENARIO2 = _REFERENCE_COMMON + [
@@ -311,6 +316,7 @@ _REFERENCE_SCENARIO2 = _REFERENCE_COMMON + [
     # "negligible" steady-state error for the high-gain loops; no figure given.
     {"name": "mfc_error_pct", "kind": "max", "tol": 0.2},
     {"name": "falsify_violations", "kind": "max", "tol": 0.5},
+    {"name": "slhg_grey_area_ratio", "kind": "rel", "expected": 0.09989, "tol": 0.01},
 ]
 
 

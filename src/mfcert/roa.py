@@ -8,7 +8,8 @@ each for the plain and high-gain single-loop designs.  Invalid estimates
 failing reason; they are never silent zeros.
 
 All sets are quadratic-form sublevel sets.  Helpers map the scaled frames
-back to physical coordinates for plotting and sampling.
+back to physical coordinates for plotting and sampling.  The regions swept by
+the MFC2 model start are drawn and measured from their support functions.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "estimate_sl",
     "estimate_slhg",
     "mfc2_region_sweep",
-    "polygon_area",
 ]
 
 REASON_DAMPING = "gamma-below-damping-threshold"
@@ -46,14 +46,8 @@ REASON_CSTAR = "c-star-exceeds-budget"
 
 #: Vertices of each drawn level-set boundary.
 BOUNDARY_POINTS = 256
-#: Model starts on the c_star ellipse, and boundary rays, of the region sweep.
-SWEEP_SAMPLES = 360
+#: Support directions, one vertex each, of the swept-region polygons.
 SWEEP_RAYS = 360
-#: c_star levels of the grey region sweep, 0 and the budget included.
-SWEEP_LEVELS = 17
-#: Rays per block of the region sweep's (rays, members) arrays:
-#: about 0.5 MB each at the grey region's 1,441 members, so a block stays in L2.
-_BLOCK_ROWS = 48
 
 
 def _level(lam_min: float, radius: float) -> float:
@@ -414,11 +408,12 @@ def estimate_mfc2(
 
 @dataclass(frozen=True)
 class RegionSweep:
-    """Union regions reachable by sweeping the initial model state.
+    """Regions reachable by sweeping the initial model state, in closed form.
 
-    ``green`` is the boundary polygon of the union over initial model states
-    on the fixed c_star ellipse; ``grey`` sweeps all admissible c_star levels
-    as well.
+    ``green`` is the outer boundary polygon of the union over initial model
+    states on the fixed c_star ellipse; ``grey`` sweeps all admissible c_star
+    levels as well.  ``green_area`` and ``grey_area`` are the exact areas of
+    the two regions, not those of the polygons.
     """
 
     green: np.ndarray
@@ -426,98 +421,91 @@ class RegionSweep:
     c_star_level: float
     c_tilde_level: float
     c_star_max: float
+    green_area: float
+    grey_area: float
 
 
-def polygon_area(polygon: np.ndarray) -> float:
-    """Shoelace area of a closed polygon given as ordered vertices."""
-    x = polygon[:, 0]
-    y = polygon[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+def _ellipse_perimeter(a: float, b: float) -> float:
+    """Perimeter of the ellipse with semi-axes a >= b > 0, by the AGM series
+    2 pi (a^2 - sum 2^(n-1) c_n^2) / AGM(a, b) with c_0^2 = a^2 - b^2."""
+    x, y = a, b
+    weight, total = 0.5, 0.5 * (a * a - b * b)
+    while x - y > 1e-15 * x:
+        c = 0.5 * (x - y)
+        x, y = 0.5 * (x + y), math.sqrt(x * y)
+        weight *= 2.0
+        total += weight * c * c
+    return 2.0 * math.pi * (a * a - total) / x
 
 
-def _outer_extent(
-    dirs: np.ndarray, Q: np.ndarray, centroid: np.ndarray,
-    centers: np.ndarray, thresholds: np.ndarray,
-) -> np.ndarray:
-    """Largest t >= 0 per ray d with centroid + t d in the members' union (see the sweep)."""
-    alpha = np.einsum("ri,ij,rj->r", dirs, Q, dirs)
-    diff = centroid - centers
-    q_diff = Q @ diff.T
-    gamma = np.einsum("mi,ij,mj->m", diff, Q, diff) - thresholds
-    best = np.empty(len(dirs))
-    for lo in range(0, len(dirs), _BLOCK_ROWS):
-        rays = slice(lo, lo + _BLOCK_ROWS)
-        beta = 2.0 * dirs[rays] @ q_diff
-        disc = beta * beta
-        disc -= 4.0 * alpha[rays, None] * gamma[None, :]
-        with np.errstate(invalid="ignore"):
-            np.sqrt(disc, out=disc)
-        disc -= beta  # -beta + sqrt(disc), exactly
-        best[rays] = np.fmax.reduce(disc, axis=1) / (2.0 * alpha[rays])
-    return np.fmax(best, 0.0)
+def _hull_area(a: float, b: float) -> float:
+    """Area of the convex hull of the unit disc and a concentric ellipse, semi-axes a >= b.
+
+    For b < 1 < a the hull is two sectors of each and four triangles on the
+    bitangents, whose normal angle t0 is where the two support functions meet.
+    """
+    if a <= 1.0:
+        return math.pi
+    if b >= 1.0:
+        return math.pi * a * b
+    cos_t0 = math.sqrt((1.0 - b * b) / (a * a - b * b))
+    sin_t0 = math.sqrt(1.0 - cos_t0 * cos_t0)
+    t0 = math.atan2(sin_t0, cos_t0)
+    te = math.atan2(b * sin_t0, a * cos_t0)  # the ellipse's parameter at the tangent point
+    return 2.0 * a * b * te + 2.0 * (a * a - b * b) * cos_t0 * sin_t0 + math.pi - 2.0 * t0
 
 
 def mfc2_region_sweep(
     p: MsdParams, cert: LyapunovCertificate, estimate: RoaEstimate
 ) -> RegionSweep:
-    """Outer boundaries of the swept regions of a valid MFC2 estimate.
+    """Outer boundaries and exact areas of the swept regions of a valid MFC2 estimate.
 
-    Members are the estimate's process slice (``physical_shape``) moved to
-    model starts on the ellipse of a c_star level, at the ``r_mfc2`` level
-    lambda_min r^2 of that c_star (0 where rounding leaves r below 0 at the
-    budget).  Green members start on the estimate's own ellipse, at its
-    ``c_tilde``; grey ones on SWEEP_LEVELS ellipses from 0 to ``c_star_budget``.
-    Raises ValueError for an invalid or non-MFC2 estimate.
+    A model start with error e* certifies x iff ||D^-1 (x - x_s - e*)||_P +
+    ||e*||_P <= R, with ||v||_P = sqrt(v' P v) and R = sqrt(c_star_max /
+    vartheta) = sqrt(lambda_min) aux_radius (``r_mfc2``, rearranged).  With B_P
+    the unit ball of ||.||_P, s = sqrt(c_star / vartheta), rho = sqrt(c_tilde),
+    h1(u) = sqrt(u' P^-1 u) and h2(u) = sqrt(u' D P^-1 D u):
+    green (model starts on the estimate's c_star ellipse) is the outer boundary
+    of x_s + s B_P + rho D B_P, support s h1 + rho h2; grey (every c_star up to
+    ``c_star_budget``) is x_s + R conv(B_P, D B_P), support R max(h1, h2).
 
-    The union is taken over densely sampled center ellipses.  Boundaries are
-    extracted on a ray fan from the common centroid x_s: along a ray each
-    member ellipse occupies an exact interval (its quadratic form is
-    quadratic in the ray parameter), so the outer extent is the maximum of
-    the interval endpoints in closed form.  This
-    stays correct where the sampled union has radial gaps, which a
-    bisection search would mistake for the boundary.
-
-    Rays go in blocks of _BLOCK_ROWS, so the (rays, members) temporaries stay
-    cache-sized.  A member the ray misses has a negative discriminant and a
-    NaN root, which the maximum (fmax) skips; a ray that meets no member gets
-    0.  The division by 2 alpha follows the maximum: alpha > 0, and correctly
-    rounded division by a positive number is monotone, so
-    max(a / c) == max(a) / c bit for bit.
+    The vertex in each of SWEEP_RAYS directions u is the support's gradient:
+    s P^-1 u / h1 + rho D P^-1 D u / h2 for green, R times the unit term of
+    the larger h for grey (an edge where that term switches is a bitangent).
+    Mapped by P^1/2, B_P is the unit disc and D B_P the ellipse whose
+    semi-axes a >= b are the singular values of P^1/2 D P^-1/2.  The green
+    area is Steiner's pi s^2 + s rho L(a, b) + pi rho^2 a b, with L the
+    perimeter, and the grey one R^2 times the area of the disc's and the
+    ellipse's hull, each over sqrt(det P).  Raises ValueError for an invalid
+    or non-MFC2 estimate.
     """
     if estimate.kind != "MFC2":
         raise ValueError(f"region sweep needs an MFC2 estimate, not {estimate.kind}")
-    Q, c_tilde, _ = estimate.physical_shape()
-    centroid = np.asarray(estimate.x_s, dtype=float)  # the c_star = 0 center
-    ref_norm = float(np.linalg.norm(centroid))
-    lam, vth = cert.lambda_min, cert.vartheta
-    c_max = c_star_budget(p, cert.gamma_mfc, ref_norm, vth, lam)
-    S = _inv_sqrt(estimate.P)
-
-    def members(levels, count: int) -> tuple[np.ndarray, np.ndarray]:
-        # model starts with vartheta e*' P e* = cs, shifted by the steady offset
-        circle = _unit_circle(count)
-        rings, thresholds = [], []
-        for cs in map(float, levels):
-            r, _ = r_mfc2(p, cert.gamma_mfc, ref_norm, cs, vth, lam)
-            rings.append(centroid[None, :] if cs == 0.0
-                         else _on_ellipse(S, circle, cs / vth, centroid))
-            thresholds.append(np.full(len(rings[-1]), _level(lam, 0.0 if r is None else r)))
-        return np.concatenate(rings, axis=0), np.concatenate(thresholds)
-
-    green_centers, green_thresholds = members([estimate.c_star], SWEEP_SAMPLES)
-    grey_centers, grey_thresholds = members(
-        np.linspace(0.0, c_max, SWEEP_LEVELS), SWEEP_SAMPLES // 4)
+    _, c_tilde, _ = estimate.physical_shape()
+    x_s = np.asarray(estimate.x_s, dtype=float)
+    vth = cert.vartheta
+    c_max = c_star_budget(p, cert.gamma_mfc, float(np.linalg.norm(x_s)), vth, cert.lambda_min)
+    P, D = np.asarray(estimate.P, dtype=float), estimate.d_matrix()
+    P_inv = np.linalg.inv(P)
     dirs = _unit_circle(SWEEP_RAYS)
+    w1, w2 = dirs @ P_inv, dirs @ (D @ P_inv @ D)  # P^-1 u and D P^-1 D u, as rows
+    h1 = np.sqrt(np.einsum("ri,ri->r", dirs, w1))[:, None]
+    h2 = np.sqrt(np.einsum("ri,ri->r", dirs, w2))[:, None]
+    s, rho, R = math.sqrt(estimate.c_star / vth), math.sqrt(c_tilde), math.sqrt(c_max / vth)
+    green = s * (w1 / h1) + rho * (w2 / h2)
+    grey = R * np.where(h1 >= h2, w1 / h1, w2 / h2)
 
-    def outer_boundary(centers: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-        t_outer = _outer_extent(dirs, Q, centroid, centers, thresholds)
-        # nudge inward so the vertices satisfy the membership test in floats
-        return centroid + (t_outer * (1.0 - 1e-9))[:, None] * dirs
-
+    S = _inv_sqrt(P)  # (P^1/2 D P^-1/2)' (P^1/2 D P^-1/2) = S D P D S
+    b, a = np.sqrt(np.linalg.eigvalsh(S @ D @ P @ D @ S)).tolist()
+    per_unit = 1.0 / math.sqrt(np.linalg.det(P))  # area of B_P over that of the unit disc
+    nudge = 1.0 - 1e-9  # inward, so the vertices pass the membership tests in floats
     return RegionSweep(
-        green=outer_boundary(green_centers, green_thresholds),
-        grey=outer_boundary(grey_centers, grey_thresholds),
+        green=x_s + nudge * green,
+        grey=x_s + nudge * grey,
         c_star_level=estimate.c_star,
         c_tilde_level=c_tilde,
         c_star_max=c_max,
+        green_area=per_unit * (math.pi * s * s + s * rho * _ellipse_perimeter(a, b)
+                               + math.pi * rho * rho * a * b),
+        grey_area=per_unit * R * R * _hull_area(a, b),
     )

@@ -121,7 +121,7 @@ STAGE_FILES = {
     "simulate": {"metrics.json", "traj_SL.csv", "traj_SLHG.csv", "traj_MFC.csv"},
     "falsify": {"falsify.json", "falsify_violations.csv"},
 }
-SHORT_RUN = ["--preset", "scenario1", "--horizon", "1", "--samples", "8"]
+SHORT_RUN = ["--preset", "scenario1", "--horizon", "1", "--samples", "8", "--seed", "3"]
 
 
 class TestOneStageRunner:
@@ -136,14 +136,19 @@ class TestOneStageRunner:
 
     def test_reproduce_writes_the_stage_files_and_its_summary(self, reproduced):
         written = {path.name for path in reproduced.iterdir()}
-        assert written == set().union(*STAGE_FILES.values()) | {"summary.json"}
+        assert written == set().union(*STAGE_FILES.values()) | {"summary.json", "config.json"}
+
+    def test_reproduce_records_its_configuration(self, reproduced):
+        recorded = _read_json(reproduced / "config.json")
+        assert recorded["falsify"] == {"samples": 8, "seed": 3}
+        assert recorded["horizon"] == 1.0
 
     @pytest.mark.parametrize("command", sorted(STAGE_FILES))
     def test_command_writes_the_reproduce_bytes(self, tmp_path, reproduced, command):
         assert main([command, *SHORT_RUN, "--out", str(tmp_path)]) == 0
         written = {path.name for path in tmp_path.iterdir()}
         assert written == STAGE_FILES[command] | {"config.json"}
-        for name in STAGE_FILES[command]:
+        for name in written:
             assert (tmp_path / name).read_bytes() == (reproduced / name).read_bytes(), name
 
 
@@ -286,6 +291,25 @@ class TestConfigErrors:
                      "--samples", "8", "--out", str(tmp_path)])
         assert code == 0
         assert _read_json(tmp_path / "config.json")["falsify"] == {"samples": 8, "seed": huge}
+
+    def test_sample_count_above_numpy_dimension_limit_rejected(self, tmp_path, capsys,
+                                                               monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.falsify_mod, "falsify_sets", lambda *a, **k: calls.append(a))
+        code = main(["falsify", "--preset", "scenario1", "--samples", str(10**400),
+                     "--out", str(tmp_path / "flag")])
+        assert code == 1 and "falsify.samples" in capsys.readouterr().err
+        cfg = {**preset("scenario1").to_dict(), "falsify": {"samples": 2**63, "seed": 0}}
+        with pytest.raises(ConfigError, match="falsify.samples"):
+            parse_config(cfg)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["falsify", "--config", str(path), "--out", str(tmp_path / "file")])
+        assert code == 1 and "falsify.samples" in capsys.readouterr().err
+        assert not calls and not (tmp_path / "flag").exists() and not (tmp_path / "file").exists()
+        # sys.maxsize itself passes configuration
+        assert parse_config({**cfg, "falsify": {"samples": sys.maxsize}}).falsify_samples == (
+            sys.maxsize)
 
     def test_config_json_records_the_default_falsify_block(self, tmp_path):
         cfg = preset("scenario1").to_dict()

@@ -47,16 +47,16 @@ REPORT_SHA256 = {
         "steady_state.json": "fb204c96077e4011a7d730755fd7449e15008cc13da10837e61317547e1f166e",
         "steady_state_sweep.csv":
             "3d4941cf1f901d57d1355013e5097eaea9aac037ff4ab80f11ed0e4a100c5db5",
-        "roa.json": "f3418bb21b07bd8812af6f73df4bbb068b01b39d7b6cbfaad50eeb3ba153fa7d",
-        "roa_boundaries.csv": "7ffdf609d78f1879193b861ff0d2411c1bf7db6506c4d89497702148fe867727",
+        "roa.json": "d2ef706aa1e4e65aded9f1390f598926aa0355be6b8f080490a484f24bb482ed",
+        "roa_boundaries.csv": "a9be76dcbd18485441cc89ebf1f136e96bbd6a0ab8b74c8a2194acc169ac4e6b",
     },
     "scenario2": {
         "analyze.json": "85d3f138734c3b7b9729ce13104a2803f4bc461faf52831fbd589b2625ba0fa3",
         "steady_state.json": "bd0a9d89dfdb340404634c12daf829099441891cbfb9f7c8ecad05e1557805ca",
         "steady_state_sweep.csv":
             "3d4941cf1f901d57d1355013e5097eaea9aac037ff4ab80f11ed0e4a100c5db5",
-        "roa.json": "7c95b4984511493a302a93a2bcabaa0989031ebb89dfa015f67a17b5729935fa",
-        "roa_boundaries.csv": "97f0c5b2a7985bea9d25dab7d94659867538180a4b989a74cf90e8d88c67e9bc",
+        "roa.json": "57729dbc5807d4085eb6e58d5418d756cc976f8efe7cd7e29ab80b7ef5684e12",
+        "roa_boundaries.csv": "b17a7bb2c4428a1c277fab6863855bc1035b020f799efbbf219bbee73b42f9ea",
     },
 }
 
@@ -92,7 +92,7 @@ def test_design_report_bytes(tmp_path, name):
 
 
 #: One SHA-256 over the steady-state and ROA outputs of the seeded designs.
-DESIGNS_SHA256 = "661b82e5269116bf2ae826e096cdcbc36682f97cdfddcd3c1fdfecae9074cc7e"
+DESIGNS_SHA256 = "2b279d5bef0719f4ed33f1a4315b54128dd128269d1a14d980a3d61f16661287"
 
 
 def _seeded_designs(count=12, seed=2024):
@@ -123,24 +123,18 @@ def test_seeded_design_outputs_bytes(tmp_path):
     assert digest.hexdigest() == DESIGNS_SHA256
 
 
-def test_sweep_split_levels_are_the_estimates(monkeypatch):
-    """c_tilde_level, MFC2.c_tilde and compare_levels agree bit for bit, and every
-    grey ring of the sweep sits at lambda_min r r of r_mfc2 at its c_star."""
-    fans = []
-    outer_extent = roa._outer_extent
-
-    def recording(dirs, Q, centroid, centers, thresholds):
-        fans.append(thresholds)
-        return outer_extent(dirs, Q, centroid, centers, thresholds)
-
-    monkeypatch.setattr(roa, "_outer_extent", recording)
-    ring_starts = 1 + roa.SWEEP_SAMPLES // 4 * np.arange(roa.SWEEP_LEVELS - 1)
+def test_sweep_split_levels_are_the_estimates():
+    """c_tilde_level, MFC2.c_tilde and compare_levels agree bit for bit, c_star_max is
+    c_star_budget's, and along every ray the sweep's support is that of members at
+    lambda_min r r of r_mfc2: the green members' at the estimate's c_star, and the
+    grey region's the largest over 17 c_star levels from 0 to the budget."""
+    theta = 2.0 * np.pi * np.arange(roa.SWEEP_RAYS) / roa.SWEEP_RAYS
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     swept = 0
     for cfg in [preset(name) for name in sorted(REPORT_SHA256)] + _seeded_designs():
-        fans.clear()
         report, _ = cli.run_roa(cfg)
         if not report["MFC2"]["valid"]:
-            assert "MFC2_sweep" not in report and not fans
+            assert "MFC2_sweep" not in report
             continue
         swept += 1
         design = cli._design(cfg)
@@ -152,12 +146,25 @@ def test_sweep_split_levels_are_the_estimates(monkeypatch):
                   roa.compare_levels(est.c_star, cfg.plant, cert.gamma_mfc, ref, vth, lam)[1])
         assert all(type(level) is float for level in levels)
         assert len({level.hex() for level in levels}) == 1
-        green, grey = fans
-        assert green.tolist() == [est.c_tilde] * roa.SWEEP_SAMPLES
-        rings = np.split(grey, ring_starts)
-        for ring, cs in zip(rings, np.linspace(0.0, sweep["c_star_max"], roa.SWEEP_LEVELS)):
-            r, _ = roa.r_mfc2(cfg.plant, cert.gamma_mfc, ref, float(cs), vth, lam)
+        budget = roa.c_star_budget(cfg.plant, cert.gamma_mfc, ref, vth, lam)
+        assert sweep["c_star_max"].hex() == budget.hex()
+
+        # a member about x_s + e*, vartheta e*' P e* = c, at level l has support
+        # sqrt(c / vartheta) h1 + sqrt(l) h2 at its best e* on the c ellipse
+        P_inv = np.linalg.inv(est.P)
+        D = est.d_matrix()
+        h1 = np.sqrt(np.einsum("ri,ij,rj->r", dirs, P_inv, dirs))
+        h2 = np.sqrt(np.einsum("ri,ij,rj->r", dirs, D @ P_inv @ D, dirs))
+
+        def ring(c_star):
+            r, _ = roa.r_mfc2(cfg.plant, cert.gamma_mfc, ref, float(c_star), vth, lam)
             # at the budget r may round below 0 and the members shrink to points
-            expected = 0.0 if r is None else lam * r * r
-            assert ring.tolist() == [expected] * len(ring)
+            return np.sqrt(c_star / vth) * h1 + np.sqrt(0.0 if r is None else lam * r * r) * h2
+
+        region = roa.mfc2_region_sweep(cfg.plant, cert, est)
+        for polygon, support in (
+                (region.green, ring(est.c_star)),
+                (region.grey, np.max([ring(c) for c in np.linspace(0.0, budget, 17)], axis=0))):
+            drawn = np.einsum("ri,ri->r", dirs, polygon - np.asarray(est.x_s)) / (1.0 - 1e-9)
+            assert drawn == pytest.approx(support, rel=1e-12)
     assert swept == 12  # both presets and 10 of the 12 designs

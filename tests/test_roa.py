@@ -25,14 +25,10 @@ from mfcert import (
 from mfcert.roa import (
     REASON_CSTAR,
     REASON_RADICAND,
-    SWEEP_LEVELS,
     SWEEP_RAYS,
-    SWEEP_SAMPLES,
     RoaEstimate,
     _level,
-    _outer_extent,
     c_star_budget,
-    polygon_area,
 )
 from mfcert.synthesis import time_scaling
 
@@ -305,17 +301,50 @@ def sweep(table_params, cert, split_set):
     return mfc2_region_sweep(table_params, cert, split_set)
 
 
+def polygon_area(polygon):
+    """Shoelace area of a closed polygon given as ordered vertices."""
+    x, y = polygon[:, 0], polygon[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+#: The sweep's inward nudge of each vertex offset.
+NUDGE = 1.0 - 1e-9
+
+
+def _unit_circle(count):
+    theta = 2.0 * math.pi * np.arange(count) / count
+    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+
+
+def _supports(est, dirs):
+    """h1(u) = max of u'v over the unit ball B_P of P, and h2(u) = that over D B_P."""
+    S_inv = np.linalg.cholesky(np.linalg.inv(est.P))  # B_P = S_inv (unit disc)
+    return (np.linalg.norm(dirs @ S_inv, axis=1),
+            np.linalg.norm(dirs @ est.d_matrix() @ S_inv, axis=1))
+
+
+def _scales(cert, region):
+    """s, rho and R of the sweep: the green model start's, the green members' and the
+    grey region's radii in the norm of P."""
+    vth = cert.vartheta
+    return (math.sqrt(region.c_star_level / vth), math.sqrt(region.c_tilde_level),
+            math.sqrt(region.c_star_max / vth))
+
+
 class TestRegionSweep:
     def test_vertices_on_union_boundary(self, sweep, table_params, cert, split_set, scenario1):
+        """Each vertex lies in the member of one model start, and pushed 1% outward
+        it lies in no sampled member."""
         center = scenario1["x_s_mfc"]
         _, Q, green, grey = _fans(table_params, cert, split_set)
-        for polygon, (centers, thresholds) in ((sweep.green, green), (sweep.grey, grey)):
+        for polygon, (centers, thresholds), which in (
+                (sweep.green, green, "green"), (sweep.grey, grey, "grey")):
+            e_star = _witnesses(cert, split_set, sweep, which)
+            assert np.all(_in_members(table_params, cert, split_set, polygon, e_star))
             outward = center + 1.01 * (polygon - center)
-            for points, inside in ((polygon, True), (outward, False)):
-                diffs = points[:, None, :] - centers[None, :, :]
-                vals = np.einsum("kmi,ij,kmj->km", diffs, Q, diffs)
-                members = np.any(vals <= thresholds[None, :], axis=1)
-                assert np.all(members) if inside else not np.any(members)
+            diffs = outward[:, None, :] - centers[None, :, :]
+            vals = np.einsum("kmi,ij,kmj->km", diffs, Q, diffs)
+            assert not np.any(vals <= thresholds[None, :])
 
     def test_degenerate_sweep_is_single_ellipse(self, table_params, cert, scenario1):
         est = estimate_mfc2(
@@ -328,6 +357,8 @@ class TestRegionSweep:
         diffs = region.green - center
         vals = np.einsum("ki,ij,kj->k", diffs, Q, diffs)
         assert np.max(np.abs(vals - level)) <= 1e-3 * level
+        assert region.green_area == pytest.approx(
+            math.pi * level / math.sqrt(np.linalg.det(Q)), rel=1e-12)
 
     def test_union_dominates_high_gain_ellipse(self, sweep, table_params, cert, scenario1):
         est = estimate_slhg(table_params, cert, scenario1["x_s_mfc"], scenario1["x_d"])
@@ -335,6 +366,7 @@ class TestRegionSweep:
         slhg_area = math.pi * level / math.sqrt(np.linalg.det(Q))
         assert polygon_area(sweep.green) >= slhg_area
         assert polygon_area(sweep.grey) >= polygon_area(sweep.green)
+        assert sweep.grey_area >= sweep.green_area >= slhg_area
 
     def test_rejects_over_budget_split_set(self, table_params, cert, scenario1):
         est = estimate_mfc2(
@@ -352,27 +384,6 @@ class TestRegionSweep:
             assert est.valid
             with pytest.raises(ValueError, match="MFC2"):
                 mfc2_region_sweep(table_params, cert, est)
-
-
-def _outer_boundary_reference(dirs, Q, centroid, centers, thresholds):
-    """Outer extent per ray on the full (rays, members) matrices, masked by the discriminant."""
-    alpha = np.einsum("ri,ij,rj->r", dirs, Q, dirs)
-    diff = centroid - centers
-    beta = 2.0 * dirs @ (Q @ diff.T)
-    gamma = np.einsum("mi,ij,mj->m", diff, Q, diff) - thresholds
-    t_plus = 4.0 * alpha[:, None] * gamma[None, :]
-    disc = beta * beta
-    disc -= t_plus
-    with np.errstate(invalid="ignore"):
-        np.sqrt(disc, out=t_plus)
-    t_plus -= beta
-    t_plus /= 2.0 * alpha[:, None]
-    t_plus[~(disc >= 0.0)] = -np.inf
-    return np.maximum(np.max(t_plus, axis=1), 0.0)
-
-
-def _bits(a):
-    return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
 def _sweep_case(name):
@@ -401,73 +412,170 @@ def _ring_level(p, cert, x_s, cs):
     return 0.0 if r is None else _level(cert.lambda_min, r)
 
 
-def _fans(p, cert, est):
-    """Ray fan and green and grey member sets of a sweep, one ellipse_boundary per ring."""
+def _fans(p, cert, est, samples=360, levels=17, rays=SWEEP_RAYS):
+    """Ray fan and the sampled green and grey members, one ellipse_boundary per ring:
+    ``samples`` model starts on the estimate's c_star ellipse, and samples // 4 on each of
+    ``levels`` c_star ellipses from 0 to the budget, at the levels of r_mfc2."""
     x_s = np.asarray(est.x_s, dtype=float)
     vth = cert.vartheta
     Dinv = np.diag(time_scaling(1.0 / cert.epsilon, len(x_s)))
     Q = Dinv @ np.asarray(cert.P) @ Dinv
 
-    def members(levels, count):
+    def members(c_stars, count):
         rings = [x_s[None, :] if cs == 0.0 else ellipse_boundary(cert.P, cs / vth, x_s, count)
-                 for cs in map(float, levels)]
+                 for cs in map(float, c_stars)]
         thresholds = [np.full(len(pts), _ring_level(p, cert, x_s, cs))
-                      for pts, cs in zip(rings, map(float, levels))]
+                      for pts, cs in zip(rings, map(float, c_stars))]
         return np.concatenate(rings), np.concatenate(thresholds)
 
-    theta = 2.0 * math.pi * np.arange(SWEEP_RAYS) / SWEEP_RAYS
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    green = members([est.c_star], SWEEP_SAMPLES)
-    grey = members(np.linspace(0.0, _budget(p, cert, est), SWEEP_LEVELS), SWEEP_SAMPLES // 4)
-    return dirs, Q, green, grey
+    green = members([est.c_star], samples)
+    grey = members(np.linspace(0.0, _budget(p, cert, est), levels), samples // 4)
+    return _unit_circle(rays), Q, green, grey
 
 
-class TestOuterExtent:
-    @pytest.mark.parametrize("name,level", [
-        ("scenario1", "preset"), ("scenario2", "preset"),
-        ("scenario1", "zero"), ("scenario2", "budget"),
-    ])
-    def test_sweep_fans_match_full_matrix_reference(self, name, level):
-        p, cert, est = _sweep_case(name)
-        if level == "zero":
-            est = estimate_mfc2(p, cert, est.x_s, est.x_d, est.x_d)
-            assert est.c_star == 0.0
-        elif level == "budget":
-            est = _at_budget(p, cert, est)
-            assert est.valid and est.c_tilde == 0.0
-        x_s = np.asarray(est.x_s, dtype=float)
+def _sampled_union(dirs, Q, centroid, centers, thresholds, block=48):
+    """Outer boundary of the sampled members on a ray fan from the centroid.
+
+    Along a ray each member ellipse is an exact interval (its quadratic form is
+    quadratic in the ray parameter); the vertex is the largest interval end.  A
+    member the ray misses gives a NaN root, which fmax skips; a ray meeting none
+    gets 0.  Rays go in blocks, so the (rays, members) arrays stay small.
+    """
+    alpha = np.einsum("ri,ij,rj->r", dirs, Q, dirs)
+    diff = centroid - centers
+    q_diff = Q @ diff.T
+    gamma = np.einsum("mi,ij,mj->m", diff, Q, diff) - thresholds
+    extent = np.empty(len(dirs))
+    for lo in range(0, len(dirs), block):
+        rays = slice(lo, lo + block)
+        beta = 2.0 * dirs[rays] @ q_diff
+        with np.errstate(invalid="ignore"):
+            roots = np.sqrt(beta * beta - 4.0 * alpha[rays, None] * gamma) - beta
+        extent[rays] = np.fmax.reduce(roots, axis=1) / (2.0 * alpha[rays])
+    return centroid + np.fmax(extent, 0.0)[:, None] * dirs
+
+
+def _in_members(p, cert, est, x, e_star):
+    """Whether each x lies in the member at model error e*: the split set's process
+    slice about x_s + e*, at the level of r_mfc2 at c_star = vartheta e*' P e*."""
+    x_s = np.asarray(est.x_s)
+    Q, _, _ = est.physical_shape()
+    c_stars = cert.vartheta * np.einsum("ki,ij,kj->k", e_star, est.P, e_star)
+    levels = np.array([_ring_level(p, cert, x_s, float(cs)) for cs in c_stars])
+    diffs = x - x_s - e_star
+    return np.einsum("ki,ij,kj->k", diffs, Q, diffs) <= levels
+
+
+def _witnesses(cert, est, region, which):
+    """The model error of a member holding each vertex of the green or grey polygon.
+
+    Green: e* = s P^-1 u / h1 on the c_star ellipse; where c_tilde is 0 its members
+    are points, and the nudged vertex's own offset is used, as on a grey B_P arc.
+    Grey: the vertex offset on an arc of B_P (z = 0), and 0 on an arc of D B_P.
+    """
+    dirs = _unit_circle(SWEEP_RAYS)
+    x_s = np.asarray(est.x_s)
+    h1, h2 = _supports(est, dirs)
+    s, _, _ = _scales(cert, region)
+    if which == "green":
+        if region.c_tilde_level == 0.0:
+            return region.green - x_s
+        return s * (dirs @ np.linalg.inv(est.P)) / h1[:, None]
+    return np.where((h1 >= h2)[:, None], region.grey - x_s, 0.0)
+
+
+CASES = [("scenario1", "preset"), ("scenario2", "preset"),
+         ("scenario1", "zero"), ("scenario2", "budget")]
+
+
+@pytest.fixture(scope="module", params=CASES, ids=["-".join(case) for case in CASES])
+def swept(request):
+    """A preset's plant, certificate, MFC2 estimate and sweep: at the preset's model
+    start, at c_star 0, or at the budget (c_tilde 0)."""
+    name, level = request.param
+    p, cert, est = _sweep_case(name)
+    if level == "zero":
+        est = estimate_mfc2(p, cert, est.x_s, est.x_d, est.x_d)
+        assert est.c_star == 0.0
+    elif level == "budget":
+        est = _at_budget(p, cert, est)
+        assert est.valid and est.c_tilde == 0.0
+    return p, cert, est, mfc2_region_sweep(p, cert, est)
+
+
+class TestClosedForm:
+    """The closed-form sweep against the sampled union it replaces, and against
+    quadratures of its support functions."""
+
+    def test_sampled_members_lie_within_the_exact_support(self, swept):
+        # a member's support is the largest u'x over its points, u'(c - x_s) + sqrt(t) h2
+        p, cert, est, region = swept
+        x_s = np.asarray(est.x_s)
         dirs, Q, green, grey = _fans(p, cert, est)
-        region = mfc2_region_sweep(p, cert, est)
-        for (centers, thresholds), polygon in ((green, region.green), (grey, region.grey)):
-            ref = _outer_boundary_reference(dirs, Q, x_s, centers, thresholds)
-            assert np.array_equal(_bits(_outer_extent(dirs, Q, x_s, centers, thresholds)),
-                                  _bits(ref))
-            # the sweep's own members and nudge give the same vertices
-            expected = x_s + (ref * (1.0 - 1e-9))[:, None] * dirs
-            assert np.array_equal(_bits(polygon), _bits(expected))
+        member_h = np.sqrt(np.einsum("ri,ij,rj->r", dirs, np.linalg.inv(Q), dirs))
+        for polygon, (centers, thresholds) in ((region.green, green), (region.grey, grey)):
+            support = np.einsum("ri,ri->r", dirs, polygon - x_s) / NUDGE
+            members = (centers - x_s) @ dirs.T + np.sqrt(thresholds)[:, None] * member_h
+            assert np.all(members <= support + 1e-12 * support.max())
 
-    def test_missed_members_and_negative_discriminants(self):
-        rng = np.random.Generator(np.random.PCG64(7))
-        A = rng.normal(size=(2, 2))
-        Q = A @ A.T + 0.5 * np.eye(2)
-        centroid = np.array([0.3, -0.2])
-        theta = 2.0 * math.pi * np.arange(100) / 100
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        # small members far off the centroid: most rays miss them all, and
-        # the rays pointing away meet them behind the centroid only
-        far = centroid + np.array([[6.0, 0.0], [5.5, 0.5], [6.0, -0.3]])
-        cases = [
-            (far, np.full(3, 0.4)),
-            (np.vstack([far, centroid + rng.normal(scale=0.1, size=(5, 2))]),
-             rng.uniform(0.05, 2.0, size=8)),
-        ]
-        for centers, thresholds in cases:
-            got = _outer_extent(dirs, Q, centroid, centers, thresholds)
-            ref = _outer_boundary_reference(dirs, Q, centroid, centers, thresholds)
-            assert np.array_equal(_bits(got), _bits(ref))
-        got = _outer_extent(dirs, Q, centroid, *cases[0])
-        assert np.count_nonzero(got == 0.0) > len(dirs) // 2
-        assert np.count_nonzero(got > 0.0) > 0
+    def test_sampled_areas_fall_short_and_a_denser_sample_comes_closer(self, swept):
+        p, cert, est, region = swept
+        x_s = np.asarray(est.x_s, dtype=float)
+        gaps = []
+        for samples, levels in ((360, 17), (720, 33)):
+            dirs, Q, green, grey = _fans(p, cert, est, samples, levels, rays=samples)
+            gaps.append([exact - polygon_area(_sampled_union(dirs, Q, x_s, *members))
+                         for exact, members in ((region.green_area, green),
+                                                (region.grey_area, grey))])
+        (green, grey), (denser_green, denser_grey) = gaps
+        assert green >= 0.0 and grey > 0.0
+        assert 0.0 <= denser_green <= green and 0.0 < denser_grey < grey
+        if region.c_tilde_level > 0.0:  # at the budget the green members are points
+            assert denser_green < green
+
+    def test_vertices_lie_in_their_witness_members(self, swept):
+        p, cert, est, region = swept
+        x_s = np.asarray(est.x_s)
+        for polygon, which in ((region.green, "green"), (region.grey, "grey")):
+            e_star = _witnesses(cert, est, region, which)
+            assert np.all(_in_members(p, cert, est, polygon, e_star))
+            outward = x_s + 1.01 * (polygon - x_s)
+            assert not np.any(_in_members(p, cert, est, outward, e_star))
+
+    def test_vertices_pushed_outward_leave_the_region(self, swept):
+        p, cert, est, region = swept
+        x_s = np.asarray(est.x_s)
+        dirs = _unit_circle(SWEEP_RAYS)
+        h1, h2 = _supports(est, dirs)
+        s, rho, R = _scales(cert, region)
+        for polygon, support in ((region.green, s * h1 + rho * h2),
+                                 (region.grey, R * np.maximum(h1, h2))):
+            outward = x_s + 1.01 * (polygon - x_s)
+            assert np.all(np.einsum("ri,ri->r", dirs, outward - x_s) > support)
+            assert np.all(np.einsum("ri,ri->r", dirs, polygon - x_s) <= support)
+
+    def test_exact_areas_match_a_support_quadrature(self, swept):
+        # support points on 2^17 directions: their polygon's area converges as count^-2,
+        # and its edges draw the grey hull's bitangents exactly
+        _, cert, est, region = swept
+        dirs = _unit_circle(2**17)
+        P_inv = np.linalg.inv(est.P)
+        D = est.d_matrix()
+        h1, h2 = _supports(est, dirs)
+        v1, v2 = dirs @ P_inv / h1[:, None], dirs @ (D @ P_inv @ D) / h2[:, None]
+        s, rho, R = _scales(cert, region)
+        green = s * v1 + rho * v2
+        grey = R * np.where((h1 >= h2)[:, None], v1, v2)
+        assert region.green_area == pytest.approx(polygon_area(green), rel=1e-6)
+        assert region.grey_area == pytest.approx(polygon_area(grey), rel=1e-6)
+
+    def test_headline_area_ratio(self, swept):
+        # the SLHG set is about epsilon (0.1) of the grey region on both presets
+        p, cert, est, region = swept
+        slhg = estimate_slhg(p, cert, est.x_s, est.x_d)
+        Q, level, _ = slhg.physical_shape()
+        ratio = math.pi * level / math.sqrt(np.linalg.det(Q)) / region.grey_area
+        assert ratio == pytest.approx(0.0998, abs=0.0002)
 
 
 class TestSweepMemory:
@@ -479,4 +587,4 @@ class TestSweepMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4_000_000
+        assert peak <= 250_000  # about 61 kB: a few (rays, 2) arrays
