@@ -410,8 +410,15 @@ def _resolve_config(args) -> ScenarioConfig:
     return cfg
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed or unknown flag is a configuration error, not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError("command line", message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mfcert",
         description=(
             "Design, certify and falsify model-following and single-loop "
@@ -426,7 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--step", type=float, default=None, help="integrator step [s]")
     common.add_argument("--horizon", type=float, default=None, help="simulation horizon [s]")
     common.add_argument("--samples", type=int, default=None, help="falsification sample count")
-    common.add_argument("--tolerance-profile", help="JSON overrides for reproduce tolerances")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("analyze", parents=[common], help="gains, P and robustness bounds")
@@ -436,13 +442,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("falsify", parents=[common], help="Monte-Carlo certificate checks")
     rep = sub.add_parser("reproduce", parents=[common], help="full benchmark reproduction")
     rep.add_argument("scenario", choices=PRESET_NAMES)
+    rep.add_argument("--tolerance-profile", help="JSON overrides for the reference checks")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    out_dir = Path(args.out)
     try:
+        args = _build_parser().parse_args(argv)
+        out_dir = Path(args.out)
         cfg = _resolve_config(args)
         tolerance_rows = None
         if args.command == "reproduce" and args.tolerance_profile:

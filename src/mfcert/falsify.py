@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .plant import Box, MsdParams, MsdPlant, msd_phi, phi_lipschitz_sup
-from .roa import RoaEstimate, _inv_sqrt
+from .roa import RoaEstimate, _frame_v, _inv_sqrt
 from .simulate import (
     ControllerSpec,
     SetPoint,
@@ -209,8 +209,8 @@ def falsify_sets(
 
     Each estimate runs under the loop it certifies (``RoaEstimate.controller``)
     and gets ``count`` samples drawn with ``seed``; all columns run under
-    one law (see ``build_closed_loop``) with their set's level, centre and
-    Lyapunov scaling.  A run converges when its final state lies
+    one law (see ``build_closed_loop``) with their set's level, and V is each
+    set's own ``lyapunov_value``.  A run converges when its final state lies
     within one percent of its initial distance to the analytic equilibrium
     (0.01 absolute when starting on it).  Lyapunov increase is monitored
     online while the state remains inside its set.  Violations are data, not
@@ -239,11 +239,14 @@ def falsify_sets(
     floor = 1e-12 * level
     x_s = per_column([est.x_s for est in estimates])
     spec = ControllerSpec(kind="MFC", gains=gains, reference=SetPoint(float(x_d[0])))
-    loop = build_closed_loop(plant, spec, per_column([est.vartheta for est in estimates]),
+    loop = build_closed_loop(plant, spec, first.vartheta,
                              columns=[(est.controller, count) for est in estimates])
-    v_of = loop.make_v(first.P, tuple(x_s.T.copy()))
+    two_loop = any(est.controller == "MFC" for est in estimates)
+    scale = per_column([np.diag(est.d_inv()) for est in estimates]).T.copy()
+    v_of = _frame_v(first.P, per_column([est.vartheta for est in estimates]), x_d[0],
+                    x_s[:, 0].copy(), scale, two_loop)
     comps = tuple(x0.T.copy())
-    if any(est.controller == "MFC" for est in estimates):
+    if two_loop:
         comps = tuple(np.concatenate(x0_star).T.copy()) + comps
     steps = int(round(horizon / h))
     alive = np.ones(total, dtype=bool)

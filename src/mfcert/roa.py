@@ -7,9 +7,12 @@ each for the plain and high-gain single-loop designs.  Invalid estimates
 (negative radicand or radius) are first-class absent results carrying the
 failing reason; they are never silent zeros.
 
-All sets are quadratic-form sublevel sets.  Helpers map the scaled frames
-back to physical coordinates for plotting and sampling.  The regions swept by
-the MFC2 model start are drawn and measured from their support functions.
+All sets are quadratic-form sublevel sets of one Lyapunov value, whose only
+implementation is ``_frame_v``: ``RoaEstimate.lyapunov_value``, the loops'
+``make_v`` and the falsifier's batch evaluate it.  Helpers map the scaled
+frames back to physical coordinates for plotting and sampling.  The regions
+swept by the MFC2 model start are drawn and measured from their support
+functions.
 """
 
 from __future__ import annotations
@@ -202,6 +205,53 @@ def ellipse_boundary(
     return _on_ellipse(_inv_sqrt(P_effective), _unit_circle(points), level, center)
 
 
+def _quadform(P):
+    """v'Pv of a 2-vector as v1 (P11 v1 + (P12 + P21) v2) + P22 v2 v2, a function of (v1, v2)."""
+    (p11, p12), (p21, p22) = np.asarray(P, dtype=float).tolist()
+    p12 += p21
+
+    def quadform(v1, v2):
+        acc = v1 * p11
+        term = v2 * p12
+        acc += term
+        acc *= v1
+        term = v2 * p22
+        term *= v2
+        acc += term
+        return acc
+
+    return quadform
+
+
+def _frame_v(P, vartheta, y_d, c1, scale, two_loop: bool):
+    """The one V = vartheta e*' P e* + z' P z of a certified frame, as ``v_of(t, y)``
+    of y = (x*1, x*2, x1, x2), or of y = (x1, x2) with e* = 0 in a single loop:
+    e* = x* - (y_d, 0), z = diag(scale) (x - (c1, 0) - e*).  Every argument but
+    P may hold one value per column; ``t`` is unused."""
+    q = _quadform(P)
+    s1, s2 = scale
+    if two_loop:
+        def v_of(t, y):
+            xs1, xs2, x1, x2 = y
+            e1 = xs1 - y_d
+            z1 = x1 - c1
+            z1 -= e1
+            z1 *= s1
+            z2 = x2 - xs2
+            z2 *= s2
+            v = q(e1, xs2)
+            v *= vartheta
+            v += q(z1, z2)
+            return v
+    else:
+        def v_of(t, y):
+            x1, x2 = y
+            z1 = x1 - c1
+            z1 *= s1
+            return q(z1, x2 * s2)
+    return v_of
+
+
 _FRAMES = {
     "MFC1": "combined model error and scaled process error",
     "MFC2": "combined model error and scaled process error",
@@ -240,6 +290,8 @@ class RoaEstimate:
     def __post_init__(self):
         if self.kind not in _FRAMES:
             raise ValueError(f"unknown estimate kind {self.kind!r}")
+        if self.x_d[1] != 0.0 or self.x_s[1] != 0.0:
+            raise ValueError("a frame is centred on rest states: x_d[1] and x_s[1] must be 0")
 
     @property
     def valid(self) -> bool:
@@ -286,23 +338,30 @@ class RoaEstimate:
 
     def lyapunov_value(self, x: Sequence[float], x_star: Sequence[float] | None = None):
         """Lyapunov value of a physical state (pair) in the estimate's frame."""
-        if self.controller != "MFC":
-            e_star = np.zeros(self.n)
-        elif x_star is None:
-            raise ValueError(f"{self.kind} membership needs the model state as well")
-        else:
-            e_star = np.asarray(x_star, dtype=float) - np.asarray(self.x_d)
-        z = ((np.asarray(x, dtype=float) - np.asarray(self.x_s)) - e_star) @ self.d_inv().T
-        P = np.asarray(self.P)
-        v = self.vartheta * np.einsum("...i,ij,...j", e_star, P, e_star) + np.einsum(
-            "...i,ij,...j", z, P, z
-        )
+        return self._value(self.vartheta, x, x_star)
+
+    def _value(self, vartheta: float, x, x_star):
+        """``_frame_v`` of the frame at (x*, x), its model error weighed by ``vartheta``."""
+        comps = tuple(np.moveaxis(np.asarray(x, dtype=float), -1, 0))
+        if self.controller == "MFC":
+            if x_star is None:
+                raise ValueError(f"{self.kind} membership needs the model state as well")
+            comps = tuple(np.moveaxis(np.asarray(x_star, dtype=float), -1, 0)) + comps
+        v = _frame_v(self.P, vartheta, self.x_d[0], self.x_s[0], np.diag(self.d_inv()),
+                     self.controller == "MFC")(None, comps)
         return float(v) if np.ndim(v) == 0 else v
 
     def contains(self, x, x_star=None) -> bool | np.ndarray:
         if not self.valid:
             raise ValueError(f"estimate {self.kind} is invalid ({self.reason})")
-        return self.lyapunov_value(x, x_star) <= self.level
+        if self.c_star is None:
+            return self.lyapunov_value(x, x_star) <= self.level
+        # c_star + c_tilde may round c_tilde away: the split set weighs the model
+        # level's excess over c_star, by the c_star that set it, and z' P z against c_tilde
+        process = self._value(0.0, x, x_star)
+        e_star = np.asarray(x_star, dtype=float) - np.asarray(self.x_d)
+        model = [c_star(self.vartheta, self.P, e) for e in e_star.reshape(-1, self.n)]
+        return (np.reshape(model, e_star.shape[:-1]) - self.c_star) + process <= self.c_tilde
 
     def physical_shape(self) -> tuple[np.ndarray, float, np.ndarray]:
         """Shape matrix, level and center of the drawable set in physical coordinates.

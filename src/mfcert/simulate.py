@@ -9,6 +9,7 @@ or numpy arrays (batched runs) and share one code path.  The kernels that a
 batch runs every step accumulate each sum into a temporary they own, so arrays
 cost no allocation per operation; ``_input``, ``_fflin_law`` and the FFLIN
 right-hand side, which see only floats per step, are plain expressions.  The
+Lyapunov value of a run is its certified frame's, ``roa._frame_v``.  The
 RK4 step is written out for the two state sizes a loop has, 2 components
 (single loop) and 4 (two-loop scheme).  The control law is applied at every
 integrator stage; the recorded input samples are evaluated afterwards on the
@@ -30,6 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .plant import MsdPlant, msd_f_of, msd_g, msd_phi_of
+from .roa import _frame_v
 from .steady_state import fflin_equilibrium, mfc_equilibria, single_loop_equilibria
 from .synthesis import GainSet, solve_lyapunov, time_scaling
 
@@ -297,24 +299,6 @@ def _rk4_4(rhs, t, y, h):
     return o1, o2, o3, o4
 
 
-def _quadform(P):
-    """v'Pv of a 2-vector as v1 (P11 v1 + (P12 + P21) v2) + P22 v2 v2, a function of (v1, v2)."""
-    (p11, p12), (p21, p22) = np.asarray(P, dtype=float).tolist()
-    p12 += p21
-
-    def quadform(v1, v2):
-        acc = v1 * p11
-        term = v2 * p12
-        acc += term
-        acc *= v1
-        term = v2 * p22
-        term *= v2
-        acc += term
-        return acc
-
-    return quadform
-
-
 @dataclass
 class _Loop:
     """Closed loop: derivative ``rhs(t, y)``, input ``control(t, y)``, set-point ``dref(t)``."""
@@ -323,59 +307,54 @@ class _Loop:
     rhs: Callable
     control: Callable
     dref: Callable
-    make_v: Callable
+    make_v: Callable | None
 
 
 def build_closed_loop(
     plant: MsdPlant,
     controller: ControllerSpec,
-    vartheta: float | np.ndarray,
+    vartheta: float,
     columns: Sequence[tuple[str, int]] | None = None,
 ) -> _Loop:
     """Wire a controller kind into component-wise closed-loop dynamics.
 
     The two-loop state lists the model components first; ``vartheta`` weighs
-    the model error in its Lyapunov value.  ``columns``, a sequence of
-    (kind, count) runs of SL, SLHG or MFC, stacks loops into one batch, with
-    ``controller`` giving gains and set-point and ``vartheta`` one value per
-    column; the per-column gains are rows of (2, N) arrays and drop into the
-    same kernels.  A batch with MFC columns runs the two-loop law: a
-    single-loop column holds its model at x_d with model gain 0 and process
-    gain k* (SL) or k~ (SLHG).  Its model derivative is then exactly 0 and its
-    process rows follow the single-loop law bit for bit.  A batch without MFC
-    columns runs the single-loop law on process rows alone.
+    the model error in ``make_v``'s V, the certified frame's (``roa._frame_v``).
+    One table gives each kind its model gain, process gain and V scaling.
+    ``columns``, a sequence of (kind, count) runs of SL, SLHG or MFC, stacks
+    loops into one batch that takes only its gains from the table, as rows of
+    (2, N) arrays, and has no ``make_v``: each stacked set has its own frame.
+    A batch with MFC columns runs the two-loop law: a single-loop column holds
+    its model at x_d with model gain 0.  Its model derivative is then exactly 0
+    and its process rows follow the single-loop law bit for bit.  A batch
+    without MFC columns runs the single-loop law on process rows alone.
     """
     if not isinstance(plant, MsdPlant):
         raise TypeError("closed loops need an MsdPlant")
     gains = controller.gains
     if gains.n != 2:
         raise ValueError("gain dimension does not match the plant")
-    kst, ktd = gains.k_star, gains.k_tilde
     y_d = float(controller.reference.y_d)
     kind = controller.kind
 
     dinv_scale = time_scaling(1.0 / gains.epsilon, 2)
     zero, ones = (0.0, 0.0), (1.0, 1.0)
-    scale = dinv_scale if kind in ("SLHG", "MFC") else ones
-    k = kst if kind == "SL" else ktd
-
-    if columns is not None:
-        # per kind: model gain, process gain, V scaling
-        slots = {
-            "MFC": (kst, ktd, dinv_scale),
-            "SLHG": (zero, ktd, dinv_scale),
-            "SL": (zero, kst, ones),
-        }
+    # per kind: model gain, process gain, V scaling
+    table = {
+        "MFC": (gains.k_star, gains.k_tilde, dinv_scale),
+        "SLHG": (zero, gains.k_tilde, dinv_scale),
+        "SL": (zero, gains.k_star, ones),
+        "FFLIN": (zero, gains.k_tilde, ones),
+    }
+    if columns is None:
+        k_model, k, scale = table[kind]
+    else:
         kinds = {c for c, _ in columns}
-        if kinds - slots.keys():
-            raise ValueError(f"kinds {sorted(kinds - slots.keys())} cannot ride in a stacked batch")
+        if not kinds <= {"SL", "SLHG", "MFC"}:
+            raise ValueError(f"only SL, SLHG and MFC ride in a stacked batch, not {kinds}")
         counts = [count for _, count in columns]
-        # one contiguous (2, N) row block per slot
-        kst, ktd, scale = (
-            np.repeat(np.asarray(values, dtype=float).T, counts, axis=1)
-            for values in zip(*(slots[c] for c, _ in columns))
-        )
-        k = ktd
+        k_model, k = (np.repeat(np.asarray(values, dtype=float).T, counts, axis=1)
+                      for values in zip(*(table[c][:2] for c, _ in columns)))
         kind = "MFC" if "MFC" in kinds else "SL"
 
     f = msd_f_of(plant.params)
@@ -387,7 +366,7 @@ def build_closed_loop(
         return const
 
     if kind == "FFLIN":  # f and g are taken at x_d, so nothing cancels
-        v_fb = _single_loop_target(ktd, y_d)
+        v_fb = _single_loop_target(k, y_d)
         feedforward = 0.0 - f(y_d, 0.0)
 
         def control(t, y):
@@ -398,7 +377,7 @@ def build_closed_loop(
             return x2, control(t, y) * g + f(x1, x2) + phi(x1, x2)
 
     elif kind == "MFC":
-        targets = _two_loop_targets(kst, ktd, y_d)
+        targets = _two_loop_targets(k_model, k, y_d)
 
         def rhs(t, y):
             xs1, xs2, x1, x2 = y
@@ -427,35 +406,9 @@ def build_closed_loop(
         """V centred on the rest state x_s = (x_s1, 0); FFLIN measures from x_d."""
         if np.any(np.asarray(x_s[1]) != 0.0):
             raise ValueError("V is centred on a rest state: x_s[1] must be 0")
-        q = _quadform(P)
-        c1 = y_d if kind == "FFLIN" else x_s[0]
-        s1, s2 = scale
-        if kind == "MFC":
+        return _frame_v(P, vartheta, y_d, y_d if kind == "FFLIN" else x_s[0], scale, kind == "MFC")
 
-            def v_of(t, y):
-                xs1, xs2, x1, x2 = y
-                e1 = xs1 - y_d
-                z1 = x1 - c1
-                z1 -= e1
-                z1 *= s1
-                z2 = x2 - xs2
-                z2 *= s2
-                v = q(e1, xs2)
-                v *= vartheta
-                v += q(z1, z2)
-                return v
-
-        else:
-
-            def v_of(t, y):
-                x1, x2 = y
-                z1 = x1 - c1
-                z1 *= s1
-                return q(z1, x2 * s2)
-
-        return v_of
-
-    return _Loop(n=2, rhs=rhs, control=control, dref=dref, make_v=make_v)
+    return _Loop(2, rhs, control, dref, make_v if columns is None else None)
 
 
 def steady_state_of(

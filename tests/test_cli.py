@@ -361,6 +361,37 @@ class TestConfigErrors:
         assert "--config" in err and "--preset" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["analyze", "--preset", "scenario1", "--seed", "abc"],
+        ["falsify", "--preset", "scenario1", "--samples", "1.5"],
+        ["roa", "--preset", "scenario1", "--bogus"],
+        ["reproduce", "scenario3"],
+        [],
+    ], ids=["seed", "samples", "unknown-flag", "unknown-scenario", "no-command"])
+    def test_malformed_or_unknown_flag_is_a_config_error(self, tmp_path, capsys, flags):
+        assert main([*flags, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and err.startswith("config error:")
+        assert "usage" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "steady-state", "roa", "simulate",
+                                         "falsify"])
+    def test_tolerance_profile_belongs_to_reproduce(self, tmp_path, capsys, command):
+        code = main([command, "--preset", "scenario1", "--tolerance-profile", "/nonexistent",
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--tolerance-profile" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [[], ["analyze"], ["reproduce"]])
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_:
+            main([*command, "--help"])
+        assert exit_.value.code == 0
+        assert ("--tolerance-profile" in capsys.readouterr().out) == (command == ["reproduce"])
+
     def test_parse_error_paths(self):
         with pytest.raises(ConfigError) as err:
             parse_config({"plant": {"k": 1.0}})

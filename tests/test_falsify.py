@@ -27,7 +27,7 @@ from mfcert import (
     simulate_closed_loop,
     single_loop_equilibria,
 )
-from mfcert import falsify, simulate
+from mfcert import cli, falsify, simulate
 from mfcert.falsify import DecreaseCheck
 from mfcert.roa import RoaEstimate
 
@@ -187,6 +187,27 @@ class TestFalsifySets:
             with pytest.raises(IntegrationError) as err:
                 simulate_closed_loop(plant, spec, x0, 3.0, 1e-3, vartheta=1000.0)
             assert err.value.time == time
+
+    @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
+    def test_batch_v_is_each_sets_lyapunov_value(self, scenario, monkeypatch):
+        # the V that the batch watches, at the starts, bit for bit that of each set's frame
+        cfg = preset(scenario)
+        design = cli._design(cfg)
+        sets = [est for est in design.estimates.values() if est.valid]
+        assert len(sets) >= 3
+        step, first_v = falsify._decrease_step, []
+
+        def spy(v_prev, *args):
+            first_v.append(np.array(v_prev, copy=True))
+            return step(v_prev, *args)
+
+        monkeypatch.setattr(falsify, "_decrease_step", spy)
+        count = 500
+        falsify_sets(sets, design.plant, design.gains, count=count, horizon=cfg.step,
+                     h=cfg.step, seed=0)
+        for j, est in enumerate(sets):
+            own = est.lyapunov_value(*sample_in_set(est, count, seed=0))
+            assert first_v[0][j * count:(j + 1) * count].tobytes() == own.tobytes(), est.kind
 
     def test_empty_batch(self, plant, gains):
         assert falsify_sets([], plant, gains, count=4, horizon=1.0, h=1e-3, seed=0) == []

@@ -263,6 +263,14 @@ class TestEstimateBuilders:
                         x_s=(0.75, 0.0), P=cert.P, vartheta=cert.vartheta,
                         epsilon=cert.epsilon)
 
+    @pytest.mark.parametrize("x_d, x_s", [((0.75, 0.1), (0.75, 0.0)),
+                                          ((0.75, 0.0), (0.75, -0.1))])
+    def test_frame_centres_must_rest(self, cert, x_d, x_s):
+        # V measures e* and z from (y_d, 0) and (x_s1, 0); a moving centre is refused
+        with pytest.raises(ValueError, match="rest"):
+            RoaEstimate(kind="SLHG", level=1.0, radius_aux=1.0, x_d=x_d, x_s=x_s, P=cert.P,
+                        vartheta=cert.vartheta, epsilon=cert.epsilon)
+
     @pytest.mark.parametrize("kind", ["MFC1", "MFC2", "SL", "SLHG"])
     def test_frame_map_round_trip(self, table_params, cert, scenario1, kind):
         """V of x* = x_d + e*, x = x_s + e* + D z is vartheta e*'P e* + z'P z."""
@@ -576,6 +584,30 @@ class TestClosedForm:
         Q, level, _ = slhg.physical_shape()
         ratio = math.pi * level / math.sqrt(np.linalg.det(Q)) / region.grey_area
         assert ratio == pytest.approx(0.0998, abs=0.0002)
+
+
+class TestSplitMembership:
+    """``contains`` keeps c_tilde where the level c_star + c_tilde rounds it away."""
+
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+    def test_grey_vertices_lie_in_the_set_of_their_own_model_start(self, name):
+        # on a B_P arc a grey vertex's offset is its member's model error (z = 0), and
+        # that member's c_star is the budget less the nudge, so c_tilde is about 1e-17
+        p, cert, est = _sweep_case(name)
+        region = mfc2_region_sweep(p, cert, est)
+        h1, h2 = _supports(est, _unit_circle(SWEEP_RAYS))
+        x_s, x_d = np.asarray(est.x_s), np.asarray(est.x_d)
+        vertices = region.grey[h1 >= h2]
+        assert len(vertices) == 250
+        for vertex in vertices:
+            start = x_d + (vertex - x_s)
+            member = estimate_mfc2(p, cert, est.x_s, est.x_d, start)
+            outward = x_s + 1.01 * (vertex - x_s)
+            assert member.valid and member.c_tilde < 1e-12 * member.c_star
+            assert member.contains(vertex, start)
+            assert not member.contains(outward, start)
+        both = member.contains(np.stack([vertex, outward]), np.stack([start, start]))
+        assert both.tolist() == [True, False]
 
 
 class TestSweepMemory:
