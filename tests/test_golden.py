@@ -7,7 +7,8 @@ digest over the steady-state and ROA outputs of twelve seeded designs around
 ``scenario1``.  A change that moves any bit of an integrated state, input,
 Lyapunov value, equilibrium, level or boundary fails here, and has to say so
 and re-pin the digests.  On the same presets and designs, the region sweep's
-split level is checked against the MFC2 estimate's, bit for bit.
+split level is checked against the MFC2 estimate's, and the single-loop root
+sweep against one ``solve_cubic`` call per set-point, bit for bit.
 """
 
 import dataclasses
@@ -18,6 +19,14 @@ import pytest
 
 from mfcert import cli, roa
 from mfcert.config import parse_config, preset
+from mfcert.steady_state import (
+    SWEEP_STEP,
+    Y_D_MAX,
+    Y_D_MIN,
+    sl_root_sweep,
+    sl_steady_polynomial,
+    solve_cubic,
+)
 
 KINDS = ("SL", "SLHG", "MFC", "FFLIN")
 
@@ -121,6 +130,22 @@ def test_seeded_design_outputs_bytes(tmp_path):
                      "roa_boundaries.csv"):
             digest.update((tmp_path / file).read_bytes())
     assert digest.hexdigest() == DESIGNS_SHA256
+
+
+def test_root_sweeps_are_per_row_solve_cubic():
+    """Every row of the array sweep has the bits of its own ``solve_cubic`` call, at
+    both single-loop gains of the presets and the seeded designs."""
+    ys = np.arange(Y_D_MIN, Y_D_MAX + 1e-9, SWEEP_STEP).tolist()
+    differ = []
+    for cfg in [preset(name) for name in sorted(REPORT_SHA256)] + _seeded_designs():
+        gains = cli._design(cfg).gains
+        for k1 in (gains.k_star[0], gains.k_tilde[0]):
+            rows = [{"y_d": y, "roots": solve_cubic(sl_steady_polynomial(cfg.plant, k1, y))}
+                    for y in ys]
+            sweep = sl_root_sweep(cfg.plant, k1)
+            differ += [(k1, a, b) for a, b in zip(sweep, rows) if repr(a) != repr(b)]
+            assert len(sweep) == len(rows)
+    assert differ == []
 
 
 def test_sweep_split_levels_are_the_estimates():

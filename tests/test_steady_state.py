@@ -244,3 +244,68 @@ class TestInvariants:
     def test_selection_no_tie(self):
         idx, tie = _select([-1.0, 0.5, 2.0], 0.0)
         assert idx == 1 and not tie
+
+
+def _per_row_sweep(p, k1):
+    """The root sweep as one ``solve_cubic`` call per set-point."""
+    return [{"y_d": y, "roots": solve_cubic(sl_steady_polynomial(p, k1, y))}
+            for y in np.arange(Y_D_MIN, Y_D_MAX + 1e-9, SWEEP_STEP).tolist()]
+
+
+def _stiffening(dk):
+    return MsdParams(k=1.5, c_d=0.3, alpha=0.5, m=1.0, g0=9.81,
+                     dk=dk, dc_d=0.06, dalpha=0.1)
+
+
+class TestRootSweepBranches:
+    """The array sweep equals the per-row ``solve_cubic`` by ``repr`` on its rare rows."""
+
+    def test_triple_root_at_zero_set_point(self):
+        p = _stiffening(-0.2)
+        k1 = p.dk / p.m
+        assert sl_steady_polynomial(p, k1, 1.0)[2] == 0.0  # a1 == 0: x^3 = 0 at y_d = 0
+        sweep = sl_root_sweep(p, k1)
+        assert sweep[0]["roots"] == [0.0]
+        assert repr(sweep) == repr(_per_row_sweep(p, k1))
+
+    def test_double_root_on_a_grid_point(self):
+        p = _stiffening(-0.2)
+        lo, hi = -0.2, 0.0  # the fold grows with k1 on this interval
+        while True:
+            k1 = 0.5 * (lo + hi)
+            if k1 in (lo, hi):
+                break
+            if multiplicity_transition(p, k1) > 1.0:
+                hi = k1
+            else:
+                lo = k1
+        assert multiplicity_transition(p, k1) == pytest.approx(1.0, abs=1e-15)
+        sweep = sl_root_sweep(p, k1)
+        row = round(1.0 / SWEEP_STEP)
+        assert sweep[row]["y_d"] == 1.0
+        assert [len(r["roots"]) for r in sweep[row - 1:row + 2]] == [3, 2, 1]
+        assert repr(sweep) == repr(_per_row_sweep(p, k1))
+
+    def test_roots_closer_than_1e8_are_not_merged(self):
+        # a1 is one ulp of dk/m, so at y_d = 0 the roots are 0 and +-6.9e-9
+        p = _stiffening(-0.05)
+        k1 = float(np.nextafter(p.dk / p.m, 0.0))
+        sweep = sl_root_sweep(p, k1)
+        lo, mid, hi = sweep[0]["roots"]
+        assert mid == 0.0 and -1e-8 < lo < 0.0 < hi < 1e-8
+        assert repr(sweep) == repr(_per_row_sweep(p, k1))
+
+    def test_plant_without_cubic_term(self, gains):
+        p = MsdParams(k=1.5, c_d=0.3, alpha=0.5, m=1.0, g0=9.81, dk=0.0, dc_d=0.06, dalpha=0.0)
+        k1 = gains.k_star[0]
+        assert sl_steady_polynomial(p, k1, 1.0)[0] == 0.0
+        sweep = sl_root_sweep(p, k1)
+        assert all(len(row["roots"]) == 1 for row in sweep)
+        assert repr(sweep) == repr(_per_row_sweep(p, k1))
+
+    def test_overflowing_cubic_raises(self):
+        p = preset("scenario1").plant
+        with pytest.raises(OverflowError):
+            _per_row_sweep(p, -1e110)
+        with pytest.raises(OverflowError):
+            sl_root_sweep(p, -1e110)
