@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from pathlib import Path
 
@@ -119,7 +120,13 @@ def run_analyze(cfg: ScenarioConfig) -> dict:
     }
 
 
-def run_steady_state(cfg: ScenarioConfig) -> tuple[dict, list[dict]]:
+def run_steady_state(cfg: ScenarioConfig) -> tuple[dict, Iterator[dict]]:
+    """The equilibria report and the single-loop root sweep's rows.
+
+    The rows are a generator: the sweep is solved when they are read, which
+    ``_run_stage`` does once, by the CSV writer, before the stage writes any
+    file.  A caller that reads only the report solves no sweep.
+    """
     design = _design(cfg)
     k1 = design.gains.k_star[0]
     report = {
@@ -129,7 +136,11 @@ def run_steady_state(cfg: ScenarioConfig) -> tuple[dict, list[dict]]:
             cfg.plant, design.gains, cfg.y_d, high_gain=True).to_dict(),
         "sl_multiplicity_transition_y_d": ss_mod.multiplicity_transition(cfg.plant, k1),
     }
-    return report, ss_mod.sl_root_sweep(cfg.plant, k1)
+
+    def rows():
+        yield from ss_mod.sl_root_sweep(cfg.plant, k1)
+
+    return report, rows()
 
 
 def run_roa(cfg: ScenarioConfig) -> tuple[dict, list[tuple]]:
@@ -224,15 +235,18 @@ def _run_stage(cfg: ScenarioConfig, stage: str, out_dir: Path,
     """Run one stage, write its reports into ``out_dir`` and return its result.
 
     The stage and its writers are looked up by their module names at each call,
-    so a wrapped ``run_<stage>`` or writer is the one that runs.
+    so a wrapped ``run_<stage>`` or writer is the one that runs.  A stage's rows
+    are read once, by their writer, and all of them before any file of the
+    stage is written: the steady-state rows are a generator, so their CSV is
+    written first.  A stage that raises therefore writes nothing.
     """
     if stage == "analyze":
         result = run_analyze(cfg)
         _write_json(out_dir / "analyze.json", result)
     elif stage == "steady_state":
         result = report, sweep = run_steady_state(cfg)
+        _write_sweep_csv(out_dir / "steady_state_sweep.csv", sweep)  # solves the sweep
         _write_json(out_dir / "steady_state.json", report)
-        _write_sweep_csv(out_dir / "steady_state_sweep.csv", sweep)
     elif stage == "roa":
         result = report, boundaries = run_roa(cfg)
         _write_json(out_dir / "roa.json", report)
@@ -327,7 +341,7 @@ def _write_json(path: Path, data: dict):
         fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _write_sweep_csv(path: Path, sweep: list[dict]):
+def _write_sweep_csv(path: Path, sweep: Iterable[dict]):
     lines = ["y_d,count,root1,root2,root3"]
     for row in sweep:
         roots = row["roots"]

@@ -210,9 +210,10 @@ def falsify_sets(
     Each estimate runs under the loop it certifies (``RoaEstimate.controller``)
     and gets ``count`` samples drawn with ``seed``; all columns run under
     one law (see ``build_closed_loop``) with their set's level, and V is each
-    set's own ``lyapunov_value``.  A run converges when its final state lies
-    within one percent of its initial distance to the analytic equilibrium
-    (0.01 absolute when starting on it).  Lyapunov increase is monitored
+    set's own ``lyapunov_value``.  A run converges when it has not diverged
+    and its final state lies within max(0.01 d0, 0.01) of the analytic
+    equilibrium, d0 being its initial distance to it: one percent of that
+    distance, and never less than 0.01.  Lyapunov increase is monitored
     online while the state remains inside its set.  Violations are data, not
     errors.  Returns one report per set, in order.
     """

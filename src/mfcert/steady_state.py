@@ -7,8 +7,7 @@ found in closed form, classified by linearising the matching error dynamics,
 and the canonical equilibrium is the root closest to the frame's reference
 point.  The set-point at which the single-loop cubic goes from three real
 roots to one is its fold, also in closed form.  The single-loop root sweep
-solves its whole set-point grid as arrays by ``solve_cubic``'s rules, and each
-row is bit-equal to ``solve_cubic`` of its cubic.
+makes one ``solve_cubic`` call per set-point of its grid.
 """
 
 from __future__ import annotations
@@ -329,93 +328,15 @@ def fflin_equilibrium(p: MsdParams, gains: GainSet, y_d: float) -> float:
     return roots[_select(roots, y)[0]]
 
 
-def _cube_roots(w: np.ndarray) -> np.ndarray:
-    """``solve_cubic``'s real cube root of each element, through Python's ``**``."""
-    return np.array([math.copysign(abs(v) ** (1.0 / 3.0), v) for v in w.tolist()])
-
-
-def _solve_cubics(a3: float, a2: float, a1: float, a0: np.ndarray) -> list[list[float]]:
-    """``solve_cubic((a3, a2, a1, a0[i]))`` for every i, with a3 != 0, as array steps.
-
-    Each step is ``solve_cubic``'s own expression, in its order, over the rows
-    of its branch; the coefficients shared by every row stay Python floats, so
-    ``p**3`` raises OverflowError as it does there.  numpy's ``+ - * /``,
-    ``sqrt``, ``minimum`` and ``maximum`` round as Python's do, but its
-    ``arccos``, ``cos`` and ``**`` do not: those run per element through
-    ``math``, as do the rare double roots, whose ``/ p`` may divide by zero.
-    """
-    n = a0.size
-    # Python floats overflow to inf and nan without a warning
-    with np.errstate(all="ignore"):
-        shift = a2 / (3.0 * a3)
-        p = a1 / a3 - 3.0 * shift * shift
-        q = 2.0 * shift**3 - shift * a1 / a3 + a0 / a3
-        disc = -4.0 * p**3 - 27.0 * q * q
-        disc_scale = 4.0 * abs(p) ** 3 + 27.0 * q * q
-        three = disc > 1e-10 * disc_scale
-        one = ~three & (disc < -1e-10 * disc_scale)
-        triple = ~three & ~one & (disc_scale == 0.0)
-        double = ~(three | one | triple)
-
-        # each row's unpolished roots, NaN-padded; finite coefficients give no NaN root
-        x = np.full((n, 3), np.nan)
-        if three.any():
-            r = 2.0 * math.sqrt(-p / 3.0)
-            arg = (3.0 * q[three]) / (p * r)
-            arg = np.minimum(1.0, np.maximum(-1.0, arg))
-            theta = np.array(list(map(math.acos, arg.tolist())))
-            for k in range(3):
-                angle = theta / 3.0 - 2.0 * math.pi * k / 3.0
-                x[three, k] = r * np.array(list(map(math.cos, angle.tolist()))) - shift
-        if one.any():
-            qo = q[one]
-            s = np.sqrt(np.maximum(qo * qo / 4.0 + p**3 / 27.0, 0.0))
-            x[one, 0] = _cube_roots(-qo / 2.0 + s) + _cube_roots(-qo / 2.0 - s) - shift
-        x[triple, 0] = -shift
-        if double.any():
-            x[double, :2] = [(3.0 * v / p - shift, -3.0 * v / (2.0 * p) - shift)
-                             for v in q[double].tolist()]
-
-        # _polish: every root takes its own steps and stops on its own rules
-        c = a0[:, None]
-        live = np.ones((n, 3), dtype=bool)
-        for _ in range(5):
-            val = ((a3 * x + a2) * x + a1) * x + c
-            dval = (3.0 * a3 * x + 2.0 * a2) * x + a1
-            step = val / dval
-            live &= (dval != 0.0) & np.isfinite(step)
-            x = np.where(live, x - step, x)
-            live &= ~(np.abs(step) <= 1e-15 * (1.0 + np.abs(x)))
-            if not live.any():
-                break
-
-        # sorted() is stable, and the NaN padding sorts last; then the merge
-        x = np.sort(x, axis=1, kind="stable")
-        r0, r1, r2 = x.T
-        keep1 = (three | double) & ~(np.abs(r1 - r0) <= 1e-9 * (1.0 + np.abs(r1)))
-        last = np.where(keep1, r1, r0)
-        keep2 = three & ~(np.abs(r2 - last) <= 1e-9 * (1.0 + np.abs(r2)))
-    keep = np.column_stack((np.ones(n, dtype=bool), keep1, keep2))
-    flat = x[keep].tolist()
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
-    return [flat[i:j] for i, j in zip([0] + ends[:-1], ends)]
-
-
 def sl_root_sweep(p: MsdParams, k1_sl: float) -> list[dict]:
     """Root data of the single-loop steady-state cubic on the set-point grid.
 
-    The grid's cubics share a3, a2 = 0 and a1; only a0 = -k1 y_d varies.  So
-    the whole grid is solved as arrays, by ``solve_cubic``'s rules and in its
-    IEEE order, and every row is bit-equal to ``solve_cubic`` of its cubic.  A
-    plant without a cubic term is solved row by row.
+    One ``solve_cubic`` call per set-point.  The grid's cubics share a3,
+    a2 = 0 and a1; only a0 = -k1 y_d varies.
     """
     a3, a2, a1, a0 = sl_steady_polynomial(p, k1_sl, 1.0).tolist()  # a0 is linear in y_d
-    ys = np.arange(Y_D_MIN, Y_D_MAX + 1e-9, SWEEP_STEP)
-    if a3 == 0.0:
-        roots = [solve_cubic((a3, a2, a1, a0 * y)) for y in ys.tolist()]
-    else:
-        roots = _solve_cubics(a3, a2, a1, a0 * ys)
-    return [{"y_d": y, "roots": r} for y, r in zip(ys.tolist(), roots)]
+    return [{"y_d": y, "roots": solve_cubic((a3, a2, a1, a0 * y))}
+            for y in np.arange(Y_D_MIN, Y_D_MAX + 1e-9, SWEEP_STEP).tolist()]
 
 
 def multiplicity_transition(p: MsdParams, k1_sl: float) -> float | None:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mfcert
-from mfcert import cli
+from mfcert import cli, steady_state
 from mfcert.cli import main, run_analyze, run_simulate, run_steady_state
 from mfcert.config import ConfigError, parse_config, preset
 
@@ -188,6 +188,45 @@ class TestSteadyStateConsistency:
         assert metrics["SL"]["x_s"][0] == steady["SL"]["selected"]
         assert metrics["SLHG"]["x_s"][0] == steady["SLHG"]["selected"]
         assert metrics["MFC"]["x_s"][0] == cfg.y_d + steady["MFC"]["selected"]
+
+
+class TestRootSweepIsSolvedWhenWritten:
+    """The steady-state stage solves its root sweep once, for the CSV, and a
+    report without its rows solves none."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        sweep = steady_state.sl_root_sweep
+
+        def counted(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(steady_state, "sl_root_sweep", counted)
+        return calls
+
+    def test_report_alone_solves_no_sweep(self, calls):
+        run_steady_state(preset("scenario1"))
+        assert len(calls) == 0
+
+    def test_reading_the_rows_solves_it_once(self, calls):
+        _, rows = run_steady_state(preset("scenario1"))
+        assert len(list(rows)) == 251
+        assert len(calls) == 1
+
+    def test_stage_solves_it_once(self, calls, tmp_path):
+        cli._run_stage(preset("scenario1"), "steady_state", tmp_path)
+        assert len(calls) == 1
+        assert len((tmp_path / "steady_state_sweep.csv").read_text().splitlines()) == 252
+
+    def test_failing_sweep_leaves_only_the_config(self, monkeypatch, tmp_path):
+        def fail(*args):
+            raise ArithmeticError("sweep failed")
+
+        monkeypatch.setattr(steady_state, "sl_root_sweep", fail)
+        assert main(["steady-state", "--preset", "scenario1", "--out", str(tmp_path)]) == 2
+        assert {path.name for path in tmp_path.iterdir()} == {"config.json"}
 
 
 class TestFalsifyCommand:

@@ -133,8 +133,9 @@ def test_seeded_design_outputs_bytes(tmp_path):
 
 
 def test_root_sweeps_are_per_row_solve_cubic():
-    """Every row of the array sweep has the bits of its own ``solve_cubic`` call, at
-    both single-loop gains of the presets and the seeded designs."""
+    """Every row of ``sl_root_sweep`` has the bits of its own ``solve_cubic`` call on
+    ``sl_steady_polynomial``, at both single-loop gains of the presets and the
+    seeded designs."""
     ys = np.arange(Y_D_MIN, Y_D_MAX + 1e-9, SWEEP_STEP).tolist()
     differ = []
     for cfg in [preset(name) for name in sorted(REPORT_SHA256)] + _seeded_designs():

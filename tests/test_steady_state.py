@@ -258,7 +258,7 @@ def _stiffening(dk):
 
 
 class TestRootSweepBranches:
-    """The array sweep equals the per-row ``solve_cubic`` by ``repr`` on its rare rows."""
+    """The root sweep equals ``solve_cubic`` of each row's cubic by ``repr`` on its rare rows."""
 
     def test_triple_root_at_zero_set_point(self):
         p = _stiffening(-0.2)
