@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .plant import Box, DEFAULT_DOMAIN, MsdParams
+from .roa import _FRAMES
+from .simulate import CONTROLLER_KINDS
 
 __all__ = [
     "ConfigError",
@@ -31,8 +33,6 @@ __all__ = [
 ]
 
 PRESET_NAMES = ("scenario1", "scenario2")
-_CONTROLLERS = ("SL", "SLHG", "MFC", "FFLIN")
-_ROA_KINDS = ("MFC1", "MFC2", "SL", "SLHG")
 #: Falsification samples per set when a configuration names none.
 FALSIFY_SAMPLES = 500
 
@@ -165,21 +165,26 @@ def parse_config(data: Mapping) -> ScenarioConfig:
     _expect(horizon > 0, "horizon", "must be positive")
     step = _as_float(data.get("step", 1e-3), "step")
     _expect(0 < step <= horizon, "step", "must lie in (0, horizon]")
+    # the integrators take round(horizon / step) steps, which must end at the horizon
+    ratio = horizon / step
+    _expect(math.isfinite(ratio), "step", "is too small: horizon / step overflows")
+    _expect(abs(round(ratio) * step - horizon) <= 1e-9 * horizon,
+            "step", "must divide the horizon into a whole number of steps")
 
     controllers = data.get("controllers", ["SL", "SLHG", "MFC"])
     _expect(isinstance(controllers, Sequence) and not isinstance(controllers, str),
             "controllers", "must be a list")
     _expect(len(controllers) > 0, "controllers", "must not be empty")
     for i, c in enumerate(controllers):
-        _expect(c in _CONTROLLERS, f"controllers[{i}]",
-                f"must be one of {list(_CONTROLLERS)}")
+        _expect(c in CONTROLLER_KINDS, f"controllers[{i}]",
+                f"must be one of {list(CONTROLLER_KINDS)}")
 
-    roa_kinds = data.get("roa_kinds", list(_ROA_KINDS))
+    roa_kinds = data.get("roa_kinds", list(_FRAMES))
     _expect(isinstance(roa_kinds, Sequence) and not isinstance(roa_kinds, str),
             "roa_kinds", "must be a list")
     for i, kname in enumerate(roa_kinds):
-        _expect(kname in _ROA_KINDS, f"roa_kinds[{i}]",
-                f"must be one of {list(_ROA_KINDS)}")
+        _expect(kname in _FRAMES, f"roa_kinds[{i}]",
+                f"must be one of {list(_FRAMES)}")
 
     domain = DEFAULT_DOMAIN
     if "domain" in data:

@@ -95,16 +95,22 @@ def _combined_radius(
     return (None if r is None else r / math.sqrt(2.0)), reason
 
 
-def c_star(vartheta: float, P: np.ndarray, x_tilde_star_0: Sequence[float]) -> float:
-    """Model-loop level vartheta * e0' P e0 for the initial model error e0."""
+def c_star(vartheta: float, P: np.ndarray, x_tilde_star_0) -> float | np.ndarray:
+    """Model-loop level vartheta e0' P e0 of one initial model error e0 (a float) or
+    of a batch (..., 2) of them (an array): ``_frame_v``'s model term, so V =
+    c_star(e*) + z' P z bit for bit.  A non-finite level raises naming its e0 row."""
     if vartheta <= 0:
         raise ValueError("vartheta must be positive")
     e0 = np.asarray(x_tilde_star_0, dtype=float)
+    if e0.shape[-1:] != (2,):
+        raise ValueError(f"a model error has 2 components, not shape {e0.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        level = float(vartheta * e0 @ np.asarray(P) @ e0)
-    if not math.isfinite(level):
-        raise ArithmeticError(f"model-loop level c_star = {level} for e0 = {e0.tolist()}")
-    return level
+        level = _model_term(_quadform(P), vartheta, e0[..., 0], e0[..., 1])
+    if not np.isfinite(level).all():
+        row = tuple(np.argwhere(~np.isfinite(level))[0].tolist())
+        raise ArithmeticError(f"model-loop level c_star = {float(level[row])} for "
+                              f"e0 = {e0[row].tolist()}" + (f" in row {row}" if row else ""))
+    return float(level) if np.ndim(level) == 0 else level
 
 
 def c_star_budget(
@@ -223,6 +229,13 @@ def _quadform(P):
     return quadform
 
 
+def _model_term(q, vartheta, e1, e2):
+    """vartheta e*' P e* of the model error (e1, e2), with q = ``_quadform(P)``."""
+    v = q(e1, e2)
+    v *= vartheta
+    return v
+
+
 def _frame_v(P, vartheta, y_d, c1, scale, two_loop: bool):
     """The one V = vartheta e*' P e* + z' P z of a certified frame, as ``v_of(t, y)``
     of y = (x*1, x*2, x1, x2), or of y = (x1, x2) with e* = 0 in a single loop:
@@ -239,8 +252,7 @@ def _frame_v(P, vartheta, y_d, c1, scale, two_loop: bool):
             z1 *= s1
             z2 = x2 - xs2
             z2 *= s2
-            v = q(e1, xs2)
-            v *= vartheta
+            v = _model_term(q, vartheta, e1, xs2)
             v += q(z1, z2)
             return v
     else:
@@ -352,16 +364,15 @@ class RoaEstimate:
         return float(v) if np.ndim(v) == 0 else v
 
     def contains(self, x, x_star=None) -> bool | np.ndarray:
+        """One rule for a pair or a batch of every kind: (c_star(e*) - c_star) + z' P z
+        <= slice_level, c_star 0 but for MFC2; for the others V <= level bit for bit.
+        MFC2 weighs z' P z against c_tilde itself, which c_star + c_tilde may round
+        away.  A single loop takes no model state (e* = 0)."""
         if not self.valid:
             raise ValueError(f"estimate {self.kind} is invalid ({self.reason})")
-        if self.c_star is None:
-            return self.lyapunov_value(x, x_star) <= self.level
-        # c_star + c_tilde may round c_tilde away: the split set weighs the model
-        # level's excess over c_star, by the c_star that set it, and z' P z against c_tilde
-        process = self._value(0.0, x, x_star)
-        e_star = np.asarray(x_star, dtype=float) - np.asarray(self.x_d)
-        model = [c_star(self.vartheta, self.P, e) for e in e_star.reshape(-1, self.n)]
-        return (np.reshape(model, e_star.shape[:-1]) - self.c_star) + process <= self.c_tilde
+        e_star = np.subtract(self.x_d if x_star is None else x_star, self.x_d)
+        model = c_star(self.vartheta, self.P, e_star) - (self.c_star or 0.0)
+        return model + self._value(0.0, x, x_star) <= self.slice_level
 
     def physical_shape(self) -> tuple[np.ndarray, float, np.ndarray]:
         """Shape matrix, level and center of the drawable set in physical coordinates.

@@ -420,8 +420,8 @@ def steady_state_of(
     steady-state cubic, built from the parameters of an ``MsdPlant``: for the
     two-loop scheme the output error closest to zero, for the other kinds the
     output closest to the set-point.  The state rests, so every other
-    component is zero.  ``vartheta`` only weighs the Lyapunov value and does
-    not affect the equilibrium.
+    component is zero.  ``vartheta`` is unused: the equilibrium does not
+    depend on it, and no Lyapunov value is computed here.
     """
     if not isinstance(plant, MsdPlant):
         raise TypeError("closed-form steady states need an MsdPlant")

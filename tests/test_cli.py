@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mfcert
-from mfcert import cli, steady_state
+from mfcert import cli, config, roa, simulate, steady_state
 from mfcert.cli import main, run_analyze, run_simulate, run_steady_state
 from mfcert.config import ConfigError, parse_config, preset
 
@@ -290,6 +290,36 @@ class TestConfigErrors:
         assert run.returncode == 1
         assert "Traceback" not in run.stderr
         assert "poles" in run.stderr
+
+    def test_horizon_must_be_a_whole_number_of_steps(self, tmp_path, capsys):
+        # three steps of 0.3 end at t = 0.9, not at the horizon of 1 s
+        out = tmp_path / "out"
+        code = main(["simulate", "--preset", "scenario1", "--horizon", "1", "--step", "0.3",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "step" in err[0]
+        assert not out.exists()
+
+    # 0.3 / 0.1 and 0.7 / 0.07 are whole step counts that do not divide exactly in floats
+    @pytest.mark.parametrize("horizon, step", [(10.0, 1e-3), (0.3, 0.1), (0.7, 0.07)])
+    def test_whole_step_grids_parse(self, horizon, step):
+        cfg = parse_config({**preset("scenario1").to_dict(), "horizon": horizon, "step": step})
+        assert (cfg.horizon, cfg.step) == (horizon, step)
+
+    def test_config_holds_no_copy_of_the_kind_lists(self):
+        # controllers and estimate kinds are validated against their owners' lists
+        owners = (simulate.CONTROLLER_KINDS, roa._FRAMES)
+        for name, value in vars(config).items():
+            if isinstance(value, (tuple, list, dict)):
+                assert not any(value is not owner and list(value) == list(owner)
+                               for owner in owners), name
+        default = {k: v for k, v in preset("scenario1").to_dict().items() if k != "roa_kinds"}
+        assert parse_config(default).roa_kinds == ("MFC1", "MFC2", "SL", "SLHG")
+
+    def test_overflowing_step_count_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="step: is too small"):
+            parse_config({**preset("scenario1").to_dict(), "horizon": 1e308, "step": 1e-300})
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--samples", "0", "falsify.samples"),

@@ -101,7 +101,7 @@ def test_design_report_bytes(tmp_path, name):
 
 
 #: One SHA-256 over the steady-state and ROA outputs of the seeded designs.
-DESIGNS_SHA256 = "2b279d5bef0719f4ed33f1a4315b54128dd128269d1a14d980a3d61f16661287"
+DESIGNS_SHA256 = "9893639b9f1dd812de13e8c25c4c049708959177958a9d10d556585f71dca52d"
 
 
 def _seeded_designs(count=12, seed=2024):

@@ -30,6 +30,7 @@ from mfcert.roa import (
     _level,
     c_star_budget,
 )
+from mfcert.falsify import sample_in_set
 from mfcert.synthesis import time_scaling
 
 
@@ -59,6 +60,34 @@ class TestCStar:
     def test_requires_positive_weight(self, cert):
         with pytest.raises(ValueError):
             c_star(0.0, cert.P, (1.0, 0.0))
+
+    def test_preset_levels_are_exact_one_at_a_time_and_batched(self, cert):
+        assert c_star(1000.0, cert.P, (-0.75, 0.0)) == 632.8125
+        assert c_star(1000.0, cert.P, (-2.0, 0.0)) == 4500.0
+        batch = c_star(1000.0, cert.P, np.array([[-0.75, 0.0], [-2.0, 0.0]]))
+        assert batch.tolist() == [632.8125, 4500.0]
+
+    @pytest.mark.parametrize("vartheta", [1.5, 100.0, 1000.0, 1e4])
+    def test_batch_is_per_row_bit_for_bit(self, cert, vartheta):
+        rng = np.random.Generator(np.random.PCG64(5))
+        e0 = rng.normal(size=(3, 40, 2)) * 10.0 ** rng.uniform(-3, 3, size=(3, 40, 1))
+        batch = c_star(vartheta, cert.P, e0)
+        assert batch.shape == (3, 40)
+        rows = np.array([[c_star(vartheta, cert.P, e) for e in block] for block in e0])
+        assert batch.tobytes() == rows.tobytes()
+
+    def test_non_finite_row_is_named(self, cert):
+        e0 = np.zeros((5, 2))
+        e0[3] = (1e200, 0.0)
+        with pytest.raises(ArithmeticError, match=r"e0 = \[1e\+200, 0\.0\] in row \(3,\)"):
+            c_star(1000.0, cert.P, e0)
+        with pytest.raises(ArithmeticError, match=r"c_star = inf for e0 = \[1e\+200, 0\.0\]$"):
+            c_star(1000.0, cert.P, e0[3])
+
+    @pytest.mark.parametrize("e0", [(1.0, 0.0, 2.0), np.zeros((4, 3)), 1.0, np.zeros((2, 1))])
+    def test_model_error_has_two_components(self, cert, e0):
+        with pytest.raises(ValueError, match="has 2 components"):
+            c_star(1000.0, cert.P, e0)
 
 
 class TestRadii:
@@ -608,6 +637,45 @@ class TestSplitMembership:
             assert not member.contains(outward, start)
         both = member.contains(np.stack([vertex, outward]), np.stack([start, start]))
         assert both.tolist() == [True, False]
+
+
+def _preset_sets(name):
+    return {k: est for k, est in cli._design(config.preset(name)).estimates.items() if est.valid}
+
+
+class TestOneLevelRule:
+    """``c_star`` is V's model term, so ``contains`` tests a batch by one rule."""
+
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+    def test_v_is_c_star_plus_process_bytes(self, name):
+        sets = {k: est for k, est in _preset_sets(name).items() if k in ("MFC1", "MFC2")}
+        assert len(sets) == 2
+        for est in sets.values():
+            x, x_star = sample_in_set(est, 500, seed=0)
+            v = est.lyapunov_value(x, x_star)
+            model = c_star(est.vartheta, est.P, x_star - np.asarray(est.x_d))
+            assert v.tobytes() == (model + est._value(0.0, x, x_star)).tobytes()
+
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+    def test_batched_contains_is_per_row(self, name):
+        sets = _preset_sets(name)
+        # every set's own starts and the same pushed 1.5 times as far from its centre,
+        # tested against every set: members and non-members of each
+        xs, x_stars = [], []
+        for est in sets.values():
+            x, x_star = sample_in_set(est, 60, seed=1)
+            x_star = np.broadcast_to(est.x_d, x.shape) if x_star is None else x_star
+            x_d, x_s = np.asarray(est.x_d), np.asarray(est.x_s)
+            xs += [x, x_s + 1.5 * (x - x_s)]
+            x_stars += [x_star, x_d + 1.5 * (x_star - x_d)]
+        x, x_star = np.concatenate(xs), np.concatenate(x_stars)
+        for est in sets.values():
+            model = x_star if est.controller == "MFC" else None
+            batch = est.contains(x, model)
+            rows = [est.contains(x[i], None if model is None else model[i]) for i in range(len(x))]
+            assert all(isinstance(row, bool) for row in rows)
+            assert batch.tolist() == rows
+            assert 0 < batch.sum() < len(x)
 
 
 class TestSweepMemory:
