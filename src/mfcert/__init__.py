@@ -50,7 +50,6 @@ from .roa import (
     aux_radius,
     c_star,
     compare_levels,
-    ellipse_boundary,
     estimate_mfc1,
     estimate_mfc2,
     estimate_sl,

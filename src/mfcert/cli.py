@@ -42,7 +42,7 @@ __all__ = ["main"]
 
 class _Design:
     """One configuration's design, read by every stage: gains, certificate, plant
-    and x_d at once, the MFC and SL equilibria and certified sets on first use."""
+    and x_d at once; the MFC, SL and SLHG equilibria and certified sets on first use."""
 
     def __init__(self, cfg: ScenarioConfig):
         self.cfg = cfg
@@ -61,15 +61,21 @@ class _Design:
                                              high_gain=False)
 
     @cached_property
+    def slhg(self) -> ss_mod.EquilibriumSet:
+        return ss_mod.single_loop_equilibria(self.cfg.plant, self.gains, self.cfg.y_d,
+                                             high_gain=True)
+
+    @cached_property
     def estimates(self) -> dict:
-        """Certified sets of ``cfg.roa_kinds``, centred on the design's own equilibria."""
+        """Certified sets of ``cfg.roa_kinds``, each on its loop's rest state, the one
+        ``simulate.steady_state_of`` gives that loop."""
         cfg, cert, x_d = self.cfg, self.cert, self.x_d
-        x_s_mfc, x_s_sl = x_d + (self.mfc.selected, 0.0), np.array([self.sl.selected, 0.0])
+        x_s_mfc = x_d + (self.mfc.selected, 0.0)
         builders = {
             "MFC1": lambda: roa_mod.estimate_mfc1(cfg.plant, cert, x_s_mfc, x_d),
             "MFC2": lambda: roa_mod.estimate_mfc2(cfg.plant, cert, x_s_mfc, x_d, cfg.x0_star),
-            "SL": lambda: roa_mod.estimate_sl(cfg.plant, cert, x_s_sl, x_d),
-            "SLHG": lambda: roa_mod.estimate_slhg(cfg.plant, cert, x_s_mfc, x_d),
+            "SL": lambda: roa_mod.estimate_sl(cfg.plant, cert, (self.sl.selected, 0.0), x_d),
+            "SLHG": lambda: roa_mod.estimate_slhg(cfg.plant, cert, (self.slhg.selected, 0.0), x_d),
         }
         return {kind: builders[kind]() for kind in cfg.roa_kinds}
 
@@ -132,8 +138,7 @@ def run_steady_state(cfg: ScenarioConfig) -> tuple[dict, Iterator[dict]]:
     report = {
         "MFC": design.mfc.to_dict(),
         "SL": design.sl.to_dict(),
-        "SLHG": ss_mod.single_loop_equilibria(
-            cfg.plant, design.gains, cfg.y_d, high_gain=True).to_dict(),
+        "SLHG": design.slhg.to_dict(),
         "sl_multiplicity_transition_y_d": ss_mod.multiplicity_transition(cfg.plant, k1),
     }
 
@@ -172,18 +177,12 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
             traj = sim_mod.simulate_closed_loop(
                 design.plant, spec, cfg.x0, cfg.horizon, cfg.step, vartheta=cfg.vartheta
             )
-            x_s = traj.metadata["x_s"]
-            entry = sim_mod.metrics(traj, x_s)
-            entry["diverged"] = False
+            entry = {**sim_mod.metrics(traj, traj.metadata["x_s"]), "diverged": False}
         except sim_mod.IntegrationError as err:
             traj = err.trajectory
-            x_s = traj.metadata["x_s"]
-            entry = {
-                "diverged": True,
-                "fail_time": err.time,
-                "u0": float(traj.u[0]) if len(traj.u) else None,
-            }
-        entry["x_s"] = [float(v) for v in x_s]
+            entry = {"diverged": True, "fail_time": err.time,
+                     "u0": float(traj.u[0]) if len(traj.u) else None}
+        entry["x_s"] = list(traj.metadata["x_s"])
         all_metrics[kind] = entry
         trajectories[kind] = traj
     return all_metrics, trajectories
@@ -315,9 +314,10 @@ def run_reproduce(
     if scenario == "scenario1":
         spec = design.controller("MFC")
         times = []
+        horizon = round(2.0 / cfg.step) * cfg.step  # 2 s on the config's step grid
         for label, x0 in (("a", (0.1, -8.0)), ("b", (-0.25, 6.0))):
             traj = sim_mod.simulate_closed_loop(
-                design.plant, spec, x0, 2.0, cfg.step, vartheta=cfg.vartheta
+                design.plant, spec, x0, horizon, cfg.step, vartheta=cfg.vartheta
             )
             computed[f"u_mfc_0_perturbed_{label}"] = float(traj.u[0])
             times.append(sim_mod.time_to_track(traj))

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .plant import Box, DEFAULT_DOMAIN, MsdParams
 from .roa import _FRAMES
-from .simulate import CONTROLLER_KINDS
+from .simulate import CONTROLLER_KINDS, whole_steps
 
 __all__ = [
     "ConfigError",
@@ -165,11 +165,10 @@ def parse_config(data: Mapping) -> ScenarioConfig:
     _expect(horizon > 0, "horizon", "must be positive")
     step = _as_float(data.get("step", 1e-3), "step")
     _expect(0 < step <= horizon, "step", "must lie in (0, horizon]")
-    # the integrators take round(horizon / step) steps, which must end at the horizon
-    ratio = horizon / step
-    _expect(math.isfinite(ratio), "step", "is too small: horizon / step overflows")
-    _expect(abs(round(ratio) * step - horizon) <= 1e-9 * horizon,
-            "step", "must divide the horizon into a whole number of steps")
+    try:  # the integrators' own step count, which must end at the horizon
+        whole_steps(horizon, step)
+    except ValueError as exc:
+        raise ConfigError("step", str(exc)) from None
 
     controllers = data.get("controllers", ["SL", "SLHG", "MFC"])
     _expect(isinstance(controllers, Sequence) and not isinstance(controllers, str),

@@ -24,6 +24,7 @@ from .simulate import (
     Trajectory,
     _rk4_components,
     build_closed_loop,
+    whole_steps,
 )
 from .synthesis import GainSet
 
@@ -215,8 +216,10 @@ def falsify_sets(
     equilibrium, d0 being its initial distance to it: one percent of that
     distance, and never less than 0.01.  Lyapunov increase is monitored
     online while the state remains inside its set.  Violations are data, not
-    errors.  Returns one report per set, in order.
+    errors.  Every run takes ``whole_steps(horizon, h)`` steps.  Returns one
+    report per set, in order.
     """
+    steps = whole_steps(horizon, h)
     if not estimates:
         return []
     first = estimates[0]
@@ -249,7 +252,6 @@ def falsify_sets(
     comps = tuple(x0.T.copy())
     if two_loop:
         comps = tuple(np.concatenate(x0_star).T.copy()) + comps
-    steps = int(round(horizon / h))
     alive = np.ones(total, dtype=bool)
     fail_time = np.full(total, np.nan)
     viol_v = np.zeros(total, dtype=bool)

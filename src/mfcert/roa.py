@@ -34,7 +34,6 @@ __all__ = [
     "c_star",
     "c_star_budget",
     "compare_levels",
-    "ellipse_boundary",
     "estimate_mfc1",
     "estimate_mfc2",
     "estimate_sl",
@@ -196,19 +195,6 @@ def _unit_circle(points: int) -> np.ndarray:
 def _on_ellipse(S: np.ndarray, circle: np.ndarray, level: float, center) -> np.ndarray:
     """center + (sqrt(level) * circle) @ S.T; the other grouping changes bits."""
     return np.asarray(center, dtype=float) + math.sqrt(level) * circle @ S.T
-
-
-def ellipse_boundary(
-    P_effective: np.ndarray, level: float, center: Sequence[float], points: int
-) -> np.ndarray:
-    """States x with (x - center)' P_effective (x - center) = level.
-
-    Parameterised by angle through the symmetric inverse square root of the
-    shape matrix; returns an array of shape (points, 2).
-    """
-    if level <= 0:
-        raise ValueError("level must be positive")
-    return _on_ellipse(_inv_sqrt(P_effective), _unit_circle(points), level, center)
 
 
 def _quadform(P):

@@ -42,6 +42,7 @@ __all__ = [
     "IntegrationError",
     "simulate_closed_loop",
     "steady_state_of",
+    "whole_steps",
     "metrics",
     "time_to_track",
 ]
@@ -411,6 +412,20 @@ def build_closed_loop(
     return _Loop(2, rhs, control, dref, make_v if columns is None else None)
 
 
+def whole_steps(horizon: float, h: float) -> int:
+    """Every integrator's step count: ValueError unless ``h > 0`` divides ``horizon``
+    into a whole number of steps, at least one, to within 1e-9 of the horizon."""
+    if not h > 0:
+        raise ValueError("step size must be positive")
+    ratio = horizon / h
+    if not math.isfinite(ratio):
+        raise ValueError("is too small: horizon / step overflows")
+    steps = round(ratio)
+    if steps < 1 or abs(steps * h - horizon) > 1e-9 * horizon:
+        raise ValueError("must divide the horizon into a whole number of steps")
+    return steps
+
+
 def steady_state_of(
     plant: MsdPlant, controller: ControllerSpec, vartheta: float | None = None
 ) -> np.ndarray:
@@ -420,8 +435,9 @@ def steady_state_of(
     steady-state cubic, built from the parameters of an ``MsdPlant``: for the
     two-loop scheme the output error closest to zero, for the other kinds the
     output closest to the set-point.  The state rests, so every other
-    component is zero.  ``vartheta`` is unused: the equilibrium does not
-    depend on it, and no Lyapunov value is computed here.
+    component is zero.  The CLI's design solves the same cubics alike, so its
+    certified set of the loop sits on this rest state, bit for bit.
+    ``vartheta`` is unused: the equilibrium does not depend on it.
     """
     if not isinstance(plant, MsdPlant):
         raise TypeError("closed-form steady states need an MsdPlant")
@@ -452,14 +468,12 @@ def simulate_closed_loop(
     The two-loop scheme integrates the coupled model/process pair; the model
     loop sees no uncertainty by construction.  Single-loop runs repeat the
     reference state in the model-state slot.  V is centred on
-    ``steady_state_of``; ``vartheta`` weighs its model error.  Raises
+    ``steady_state_of``; ``vartheta`` weighs its model error.  The run ends at
+    the horizon, after ``whole_steps(horizon, h)`` steps.  Raises
     IntegrationError when a state goes non-finite; the partial trajectory
     rides on the exception.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    if horizon < h:
-        raise ValueError("horizon must be at least one step")
+    steps = whole_steps(horizon, h)
     if len(x0) != 2:
         raise ValueError("x0 must have 2 components")
 
@@ -476,7 +490,6 @@ def simulate_closed_loop(
             x0_star = x_d
         comps = tuple(float(v) for v in x0_star) + comps
 
-    steps = int(round(horizon / h))
     rhs = loop.rhs
     states = [comps]
     fail_time = None

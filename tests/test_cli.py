@@ -189,6 +189,33 @@ class TestSteadyStateConsistency:
         assert metrics["SLHG"]["x_s"][0] == steady["SLHG"]["selected"]
         assert metrics["MFC"]["x_s"][0] == cfg.y_d + steady["MFC"]["selected"]
 
+    @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
+    def test_slhg_rest_state_is_one_float(self, tmp_path, scenario):
+        # the certified set, the steady-state report and the run of the high-gain
+        # loop all sit on its own cubic's root, read back from the written files
+        cfg = dataclasses.replace(preset(scenario), horizon=0.01)
+        for stage in ("steady_state", "roa", "simulate"):
+            cli._run_stage(cfg, stage, tmp_path)
+        center = _read_json(tmp_path / "roa.json")["SLHG"]["center"][0]
+        selected = _read_json(tmp_path / "steady_state.json")["SLHG"]["selected"]
+        x_s = _read_json(tmp_path / "metrics.json")["SLHG"]["x_s"][0]
+        assert center == selected == x_s
+
+    def test_slhg_cubic_is_solved_once_per_design(self, monkeypatch):
+        high_gain = []
+        solve = steady_state.single_loop_equilibria
+
+        def counted(*args, **kwargs):
+            high_gain.append(kwargs.get("high_gain", False))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(steady_state, "single_loop_equilibria", counted)
+        cfg = preset("scenario2")
+        for _ in range(2):
+            run_steady_state(cfg)
+            cli.run_roa(cfg)
+        assert high_gain.count(True) == 1
+
 
 class TestRootSweepIsSolvedWhenWritten:
     """The steady-state stage solves its root sweep once, for the CSV, and a
@@ -568,6 +595,26 @@ class TestReproduce:
         valid = [rep for rep in _read_json(tmp_path / "falsify.json").values()
                  if rep["valid"]]
         assert valid and all(rep["horizon"] == 2.0 and rep["h"] == 0.002 for rep in valid)
+
+    def test_reconvergence_runs_end_on_their_own_horizon(self, tmp_path, monkeypatch):
+        # 2 s is no whole number of 0.03 s steps: the runs take 67 steps to 2.01 s
+        runs = []
+        simulate_closed_loop = simulate.simulate_closed_loop
+
+        def spy(plant, spec, x0, horizon, h, vartheta):
+            traj = simulate_closed_loop(plant, spec, x0, horizon, h, vartheta)
+            runs.append((horizon, h, traj.t[-1], len(traj.t) - 1))
+            return traj
+
+        monkeypatch.setattr(simulate, "simulate_closed_loop", spy)
+        code = main(["reproduce", "scenario1", "--horizon", "0.9", "--step", "0.03",
+                     "--samples", "8", "--out", str(tmp_path)])
+        assert code != 2
+        reconvergence = [run for run in runs if run[0] != 0.9]
+        assert len(reconvergence) == 2
+        for horizon, h, end, steps in reconvergence:
+            assert h == 0.03 and steps == 67
+            assert end == horizon == 67 * 0.03
 
     def test_zero_set_point_is_a_mismatch_not_a_failure(self, tmp_path, capsys):
         cfg = {**preset("scenario1").to_dict(), "y_d": 0.0, "horizon": 1.0,

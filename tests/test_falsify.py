@@ -312,7 +312,7 @@ class TestStepCounters:
         return calls
 
     @pytest.mark.parametrize("kind, horizon, h", [
-        ("SL", 0.5, 1e-3), ("MFC", 0.5, 1e-3), ("FFLIN", 0.3, 0.07), ("SLHG", 0.1, 0.1),
+        ("SL", 0.5, 1e-3), ("MFC", 0.5, 1e-3), ("FFLIN", 0.28, 0.07), ("SLHG", 0.1, 0.1),
     ])
     def test_single_runs(self, monkeypatch, plant, gains, kind, horizon, h):
         single = self._counting(monkeypatch, simulate)
@@ -329,3 +329,17 @@ class TestStepCounters:
         falsify_sets(sets, plant, gains, count=7, horizon=0.25, h=1e-3, seed=0)
         assert batch == [2 * 7] * round(0.25 / 1e-3)
         assert single == []
+
+    # 0.3 / 0.07 rounds to 4 steps ending at 0.28; 0.03 / 0.07 rounds to none at all
+    @pytest.mark.parametrize("horizon, h", [(0.3, 0.07), (0.03, 0.07)])
+    def test_off_grid_horizons_are_refused(self, monkeypatch, scenario1_estimates, plant,
+                                           gains, horizon, h):
+        single = self._counting(monkeypatch, simulate)
+        batch = self._counting(monkeypatch, falsify)
+        spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
+        with pytest.raises(ValueError, match="whole number of steps"):
+            simulate_closed_loop(plant, spec, (0.1, 0.0), horizon, h, vartheta=1000.0)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            falsify_sets([scenario1_estimates["SL"]], plant, gains, count=7,
+                         horizon=horizon, h=h, seed=0)
+        assert single == batch == []

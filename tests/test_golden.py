@@ -19,6 +19,7 @@ import pytest
 
 from mfcert import cli, roa
 from mfcert.config import parse_config, preset
+from mfcert.simulate import steady_state_of
 from mfcert.steady_state import (
     SWEEP_STEP,
     Y_D_MAX,
@@ -64,8 +65,8 @@ REPORT_SHA256 = {
         "steady_state.json": "bd0a9d89dfdb340404634c12daf829099441891cbfb9f7c8ecad05e1557805ca",
         "steady_state_sweep.csv":
             "3d4941cf1f901d57d1355013e5097eaea9aac037ff4ab80f11ed0e4a100c5db5",
-        "roa.json": "57729dbc5807d4085eb6e58d5418d756cc976f8efe7cd7e29ab80b7ef5684e12",
-        "roa_boundaries.csv": "b17a7bb2c4428a1c277fab6863855bc1035b020f799efbbf219bbee73b42f9ea",
+        "roa.json": "9d7eb8989b1066981acd1c0baf3aa38769657fdfff6d9923fc5c6284d892ecd6",
+        "roa_boundaries.csv": "995d2aba8bf01a0d18094669ab432c253ababea2931a0886a5416b8f1d3e0a60",
     },
 }
 
@@ -101,7 +102,7 @@ def test_design_report_bytes(tmp_path, name):
 
 
 #: One SHA-256 over the steady-state and ROA outputs of the seeded designs.
-DESIGNS_SHA256 = "9893639b9f1dd812de13e8c25c4c049708959177958a9d10d556585f71dca52d"
+DESIGNS_SHA256 = "1767343f1138a57e81e08e0a78016253715c79d0baabd9dc69069499e35f0038"
 
 
 def _seeded_designs(count=12, seed=2024):
@@ -130,6 +131,20 @@ def test_seeded_design_outputs_bytes(tmp_path):
                      "roa_boundaries.csv"):
             digest.update((tmp_path / file).read_bytes())
     assert digest.hexdigest() == DESIGNS_SHA256
+
+
+def test_seeded_rest_states_are_one_float():
+    """Each loop's certified sets and its runs sit on one rest state: the design's
+    selected root of that loop's own cubic."""
+    for cfg in _seeded_designs():
+        design = cli._design(cfg)
+        estimates = design.estimates
+        for kind, rest, sets in (("SL", design.sl.selected, ("SL",)),
+                                 ("SLHG", design.slhg.selected, ("SLHG",)),
+                                 ("MFC", cfg.y_d + design.mfc.selected, ("MFC1", "MFC2"))):
+            x_s = steady_state_of(design.plant, design.controller(kind))[0]
+            assert x_s == rest, kind
+            assert all(estimates[name].x_s[0] == rest for name in sets), kind
 
 
 def test_root_sweeps_are_per_row_solve_cubic():

@@ -12,7 +12,6 @@ from mfcert import (
     cli,
     compare_levels,
     config,
-    ellipse_boundary,
     estimate_mfc1,
     estimate_mfc2,
     estimate_sl,
@@ -20,6 +19,7 @@ from mfcert import (
     mfc2_region_sweep,
     mfc_equilibria,
     r_mfc2,
+    roa,
     single_loop_equilibria,
 )
 from mfcert.roa import (
@@ -211,7 +211,7 @@ class TestCompareLevels:
 
 class TestEllipseGeometry:
     def test_unit_circle(self):
-        pts = ellipse_boundary(np.eye(2), 1.0, (0.0, 0.0), 4)
+        pts = roa._on_ellipse(roa._inv_sqrt(np.eye(2)), roa._unit_circle(4), 1.0, (0.0, 0.0))
         assert pts == pytest.approx(
             np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), abs=1e-12
         )
@@ -233,10 +233,6 @@ class TestEllipseGeometry:
         for pt in pts:
             v = est.lyapunov_value(pt, (0.0, 0.0))
             assert v == pytest.approx(est.c_star + est.c_tilde, rel=1e-9)
-
-    def test_rejects_nonpositive_level(self):
-        with pytest.raises(ValueError):
-            ellipse_boundary(np.eye(2), 0.0, (0.0, 0.0), 8)
 
     def test_scaled_frame_round_trip(self, cert, table_params, scenario1):
         est = estimate_slhg(table_params, cert, scenario1["x_s_mfc"], scenario1["x_d"])
@@ -450,7 +446,7 @@ def _ring_level(p, cert, x_s, cs):
 
 
 def _fans(p, cert, est, samples=360, levels=17, rays=SWEEP_RAYS):
-    """Ray fan and the sampled green and grey members, one ellipse_boundary per ring:
+    """Ray fan and the sampled green and grey members, one ``roa._on_ellipse`` per ring:
     ``samples`` model starts on the estimate's c_star ellipse, and samples // 4 on each of
     ``levels`` c_star ellipses from 0 to the budget, at the levels of r_mfc2."""
     x_s = np.asarray(est.x_s, dtype=float)
@@ -459,7 +455,8 @@ def _fans(p, cert, est, samples=360, levels=17, rays=SWEEP_RAYS):
     Q = Dinv @ np.asarray(cert.P) @ Dinv
 
     def members(c_stars, count):
-        rings = [x_s[None, :] if cs == 0.0 else ellipse_boundary(cert.P, cs / vth, x_s, count)
+        S, circle = roa._inv_sqrt(cert.P), roa._unit_circle(count)
+        rings = [x_s[None, :] if cs == 0.0 else roa._on_ellipse(S, circle, cs / vth, x_s)
                  for cs in map(float, c_stars)]
         thresholds = [np.full(len(pts), _ring_level(p, cert, x_s, cs))
                       for pts, cs in zip(rings, map(float, c_stars))]
