@@ -29,6 +29,7 @@ from .config import (
     ConfigError,
     PRESET_NAMES,
     ScenarioConfig,
+    _as_float,
     load_config,
     parse_config,
     preset,
@@ -148,7 +149,14 @@ def run_steady_state(cfg: ScenarioConfig) -> tuple[dict, Iterator[dict]]:
     return report, rows()
 
 
-def run_roa(cfg: ScenarioConfig) -> tuple[dict, list[tuple]]:
+def run_roa(cfg: ScenarioConfig) -> tuple[dict, list[tuple[str, np.ndarray]]]:
+    """The certified-set report and the polylines of ``roa_boundaries.csv``.
+
+    The polylines are ``(kind, (k, 2) array)`` pairs in the CSV's order: each
+    valid set's boundary in ``cfg.roa_kinds`` order, then the MFC2 sweep's
+    green and grey regions when MFC2 is valid.  ``_write_boundaries_csv``
+    formats their rows; a caller that reads only the report formats none.
+    """
     design = _design(cfg)
     estimates = design.estimates
     report = {kind: est.to_dict() for kind, est in estimates.items()}
@@ -164,7 +172,7 @@ def run_roa(cfg: ScenarioConfig) -> tuple[dict, list[tuple]]:
             "grey_area": region.grey_area,
         }
         polylines += [("MFC2_SWEEP_GREEN", region.green), ("MFC2_SWEEP_GREY", region.grey)]
-    return report, [(kind, x1, x2) for kind, pts in polylines for x1, x2 in pts.tolist()]
+    return report, polylines
 
 
 def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
@@ -235,9 +243,11 @@ def _run_stage(cfg: ScenarioConfig, stage: str, out_dir: Path,
 
     The stage and its writers are looked up by their module names at each call,
     so a wrapped ``run_<stage>`` or writer is the one that runs.  A stage's rows
-    are read once, by their writer, and all of them before any file of the
-    stage is written: the steady-state rows are a generator, so their CSV is
-    written first.  A stage that raises therefore writes nothing.
+    are read once, by their writer, and all of them are computed before any
+    file of the stage is written: the steady-state rows are a generator, so
+    their CSV is written first, and the ROA polylines are drawn by ``run_roa``
+    and only formatted into rows by theirs.  A stage that raises therefore
+    writes nothing.
     """
     if stage == "analyze":
         result = run_analyze(cfg)
@@ -247,9 +257,9 @@ def _run_stage(cfg: ScenarioConfig, stage: str, out_dir: Path,
         _write_sweep_csv(out_dir / "steady_state_sweep.csv", sweep)  # solves the sweep
         _write_json(out_dir / "steady_state.json", report)
     elif stage == "roa":
-        result = report, boundaries = run_roa(cfg)
+        result = report, polylines = run_roa(cfg)
         _write_json(out_dir / "roa.json", report)
-        _write_boundaries_csv(out_dir / "roa_boundaries.csv", boundaries)
+        _write_boundaries_csv(out_dir / "roa_boundaries.csv", polylines)
     elif stage == "simulate":
         result = metrics, trajectories = run_simulate(cfg)
         _write_json(out_dir / "metrics.json", metrics)
@@ -351,10 +361,10 @@ def _write_sweep_csv(path: Path, sweep: Iterable[dict]):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_boundaries_csv(path: Path, boundaries: list[tuple]):
+def _write_boundaries_csv(path: Path, polylines: Iterable[tuple[str, np.ndarray]]):
     lines = ["kind,x1,x2"]
-    for kind, x1, x2 in boundaries:
-        lines.append(f"{kind},{x1!r},{x2!r}")
+    for kind, pts in polylines:
+        lines += [f"{kind},{x1!r},{x2!r}" for x1, x2 in pts.tolist()]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -374,7 +384,8 @@ def _load_tolerance_profile(path: str, scenario: str) -> list[dict]:
 
     An entry whose name matches a reference row updates that row; any other
     entry is a new row.  Every resulting row needs a name, a kind of rel, abs
-    or max, a numeric tol and, for rel and abs, a numeric expected value.
+    or max, a finite nonnegative tol and, for rel and abs, a finite expected
+    value, each checked as a configuration's numbers are.
     """
     overrides = read_json(path, "tolerance-profile")
     if not isinstance(overrides, list):
@@ -393,11 +404,10 @@ def _load_tolerance_profile(path: str, scenario: str) -> list[dict]:
             row.update(entry)
         if row.get("kind") not in ("rel", "abs", "max"):
             raise ConfigError(f"{where}.kind", "must be one of rel, abs, max")
-        needed = ("tol",) if row["kind"] == "max" else ("tol", "expected")
-        for key in needed:
-            value = row.get(key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{where}.{key}", "must be a number")
+        if _as_float(row.get("tol"), f"{where}.tol") < 0:
+            raise ConfigError(f"{where}.tol", "must be nonnegative")
+        if row["kind"] != "max":
+            _as_float(row.get("expected"), f"{where}.expected")
     return rows
 
 

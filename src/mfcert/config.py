@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 from .plant import Box, DEFAULT_DOMAIN, MsdParams
 from .roa import _FRAMES
 from .simulate import CONTROLLER_KINDS, whole_steps
+from .synthesis import real_poly
 
 __all__ = [
     "ConfigError",
@@ -152,6 +153,10 @@ def parse_config(data: Mapping) -> ScenarioConfig:
             poles.append(_as_float(r, path))
     for i, r in enumerate(poles):
         _expect(complex(r).real < 0, f"poles[{i}]", "must have negative real part")
+    try:  # the pole placement's own rule
+        real_poly(poles)
+    except ValueError as exc:
+        raise ConfigError("poles", str(exc)) from None
 
     n = len(poles)
     epsilon = _as_float(data.get("epsilon", 0.1), "epsilon")

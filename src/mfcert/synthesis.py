@@ -64,13 +64,23 @@ def place_poles(roots: Sequence[complex]) -> np.ndarray:
     rts = np.asarray([complex(r) for r in roots])
     if np.any(rts.real >= 0):
         raise ValueError("all desired eigenvalues must have negative real part")
-    if not np.allclose(np.sort_complex(rts), np.sort_complex(np.conj(rts)), atol=1e-12):
-        raise ValueError("root set must be closed under complex conjugation")
-    coeffs = np.poly(rts)
-    if np.max(np.abs(np.imag(coeffs))) > 1e-9 * max(1.0, np.max(np.abs(coeffs))):
-        raise ValueError("root set must be closed under complex conjugation")
-    coeffs = np.real(coeffs)
+    coeffs = real_poly(rts)
     return -coeffs[1:][::-1].copy()
+
+
+def real_poly(roots: Sequence[complex]) -> np.ndarray:
+    """Real coefficients of the monic polynomial with the given roots.
+
+    Raises ValueError unless the root set is closed under complex conjugation,
+    the one rule that makes the coefficients real.
+    """
+    rts = np.asarray([complex(r) for r in roots])
+    with np.errstate(all="ignore"):  # an overflow compares unequal or leaves a non-finite
+        closed = np.allclose(np.sort_complex(rts), np.sort_complex(np.conj(rts)), atol=1e-12)
+        coeffs = np.poly(rts)
+    if not closed or np.max(np.abs(np.imag(coeffs))) > 1e-9 * max(1.0, np.max(np.abs(coeffs))):
+        raise ValueError("root set must be closed under complex conjugation")
+    return np.real(coeffs)
 
 
 def time_scaling(epsilon: float, n: int) -> tuple:

@@ -114,6 +114,37 @@ class TestRoaCommand:
         assert rows and all(row == mfc2["center"] for row in rows)
 
 
+class TestRoaPolylines:
+    """``run_roa``'s second value: ``(kind, float64 array)`` pairs, the valid sets in
+    ``roa_kinds`` order and then the MFC2 sweep, which its writer formats row by row."""
+
+    SETS = ["MFC1", "MFC2", "SL", "SLHG"]
+    SWEEP = ["MFC2_SWEEP_GREEN", "MFC2_SWEEP_GREY"]
+
+    @pytest.mark.parametrize("scenario, changes, kinds", [
+        ("scenario1", {}, SETS + SWEEP),
+        ("scenario2", {}, ["MFC1", "MFC2", "SLHG"] + SWEEP),  # SL is invalid
+        ("scenario2", {"roa_kinds": ["SL", "SLHG"]}, ["SLHG"]),
+        ("scenario1", {"x0_star": [-5.0, 0.0]}, ["MFC1", "SL", "SLHG"]),  # MFC2 invalid
+    ], ids=["scenario1", "scenario2", "scenario2-SL-SLHG", "scenario1-MFC2-invalid"])
+    def test_pairs_in_csv_order(self, tmp_path, scenario, changes, kinds):
+        cfg = parse_config({**preset(scenario).to_dict(), **changes})
+        report, polylines = cli._run_stage(cfg, "roa", tmp_path)
+        assert [kind for kind, _ in polylines] == kinds
+        assert [kind for kind in report if kind in self.SETS and report[kind]["valid"]] == [
+            kind for kind in kinds if kind in self.SETS]
+        for kind, pts in polylines:
+            assert type(pts) is np.ndarray and pts.dtype == np.float64
+            rows = roa.SWEEP_RAYS if kind in self.SWEEP else roa.BOUNDARY_POINTS
+            assert pts.shape == (rows, 2)
+        lines = (tmp_path / "roa_boundaries.csv").read_text().splitlines()
+        assert lines[0] == "kind,x1,x2"
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            kind for kind, pts in polylines for _ in pts]
+        written = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
+        assert np.array_equal(written, np.concatenate([pts for _, pts in polylines]))
+
+
 STAGE_FILES = {
     "analyze": {"analyze.json"},
     "steady-state": {"steady_state.json", "steady_state_sweep.csv"},
@@ -318,6 +349,19 @@ class TestConfigErrors:
         assert "Traceback" not in run.stderr
         assert "poles" in run.stderr
 
+    @pytest.mark.parametrize("poles", [[[-1, 1], [-2, 0]], [[-1, 1], [-1, 1]]],
+                             ids=["unpaired", "twice-the-same"])
+    def test_poles_must_be_closed_under_conjugation(self, tmp_path, capsys, poles):
+        cfg = {**preset("scenario1").to_dict(), "poles": poles}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = main(["analyze", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: poles: root set must be closed under complex conjugation"]
+        assert not out.exists()
+
     def test_horizon_must_be_a_whole_number_of_steps(self, tmp_path, capsys):
         # three steps of 0.3 end at t = 0.9, not at the horizon of 1 s
         out = tmp_path / "out"
@@ -426,7 +470,16 @@ class TestConfigErrors:
         ('[{"name": "extra", "kind": "max"}]', "tolerance-profile[0].tol"),
         ('[{"kind": "max", "tol": 1.0}]', "tolerance-profile[0]"),
         ('[{"name": "extra", "tol": 1.0}]', "tolerance-profile[0].kind"),
-    ], ids=["malformed-json", "not-a-list", "no-tol", "no-name", "no-kind"])
+        # a tol is a finite nonnegative number, so no row passes or fails whatever it computes
+        ('[{"name": "gamma_mfc", "tol": Infinity, "expected": 1e9}]',
+         "tolerance-profile[0].tol"),
+        ('[{"name": "gamma_mfc", "tol": NaN}]', "tolerance-profile[0].tol"),
+        ('[{"name": "gamma_mfc", "tol": -0.1}]', "tolerance-profile[0].tol"),
+        # an integer beyond the float range is refused before any stage runs
+        ('[{"name": "gamma_mfc", "expected": 1' + "0" * 400 + '}]',
+         "tolerance-profile[0].expected"),
+    ], ids=["malformed-json", "not-a-list", "no-tol", "no-name", "no-kind",
+            "infinite-tol", "nan-tol", "negative-tol", "expected-beyond-float"])
     def test_bad_tolerance_profile(self, tmp_path, profile, field):
         path = tmp_path / "profile.json"
         path.write_text(profile)
