@@ -72,7 +72,6 @@ from .falsify import (
     falsify_roa,
     falsify_sets,
     gamma_empirical,
-    lyapunov_decrease_check,
     sample_in_set,
 )
 from .config import ConfigError, ScenarioConfig, load_config, parse_config, preset

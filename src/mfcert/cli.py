@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections.abc import Iterable, Iterator
@@ -196,7 +197,7 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
     return all_metrics, trajectories
 
 
-def run_falsify(cfg: ScenarioConfig, samples: int | None = None, seed: int | None = None) -> dict:
+def run_falsify(cfg: ScenarioConfig) -> dict:
     design = _design(cfg)
     estimates = design.estimates
     valid = [kind for kind, est in estimates.items() if est.valid]
@@ -204,10 +205,10 @@ def run_falsify(cfg: ScenarioConfig, samples: int | None = None, seed: int | Non
         [estimates[kind] for kind in valid],
         design.plant,
         design.gains,
-        count=samples if samples is not None else cfg.falsify_samples,
+        count=cfg.falsify_samples,
         horizon=cfg.horizon,
         h=cfg.step,
-        seed=seed if seed is not None else cfg.falsify_seed,
+        seed=cfg.falsify_seed,
     )
     reports = {kind: {"kind": kind, "valid": False, "reason": est.reason}
                for kind, est in estimates.items()}
@@ -237,8 +238,7 @@ def _evaluate_rows(rows: list[dict], computed: dict) -> tuple[list[dict], bool]:
     return out, all_pass
 
 
-def _run_stage(cfg: ScenarioConfig, stage: str, out_dir: Path,
-               samples: int | None = None, seed: int | None = None):
+def _run_stage(cfg: ScenarioConfig, stage: str, out_dir: Path):
     """Run one stage, write its reports into ``out_dir`` and return its result.
 
     The stage and its writers are looked up by their module names at each call,
@@ -266,7 +266,7 @@ def _run_stage(cfg: ScenarioConfig, stage: str, out_dir: Path,
         for kind, traj in trajectories.items():
             traj.to_csv(out_dir / f"traj_{kind}.csv")
     elif stage == "falsify":
-        result = run_falsify(cfg, samples=samples, seed=seed)
+        result = run_falsify(cfg)
         _write_json(out_dir / "falsify.json", result)
         _write_violations_csv(out_dir / "falsify_violations.csv", result)
     else:
@@ -282,11 +282,15 @@ def run_reproduce(
     seed: int | None = None,
     tolerance_rows: list[dict] | None = None,
 ) -> dict:
+    if samples is not None or seed is not None:  # a copy of cfg carries both
+        cfg = dataclasses.replace(
+            cfg, falsify_samples=cfg.falsify_samples if samples is None else samples,
+            falsify_seed=cfg.falsify_seed if seed is None else seed)
     _run_stage(cfg, "analyze", out_dir)
     steady, _ = _run_stage(cfg, "steady_state", out_dir)
     roa_report, _ = _run_stage(cfg, "roa", out_dir)
     metrics, trajectories = _run_stage(cfg, "simulate", out_dir)
-    fals = _run_stage(cfg, "falsify", out_dir, samples, seed)
+    fals = _run_stage(cfg, "falsify", out_dir)
 
     design = _design(cfg)  # the one the stages above built
     cert, sl, y_d = design.cert, design.sl, cfg.y_d
@@ -324,7 +328,7 @@ def run_reproduce(
     if scenario == "scenario1":
         spec = design.controller("MFC")
         times = []
-        horizon = round(2.0 / cfg.step) * cfg.step  # 2 s on the config's step grid
+        horizon = max(1, round(2.0 / cfg.step)) * cfg.step  # 2 s on the step grid, 1 step or more
         for label, x0 in (("a", (0.1, -8.0)), ("b", (-0.25, 6.0))):
             traj = sim_mod.simulate_closed_loop(
                 design.plant, spec, x0, horizon, cfg.step, vartheta=cfg.vartheta

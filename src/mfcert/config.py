@@ -116,9 +116,6 @@ class ScenarioConfig:
             "falsify": {"samples": self.falsify_samples, "seed": self.falsify_seed},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
 
 def parse_config(data: Mapping) -> ScenarioConfig:
     """Validate a raw mapping into a ScenarioConfig, naming bad fields."""

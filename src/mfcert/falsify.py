@@ -21,7 +21,6 @@ from .roa import RoaEstimate, _frame_v, _inv_sqrt
 from .simulate import (
     ControllerSpec,
     SetPoint,
-    Trajectory,
     _rk4_components,
     build_closed_loop,
     whole_steps,
@@ -30,12 +29,10 @@ from .synthesis import GainSet
 
 __all__ = [
     "FalsificationReport",
-    "DecreaseCheck",
     "sample_in_set",
     "falsify_roa",
     "falsify_sets",
     "gamma_empirical",
-    "lyapunov_decrease_check",
 ]
 
 #: Certified sets are open; samples are drawn from this fraction of the level.
@@ -90,15 +87,6 @@ def sample_in_set(
     return x0, x_star
 
 
-@dataclass(frozen=True)
-class DecreaseCheck:
-    """Outcome of a discrete Lyapunov-decrease scan along one trajectory."""
-
-    passed: bool
-    first_violation_time: float | None
-    exit_time: float | None
-
-
 def _decrease_step(v_prev, v_new, level, floor):
     """One step of the online Lyapunov-decrease test: (increase, still inside).
 
@@ -108,29 +96,6 @@ def _decrease_step(v_prev, v_new, level, floor):
     ``level``; a non-finite V leaves the set.  Works on floats and arrays.
     """
     return (v_new > v_prev * (1.0 + DECREASE_TOLERANCE)) & (v_prev > floor), v_new <= level
-
-
-def lyapunov_decrease_check(
-    traj: Trajectory, level: float | None = None, floor: float = 0.0
-) -> DecreaseCheck:
-    """Check V(t_{k+1}) <= V(t_k) (1 + DECREASE_TOLERANCE) while the state stays certified.
-
-    The scan applies the online test of the Monte-Carlo batch to one
-    trajectory and exits vacuously once the Lyapunov value leaves the level
-    set; steps from below ``floor`` are not tested.
-    """
-    V = np.asarray(traj.V, dtype=float)
-    t = traj.t
-    bound = np.finfo(float).max if level is None else level
-    if len(V) and not V[0] <= bound:
-        return DecreaseCheck(True, None, float(t[0]))
-    increase, inside = _decrease_step(V[:-1], V[1:], bound, floor)
-    stops = np.flatnonzero(increase | ~inside)
-    if len(stops) == 0:
-        return DecreaseCheck(True, None, None)
-    k = stops[0]
-    time = float(t[k + 1])
-    return DecreaseCheck(False, time, None) if increase[k] else DecreaseCheck(True, None, time)
 
 
 def gamma_empirical(p: MsdParams, region: Box, pairs: int, seed: int) -> float:

@@ -76,10 +76,11 @@ def real_poly(roots: Sequence[complex]) -> np.ndarray:
     """
     rts = np.asarray([complex(r) for r in roots])
     with np.errstate(all="ignore"):  # an overflow compares unequal or leaves a non-finite
-        closed = np.allclose(np.sort_complex(rts), np.sort_complex(np.conj(rts)), atol=1e-12)
-        coeffs = np.poly(rts)
-    if not closed or np.max(np.abs(np.imag(coeffs))) > 1e-9 * max(1.0, np.max(np.abs(coeffs))):
-        raise ValueError("root set must be closed under complex conjugation")
+        coeffs = np.poly(rts)  # real exactly when the roots pair exactly
+        if np.iscomplexobj(coeffs) and (
+                not np.allclose(np.sort_complex(rts), np.sort_complex(np.conj(rts)), atol=1e-12)
+                or np.max(np.abs(np.imag(coeffs))) > 1e-9 * max(1.0, np.max(np.abs(coeffs)))):
+            raise ValueError("root set must be closed under complex conjugation")
     return np.real(coeffs)
 
 
@@ -91,17 +92,16 @@ def time_scaling(epsilon: float, n: int) -> tuple:
     return tuple(epsilon ** (n - 1 - j) for j in range(n))
 
 
-def high_gain(k_star: Sequence[float], epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Time-scaled process gain and scaling matrix for a given epsilon.
+def high_gain(k_star: Sequence[float], epsilon: float) -> np.ndarray:
+    """Time-scaled process gain k_tilde_i = k_star_i * epsilon^-(n-i+1) for a given epsilon.
 
-    k_tilde_i = k_star_i * epsilon^-(n-i+1) and D = diag(eps^(n-1), ..., eps, 1).
+    The matching scaling matrix D is ``GainSet.d_matrix``.
     """
     _check_epsilon(epsilon)
     k_star = np.asarray(k_star, dtype=float)
     n = len(k_star)
     inv = 1.0 / epsilon
-    k_tilde = np.array([k_star[i] * inv ** (n - i) for i in range(n)])
-    return k_tilde, np.diag(time_scaling(epsilon, n))
+    return np.array([k_star[i] * inv ** (n - i) for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def design_gains(poles: Sequence[complex], epsilon: float) -> GainSet:
     """
     with np.errstate(all="ignore"):  # a non-finite gain is rejected below
         k_star = place_poles(poles)
-        k_tilde, _ = high_gain(k_star, epsilon)
+        k_tilde = high_gain(k_star, epsilon)
     if not (np.all(np.isfinite(k_star)) and np.all(np.isfinite(k_tilde))):
         raise ArithmeticError(f"the poles {list(poles)} give non-finite gains")
     return GainSet(k_star=tuple(k_star), k_tilde=tuple(k_tilde), epsilon=epsilon)

@@ -80,7 +80,7 @@ def _timed(fn):
 
 
 def test_criterion_2_gain_scaling():
-    k_tilde, _ = high_gain([-4.0, -4.0], 0.1)
+    k_tilde = high_gain([-4.0, -4.0], 0.1)
     _report(2, "high-gain scaling yields (-400, -40) exactly",
             k_tilde.tolist() == [-400.0, -40.0])
 

@@ -58,7 +58,7 @@ class TestAnalyze:
     def test_round_trip_is_byte_identical(self, tmp_path):
         cfg = preset("scenario1")
         config_path = tmp_path / "cfg.json"
-        config_path.write_text(cfg.to_json())
+        config_path.write_text(json.dumps(cfg.to_dict()))
         reparsed = parse_config(json.loads(config_path.read_text()))
         first = json.dumps(run_analyze(cfg), sort_keys=True)
         second = json.dumps(run_analyze(reparsed), sort_keys=True)
@@ -501,7 +501,7 @@ class TestConfigErrors:
     ])
     def test_config_and_preset_together_rejected(self, tmp_path, capsys, command):
         path = tmp_path / "cfg.json"
-        path.write_text(preset("scenario2").to_json())
+        path.write_text(json.dumps(preset("scenario2").to_dict()))
         code = main([*command, "--config", str(path), "--preset", "scenario1",
                      "--out", str(tmp_path / "out")])
         assert code == 1
@@ -668,6 +668,26 @@ class TestReproduce:
         for horizon, h, end, steps in reconvergence:
             assert h == 0.03 and steps == 67
             assert end == horizon == 67 * 0.03
+
+    def test_step_above_four_seconds_gives_the_reconvergence_runs_one_step(self, tmp_path):
+        # 2 s rounds to 0 steps of 5 s; the runs take one step, not a horizon error
+        code = main(["reproduce", "scenario1", "--step", "5", "--horizon", "10",
+                     "--samples", "4", "--out", str(tmp_path)])
+        assert code == 3
+        rows = {row["name"]: row for row in _read_json(tmp_path / "summary.json")["rows"]}
+        assert rows["mfc_reconverge_time_s"]["computed"] == float("inf")
+        assert not rows["mfc_reconverge_time_s"]["pass"]
+
+    def test_samples_and_seed_are_folded_into_a_copy_of_the_config(self, tmp_path):
+        cfg = dataclasses.replace(preset("scenario2"), horizon=1.0)
+        before = dataclasses.replace(cfg)
+        cli.run_reproduce(cfg, "scenario2", tmp_path / "keywords", samples=3, seed=7)
+        assert cfg == before
+        carried = dataclasses.replace(cfg, falsify_samples=3, falsify_seed=7)
+        cli.run_reproduce(carried, "scenario2", tmp_path / "config")
+        written = (tmp_path / "keywords" / "falsify.json").read_bytes()
+        assert written == (tmp_path / "config" / "falsify.json").read_bytes()
+        assert json.loads(written)["SLHG"]["samples"] == 3
 
     def test_zero_set_point_is_a_mismatch_not_a_failure(self, tmp_path, capsys):
         cfg = {**preset("scenario1").to_dict(), "y_d": 0.0, "horizon": 1.0,

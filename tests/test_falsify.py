@@ -18,7 +18,6 @@ from mfcert import (
     falsify_roa,
     falsify_sets,
     gamma_empirical,
-    lyapunov_decrease_check,
     mfc_equilibria,
     msd_plant,
     phi_lipschitz_sup,
@@ -28,7 +27,6 @@ from mfcert import (
     single_loop_equilibria,
 )
 from mfcert import cli, falsify, simulate
-from mfcert.falsify import DecreaseCheck
 from mfcert.roa import RoaEstimate
 
 def _inflated(est, factor):
@@ -241,17 +239,36 @@ class TestGammaEmpirical:
             )
 
 
+def decrease_scan(traj, level=None, floor=0.0):
+    """The batch's decrease rule, ``falsify._decrease_step``, along one trajectory's V.
+
+    Returns (passed, first violation time, exit time): the scan starts inside
+    when V(t_0) is within ``level`` and stops at the first increase from
+    inside or the first step that leaves the set.
+    """
+    V, t = np.asarray(traj.V, dtype=float), traj.t
+    bound = np.finfo(float).max if level is None else level
+    if len(V) and not V[0] <= bound:
+        return True, None, float(t[0])
+    increase, inside = falsify._decrease_step(V[:-1], V[1:], bound, floor)
+    stops = np.flatnonzero(increase | ~inside)
+    if len(stops) == 0:
+        return True, None, None
+    k = stops[0]
+    return (False, float(t[k + 1]), None) if increase[k] else (True, None, float(t[k + 1]))
+
+
 class TestLyapunovDecreaseCheck:
     def test_certified_run_passes(self, plant, gains, scenario1_estimates):
         spec = ControllerSpec(
             kind="MFC", gains=gains, reference=SetPoint(0.75), model_initial=(0.0, 0.0)
         )
         traj = simulate_closed_loop(plant, spec, (0.0, 0.0), 10.0, 1e-3, vartheta=1000.0)
-        result = lyapunov_decrease_check(
+        passed, first_violation_time, _ = decrease_scan(
             traj, level=scenario1_estimates["MFC2"].level
         )
-        assert result.passed
-        assert result.first_violation_time is None
+        assert passed
+        assert first_violation_time is None
 
     def test_constant_trajectory_passes(self):
         K = 50
@@ -262,33 +279,32 @@ class TestLyapunovDecreaseCheck:
             u=np.zeros(K),
             V=np.full(K, 2.5),
         )
-        assert lyapunov_decrease_check(traj).passed
+        assert decrease_scan(traj)[0]
 
     def test_increase_and_exit_follow_the_batch_rule(self):
         def check(values, **kwargs):
             K = len(values)
             traj = Trajectory(t=np.arange(K) * 0.1, x=np.zeros((K, 2)),
                               x_star=np.zeros((K, 2)), u=np.zeros(K), V=np.array(values))
-            return lyapunov_decrease_check(traj, **kwargs)
+            return decrease_scan(traj, **kwargs)
 
-        assert check([3.0, 2.0, 2.5]) == DecreaseCheck(False, pytest.approx(0.2), None)
-        assert not check([3.0, 5.0], level=4.0).passed
+        assert check([3.0, 2.0, 2.5]) == (False, pytest.approx(0.2), None)
+        assert not check([3.0, 5.0], level=4.0)[0]
         # leaving the level within the tolerance ends the scan before the later increase
-        assert check([4.0, 4.000000001, 8.0], level=4.0) == DecreaseCheck(
-            True, None, pytest.approx(0.1))
-        assert check([5.0, 6.0], level=4.0) == DecreaseCheck(True, None, 0.0)
+        assert check([4.0, 4.000000001, 8.0], level=4.0) == (True, None, pytest.approx(0.1))
+        assert check([5.0, 6.0], level=4.0) == (True, None, 0.0)
         # steps from below the floor are not tested; later ones are
-        assert check([1e-14, 2e-14, 1.0], floor=1e-12).passed
-        assert not check([1e-14, 2e-12, 1.0], floor=1e-12).passed
-        assert check([1.0, float("nan"), 2.0]) == DecreaseCheck(True, None, pytest.approx(0.1))
-        assert not check([1.0, float("inf")]).passed
+        assert check([1e-14, 2e-14, 1.0], floor=1e-12)[0]
+        assert not check([1e-14, 2e-12, 1.0], floor=1e-12)[0]
+        assert check([1.0, float("nan"), 2.0]) == (True, None, pytest.approx(0.1))
+        assert not check([1.0, float("inf")])[0]
 
     def test_unstable_loop_fails_with_timestamp(self, plant, gains):
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(2.0))
         traj = simulate_closed_loop(plant, spec, (0.0, 0.0), 5.0, 1e-3, vartheta=1000.0)
-        result = lyapunov_decrease_check(traj)
-        assert (not result.passed and result.first_violation_time is not None) or (
-            result.passed and result.exit_time is not None
+        passed, first_violation_time, exit_time = decrease_scan(traj)
+        assert (not passed and first_violation_time is not None) or (
+            passed and exit_time is not None
         )
 
 

@@ -88,7 +88,8 @@ def test_trajectory_csv_bytes(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(FALSIFY_SHA256))
 def test_falsify_report_bytes(tmp_path, name):
-    cli._run_stage(_short(name), "falsify", tmp_path, samples=40, seed=0)
+    cfg = dataclasses.replace(_short(name), falsify_samples=40, falsify_seed=0)
+    cli._run_stage(cfg, "falsify", tmp_path)
     assert _sha256(tmp_path / "falsify.json") == FALSIFY_SHA256[name]
 
 

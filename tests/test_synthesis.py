@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from mfcert import (
+    GainSet,
     bP_norm,
     certify,
     design_gains,
@@ -17,7 +19,7 @@ from mfcert import (
     solve_lyapunov,
 )
 from mfcert.config import parse_config, preset
-from mfcert.synthesis import closed_loop_matrix
+from mfcert.synthesis import closed_loop_matrix, real_poly
 
 
 def _random_stable_roots(rng, n):
@@ -65,19 +67,42 @@ class TestPlacePoles:
                 assert abs(val) <= 1e-9
 
 
+class TestRealPoly:
+    @pytest.mark.parametrize("roots, expected", [
+        ([-1 + 2j, -1 - 2j], [1.0, 2.0, 5.0]),
+        ([-4.0, -4.0], [1.0, 8.0, 16.0]),
+        ([-1 + 2j, -1 - (2 + 1e-13) * 1j], [1.0, 2.0, 5.0000000000002]),
+        ([-1 + 1j, -2.0], None),
+        ([-1 + 2j, -1 + 2j], None),
+        ([-1e308 + 1e308j, -1e308 + 1e308j], None),
+    ], ids=["complex-pair", "repeated-real", "near-pair", "unpaired", "twice-the-same",
+            "overflow"])
+    def test_coefficients_or_error(self, roots, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow stays silent
+            if expected is None:
+                with pytest.raises(ValueError, match="closed under complex conjugation"):
+                    real_poly(roots)
+                return
+            coeffs = real_poly(roots)
+        assert coeffs.dtype == np.float64
+        assert coeffs.tolist() == expected
+
+
 class TestHighGain:
     def test_benchmark_scaling_exact(self):
-        k_tilde, D = high_gain([-4.0, -4.0], 0.1)
+        k_tilde = high_gain([-4.0, -4.0], 0.1)
         assert k_tilde.tolist() == [-400.0, -40.0]
+        D = GainSet((-4.0, -4.0), k_tilde, 0.1).d_matrix()
         assert D.tolist() == [[0.1, 0.0], [0.0, 1.0]]
 
     def test_identity_scaling(self):
-        k_tilde, D = high_gain([-3.0, -5.0], 1.0)
+        k_tilde = high_gain([-3.0, -5.0], 1.0)
         assert k_tilde.tolist() == [-3.0, -5.0]
-        assert np.allclose(D, np.eye(2))
+        assert np.allclose(GainSet((-3.0, -5.0), k_tilde, 1.0).d_matrix(), np.eye(2))
 
     def test_third_order(self):
-        k_tilde, _ = high_gain([-6.0, -11.0, -6.0], 0.5)
+        k_tilde = high_gain([-6.0, -11.0, -6.0], 0.5)
         assert k_tilde == pytest.approx([-48.0, -44.0, -12.0], abs=1e-12)
 
     def test_rejects_bad_epsilon(self):
