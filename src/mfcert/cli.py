@@ -69,17 +69,16 @@ class _Design:
 
     @cached_property
     def estimates(self) -> dict:
-        """Certified sets of ``cfg.roa_kinds``, each on its loop's rest state, the one
+        """The MFC1, MFC2, SL and SLHG sets, each on its loop's rest state, the one
         ``simulate.steady_state_of`` gives that loop."""
         cfg, cert, x_d = self.cfg, self.cert, self.x_d
         x_s_mfc = x_d + (self.mfc.selected, 0.0)
-        builders = {
-            "MFC1": lambda: roa_mod.estimate_mfc1(cfg.plant, cert, x_s_mfc, x_d),
-            "MFC2": lambda: roa_mod.estimate_mfc2(cfg.plant, cert, x_s_mfc, x_d, cfg.x0_star),
-            "SL": lambda: roa_mod.estimate_sl(cfg.plant, cert, (self.sl.selected, 0.0), x_d),
-            "SLHG": lambda: roa_mod.estimate_slhg(cfg.plant, cert, (self.slhg.selected, 0.0), x_d),
+        return {
+            "MFC1": roa_mod.estimate_mfc1(cfg.plant, cert, x_s_mfc, x_d),
+            "MFC2": roa_mod.estimate_mfc2(cfg.plant, cert, x_s_mfc, x_d, cfg.x0_star),
+            "SL": roa_mod.estimate_sl(cfg.plant, cert, (self.sl.selected, 0.0), x_d),
+            "SLHG": roa_mod.estimate_slhg(cfg.plant, cert, (self.slhg.selected, 0.0), x_d),
         }
-        return {kind: builders[kind]() for kind in cfg.roa_kinds}
 
     def controller(self, kind: str) -> sim_mod.ControllerSpec:
         x0_star = self.cfg.x0_star if kind == "MFC" else None
@@ -154,7 +153,7 @@ def run_roa(cfg: ScenarioConfig) -> tuple[dict, list[tuple[str, np.ndarray]]]:
     """The certified-set report and the polylines of ``roa_boundaries.csv``.
 
     The polylines are ``(kind, (k, 2) array)`` pairs in the CSV's order: each
-    valid set's boundary in ``cfg.roa_kinds`` order, then the MFC2 sweep's
+    valid set's boundary in MFC1, MFC2, SL, SLHG order, then the MFC2 sweep's
     green and grey regions when MFC2 is valid.  ``_write_boundaries_csv``
     formats their rows; a caller that reads only the report formats none.
     """
@@ -162,8 +161,8 @@ def run_roa(cfg: ScenarioConfig) -> tuple[dict, list[tuple[str, np.ndarray]]]:
     estimates = design.estimates
     report = {kind: est.to_dict() for kind, est in estimates.items()}
     polylines = [(kind, est.boundary()) for kind, est in estimates.items() if est.valid]
-    if "MFC2" in estimates and estimates["MFC2"].valid:
-        est = estimates["MFC2"]
+    est = estimates["MFC2"]
+    if est.valid:
         region = roa_mod.mfc2_region_sweep(cfg.plant, design.cert, est)
         report["MFC2_sweep"] = {
             "c_star_level": region.c_star_level,
@@ -180,7 +179,7 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
     design = _design(cfg)
     all_metrics: dict = {}
     trajectories: dict = {}
-    for kind in cfg.controllers:
+    for kind in ("SL", "SLHG", "MFC"):
         spec = design.controller(kind)
         try:
             traj = sim_mod.simulate_closed_loop(
@@ -319,11 +318,9 @@ def run_reproduce(
             slhg_area = float(np.pi * level / np.sqrt(np.linalg.det(Q)))
             computed["slhg_grey_area_ratio"] = slhg_area / roa_report["MFC2_sweep"]["grey_area"]
 
-    if "SLHG" in metrics:
-        computed["u_slhg_0"] = metrics["SLHG"]["u0"]
-    if "MFC" in metrics:
-        computed["u_mfc_0"] = metrics["MFC"]["u0"]
-        computed["mfc_final_output_gap"] = abs(float(trajectories["MFC"].x[-1, 0]) - y_d)
+    computed["u_slhg_0"] = metrics["SLHG"]["u0"]
+    computed["u_mfc_0"] = metrics["MFC"]["u0"]
+    computed["mfc_final_output_gap"] = abs(float(trajectories["MFC"].x[-1, 0]) - y_d)
 
     if scenario == "scenario1":
         spec = design.controller("MFC")

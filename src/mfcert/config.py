@@ -1,11 +1,12 @@
 """Scenario configuration: JSON schema, validation and the bundled presets.
 
 A configuration fixes the plant (with uncertainties), the pole locations,
-the time scaling, the set-point and the simulation grid.  Two presets ship
-with the package: ``scenario1`` (set-point 0.75) and ``scenario2``
-(set-point 2.0), both starting model and process at the origin.  The
-``reproduce`` command checks computed quantities against the frozen
-reference figures of these presets at fixed tolerances.
+the time scaling, the set-point and the simulation grid; a key that
+``ScenarioConfig.to_dict`` does not write, at any level, is an error.  Two
+presets ship with the package: ``scenario1`` (set-point 0.75) and
+``scenario2`` (set-point 2.0), both starting model and process at the
+origin.  The ``reproduce`` command checks computed quantities against the
+frozen reference figures of these presets at fixed tolerances.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .plant import Box, DEFAULT_DOMAIN, MsdParams
-from .roa import _FRAMES
-from .simulate import CONTROLLER_KINDS, whole_steps
+from .simulate import whole_steps
 from .synthesis import real_poly
 
 __all__ = [
@@ -93,8 +93,6 @@ class ScenarioConfig:
     x0_star: tuple
     horizon: float
     step: float
-    controllers: tuple
-    roa_kinds: tuple
     domain: Box = DEFAULT_DOMAIN
     falsify_samples: int = FALSIFY_SAMPLES
     falsify_seed: int = 0
@@ -110,8 +108,6 @@ class ScenarioConfig:
             "x0_star": list(self.x0_star),
             "horizon": self.horizon,
             "step": self.step,
-            "controllers": list(self.controllers),
-            "roa_kinds": list(self.roa_kinds),
             "domain": {"lo": list(self.domain.lo), "hi": list(self.domain.hi)},
             "falsify": {"samples": self.falsify_samples, "seed": self.falsify_seed},
         }
@@ -172,21 +168,6 @@ def parse_config(data: Mapping) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError("step", str(exc)) from None
 
-    controllers = data.get("controllers", ["SL", "SLHG", "MFC"])
-    _expect(isinstance(controllers, Sequence) and not isinstance(controllers, str),
-            "controllers", "must be a list")
-    _expect(len(controllers) > 0, "controllers", "must not be empty")
-    for i, c in enumerate(controllers):
-        _expect(c in CONTROLLER_KINDS, f"controllers[{i}]",
-                f"must be one of {list(CONTROLLER_KINDS)}")
-
-    roa_kinds = data.get("roa_kinds", list(_FRAMES))
-    _expect(isinstance(roa_kinds, Sequence) and not isinstance(roa_kinds, str),
-            "roa_kinds", "must be a list")
-    for i, kname in enumerate(roa_kinds):
-        _expect(kname in _FRAMES, f"roa_kinds[{i}]",
-                f"must be one of {list(_FRAMES)}")
-
     domain = DEFAULT_DOMAIN
     if "domain" in data:
         dom = data["domain"]
@@ -213,7 +194,7 @@ def parse_config(data: Mapping) -> ScenarioConfig:
             falsify_seed = _as_whole(fal["seed"], "falsify.seed", 0,
                                      "must be a nonnegative integer")
 
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         plant=plant,
         poles=tuple(poles),
         epsilon=epsilon,
@@ -223,12 +204,20 @@ def parse_config(data: Mapping) -> ScenarioConfig:
         x0_star=x0_star,
         horizon=horizon,
         step=step,
-        controllers=tuple(controllers),
-        roa_kinds=tuple(roa_kinds),
         domain=domain,
         falsify_samples=falsify_samples,
         falsify_seed=falsify_seed,
     )
+    _expect_known(data, cfg.to_dict())
+    return cfg
+
+
+def _expect_known(data: Mapping, written: Mapping, prefix: str = ""):
+    """Every key of ``data``, nested ones included, is one that ``to_dict`` writes."""
+    for key, value in data.items():
+        _expect(key in written, f"{prefix}{key}", "is not a configuration key")
+        if isinstance(value, Mapping) and isinstance(written[key], Mapping):
+            _expect_known(value, written[key], f"{prefix}{key}.")
 
 
 def read_json(path, field: str):
@@ -274,8 +263,6 @@ def preset(name: str) -> ScenarioConfig:
             "x0_star": [0.0, 0.0],
             "horizon": 10.0,
             "step": 1e-3,
-            "controllers": ["SL", "SLHG", "MFC"],
-            "roa_kinds": ["MFC1", "MFC2", "SL", "SLHG"],
         }
     )
 

@@ -250,6 +250,11 @@ def _frame_v(P, vartheta, y_d, c1, scale, two_loop: bool):
     return v_of
 
 
+def _frame_epsilon(kind: str, epsilon: float) -> float:
+    """The epsilon of a loop's or a set's time scaling D: plain SL and FFLIN are unscaled."""
+    return 1.0 if kind in ("SL", "FFLIN") else epsilon
+
+
 _FRAMES = {
     "MFC1": "combined model error and scaled process error",
     "MFC2": "combined model error and scaled process error",
@@ -310,10 +315,10 @@ class RoaEstimate:
 
     def d_matrix(self) -> np.ndarray:
         """Time scaling D of the frame; the identity for plain SL."""
-        return np.diag(time_scaling(1.0 if self.kind == "SL" else self.epsilon, self.n))
+        return np.diag(time_scaling(_frame_epsilon(self.kind, self.epsilon), self.n))
 
     def d_inv(self) -> np.ndarray:
-        return np.diag(time_scaling(1.0 if self.kind == "SL" else 1.0 / self.epsilon, self.n))
+        return np.diag(time_scaling(1.0 / _frame_epsilon(self.kind, self.epsilon), self.n))
 
     @property
     def slice_level(self) -> float | None:

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .plant import MsdPlant, msd_f_of, msd_g, msd_phi_of
-from .roa import _frame_v
+from .roa import _frame_epsilon, _frame_v
 from .steady_state import fflin_equilibrium, mfc_equilibria, single_loop_equilibria
 from .synthesis import GainSet, solve_lyapunov, time_scaling
 
@@ -321,7 +321,8 @@ def build_closed_loop(
 
     The two-loop state lists the model components first; ``vartheta`` weighs
     the model error in ``make_v``'s V, the certified frame's (``roa._frame_v``).
-    One table gives each kind its model gain, process gain and V scaling.
+    One table gives each kind its model and process gains; V scales by the
+    kind's ``D^-1`` (``roa._frame_epsilon``).
     ``columns``, a sequence of (kind, count) runs of SL, SLHG or MFC, stacks
     loops into one batch that takes only its gains from the table, as rows of
     (2, N) arrays, and has no ``make_v``: each stacked set has its own frame.
@@ -338,24 +339,23 @@ def build_closed_loop(
     y_d = float(controller.reference.y_d)
     kind = controller.kind
 
-    dinv_scale = time_scaling(1.0 / gains.epsilon, 2)
-    zero, ones = (0.0, 0.0), (1.0, 1.0)
-    # per kind: model gain, process gain, V scaling
+    zero = (0.0, 0.0)
+    # per kind: model gain, process gain
     table = {
-        "MFC": (gains.k_star, gains.k_tilde, dinv_scale),
-        "SLHG": (zero, gains.k_tilde, dinv_scale),
-        "SL": (zero, gains.k_star, ones),
-        "FFLIN": (zero, gains.k_tilde, ones),
+        "MFC": (gains.k_star, gains.k_tilde),
+        "SLHG": (zero, gains.k_tilde),
+        "SL": (zero, gains.k_star),
+        "FFLIN": (zero, gains.k_tilde),
     }
     if columns is None:
-        k_model, k, scale = table[kind]
+        k_model, k = table[kind]
     else:
         kinds = {c for c, _ in columns}
         if not kinds <= {"SL", "SLHG", "MFC"}:
             raise ValueError(f"only SL, SLHG and MFC ride in a stacked batch, not {kinds}")
         counts = [count for _, count in columns]
         k_model, k = (np.repeat(np.asarray(values, dtype=float).T, counts, axis=1)
-                      for values in zip(*(table[c][:2] for c, _ in columns)))
+                      for values in zip(*(table[c] for c, _ in columns)))
         kind = "MFC" if "MFC" in kinds else "SL"
 
     f = msd_f_of(plant.params)
@@ -407,6 +407,7 @@ def build_closed_loop(
         """V centred on the rest state x_s = (x_s1, 0); FFLIN measures from x_d."""
         if np.any(np.asarray(x_s[1]) != 0.0):
             raise ValueError("V is centred on a rest state: x_s[1] must be 0")
+        scale = time_scaling(1.0 / _frame_epsilon(kind, gains.epsilon), 2)
         return _frame_v(P, vartheta, y_d, y_d if kind == "FFLIN" else x_s[0], scale, kind == "MFC")
 
     return _Loop(2, rhs, control, dref, make_v if columns is None else None)

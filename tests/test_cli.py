@@ -116,7 +116,7 @@ class TestRoaCommand:
 
 class TestRoaPolylines:
     """``run_roa``'s second value: ``(kind, float64 array)`` pairs, the valid sets in
-    ``roa_kinds`` order and then the MFC2 sweep, which its writer formats row by row."""
+    MFC1, MFC2, SL, SLHG order and then the MFC2 sweep, which its writer formats row by row."""
 
     SETS = ["MFC1", "MFC2", "SL", "SLHG"]
     SWEEP = ["MFC2_SWEEP_GREEN", "MFC2_SWEEP_GREY"]
@@ -124,9 +124,8 @@ class TestRoaPolylines:
     @pytest.mark.parametrize("scenario, changes, kinds", [
         ("scenario1", {}, SETS + SWEEP),
         ("scenario2", {}, ["MFC1", "MFC2", "SLHG"] + SWEEP),  # SL is invalid
-        ("scenario2", {"roa_kinds": ["SL", "SLHG"]}, ["SLHG"]),
         ("scenario1", {"x0_star": [-5.0, 0.0]}, ["MFC1", "SL", "SLHG"]),  # MFC2 invalid
-    ], ids=["scenario1", "scenario2", "scenario2-SL-SLHG", "scenario1-MFC2-invalid"])
+    ], ids=["scenario1", "scenario2", "scenario1-MFC2-invalid"])
     def test_pairs_in_csv_order(self, tmp_path, scenario, changes, kinds):
         cfg = parse_config({**preset(scenario).to_dict(), **changes})
         report, polylines = cli._run_stage(cfg, "roa", tmp_path)
@@ -181,6 +180,17 @@ class TestOneStageRunner:
         assert written == STAGE_FILES[command] | {"config.json"}
         for name in written:
             assert (tmp_path / name).read_bytes() == (reproduced / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command", sorted(STAGE_FILES) + ["reproduce"])
+    def test_config_json_parses_back_to_the_run_config(self, tmp_path, reproduced, command):
+        if command == "reproduce":
+            out = reproduced
+        else:
+            out = tmp_path
+            assert main([command, *SHORT_RUN, "--out", str(out)]) == 0
+        ran = parse_config({**preset("scenario1").to_dict(), "horizon": 1.0,
+                            "falsify": {"samples": 8, "seed": 3}})
+        assert parse_config(_read_json(out / "config.json")) == ran
 
 
 class TestDesign:
@@ -301,7 +311,7 @@ class TestFalsifyCommand:
 
 
 class TestConfigErrors:
-    def test_empty_controllers_rejected(self, tmp_path, capsys):
+    def test_old_controllers_key_rejected(self, tmp_path, capsys):
         cfg = preset("scenario1").to_dict()
         cfg["controllers"] = []
         path = tmp_path / "bad.json"
@@ -379,14 +389,34 @@ class TestConfigErrors:
         assert (cfg.horizon, cfg.step) == (horizon, step)
 
     def test_config_holds_no_copy_of_the_kind_lists(self):
-        # controllers and estimate kinds are validated against their owners' lists
         owners = (simulate.CONTROLLER_KINDS, roa._FRAMES)
         for name, value in vars(config).items():
             if isinstance(value, (tuple, list, dict)):
                 assert not any(value is not owner and list(value) == list(owner)
                                for owner in owners), name
-        default = {k: v for k, v in preset("scenario1").to_dict().items() if k != "roa_kinds"}
-        assert parse_config(default).roa_kinds == ("MFC1", "MFC2", "SL", "SLHG")
+
+    @pytest.mark.parametrize("path, value", [
+        ("varteta", 5.0),
+        ("controllers", ["SL", "SLHG", "MFC"]),
+        ("roa_kinds", ["MFC1", "MFC2", "SL", "SLHG"]),
+        ("plant.delta_kk", 1.0),
+        ("domain.mid", [0.0, 0.0]),
+        ("falsify.sede", 9),
+    ])
+    def test_unknown_key_is_refused_at_its_path(self, tmp_path, capsys, path, value):
+        cfg = preset("scenario1").to_dict()
+        *parents, key = path.split(".")
+        node = cfg
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", str(config_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {path}:")
+        assert not out.exists()
 
     def test_overflowing_step_count_is_a_config_error(self):
         with pytest.raises(ConfigError, match="step: is too small"):

@@ -1,7 +1,8 @@
 """Golden bytes of the closed-loop kernels.
 
 The digests pin the files that ``cli._run_stage`` writes: the trajectory CSVs
-of the simulate stage (every controller kind, 1 s horizon), a small falsify
+of the simulate stage (SL, SLHG and MFC, 1 s horizon) and of the library's
+FFLIN loop on the same configuration, a small falsify
 report, and the analyze, steady-state and ROA reports on both presets, and one
 digest over the steady-state and ROA outputs of twelve seeded designs around
 ``scenario1``.  A change that moves any bit of an integrated state, input,
@@ -19,7 +20,7 @@ import pytest
 
 from mfcert import cli, roa
 from mfcert.config import parse_config, preset
-from mfcert.simulate import steady_state_of
+from mfcert.simulate import simulate_closed_loop, steady_state_of
 from mfcert.steady_state import (
     SWEEP_STEP,
     Y_D_MAX,
@@ -76,14 +77,32 @@ def _sha256(path):
 
 
 def _short(name):
-    return dataclasses.replace(preset(name), horizon=1.0, controllers=KINDS)
+    return dataclasses.replace(preset(name), horizon=1.0)
 
 
 @pytest.mark.parametrize("name", sorted(TRAJECTORY_SHA256))
 def test_trajectory_csv_bytes(tmp_path, name):
-    cli._run_stage(_short(name), "simulate", tmp_path)
+    cfg = _short(name)
+    cli._run_stage(cfg, "simulate", tmp_path)
+    design = cli._design(cfg)
+    simulate_closed_loop(design.plant, design.controller("FFLIN"), cfg.x0, cfg.horizon,
+                         cfg.step, vartheta=cfg.vartheta).to_csv(tmp_path / "traj_FFLIN.csv")
     digests = {kind: _sha256(tmp_path / f"traj_{kind}.csv") for kind in KINDS}
     assert digests == TRAJECTORY_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_SHA256))
+def test_run_v_is_its_sets_lyapunov_value(name):
+    """The V column of each 1 s run is its certified set's ``lyapunov_value`` bit for
+    bit, scenario2's invalid SL set included: the loops and the sets scale by one D^-1."""
+    cfg = _short(name)
+    _, trajectories = cli.run_simulate(cfg)
+    estimates = cli._design(cfg).estimates
+    for kind, sets in (("SL", ("SL",)), ("SLHG", ("SLHG",)), ("MFC", ("MFC1", "MFC2"))):
+        traj = trajectories[kind]
+        for set_kind in sets:
+            v = estimates[set_kind].lyapunov_value(traj.x, traj.x_star)
+            assert np.array_equal(traj.V, v), (kind, set_kind)
 
 
 @pytest.mark.parametrize("name", sorted(FALSIFY_SHA256))
