@@ -13,16 +13,22 @@ Lyapunov value of a run is its certified frame's, ``roa._frame_v``.  The
 RK4 step is written out for the two state sizes a loop has, 2 components
 (single loop) and 4 (two-loop scheme).  The control law is applied at every
 integrator stage; the recorded input samples are evaluated afterwards on the
-recorded grid states, which are the pre-step states of the stages.
+recorded grid states, which are the pre-step states of the stages.  A single
+run records its grid states as packed doubles, one ``array.array`` extended
+by each accepted step and viewed as a (steps + 1, components) table, so a
+finished trajectory keeps 56 B per step: t, u, V and four state columns.
 
 ``Trajectory.to_csv`` writes each cell as the Python ``repr`` of its float,
 so parsing a cell gives back the recorded float, NaN payloads aside.  A
 column whose cells all share one bit pattern (the model-state columns of a
-single-loop run, say) is formatted once, into the row format.
+single-loop run, say) is formatted once, into the row format; the others are
+formatted in blocks of ``CSV_BLOCK_ROWS`` rows, so the writer's memory does
+not grow with the run.
 """
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -50,6 +56,8 @@ __all__ = [
 CONTROLLER_KINDS = ("SL", "SLHG", "MFC", "FFLIN")
 #: Distance between process and model state below which the process tracks.
 TRACK_GAP = 0.01
+#: Rows that ``Trajectory.to_csv`` formats at a time: a 2 s run at h = 1e-3 is one block.
+CSV_BLOCK_ROWS = 2048
 
 
 class IntegrationError(RuntimeError):
@@ -110,6 +118,9 @@ class Trajectory:
 
         A column whose cells all have the same bits is formatted once, into
         the row format; bits, not values, because 0.0 == -0.0 and NaN != NaN.
+        The other columns are formatted ``CSV_BLOCK_ROWS`` rows at a time,
+        read from this trajectory's own arrays, so the writer's memory does
+        not grow with the run's length.
         """
         n = self.x.shape[1]
         header = (
@@ -119,19 +130,28 @@ class Trajectory:
             + ",".join(f"xstar{i+1}" for i in range(n))
             + ",u,V"
         )
-        table = np.column_stack((self.t, self.x, self.x_star, self.u, self.V))
-        bits = table.view(np.int64)
-        constant = (bits == bits[:1]).all(axis=0)
-        first = table[0].tolist() if len(table) else []
-        row_format = ",".join(
-            repr(v) if same else "%r" for v, same in zip(first, constant)
-        ) + "\n"
-        # zip of no varying columns would yield no rows at all
-        columns = table[:, ~constant].T.tolist()
-        rows = zip(*columns) if columns else itertools.repeat((), len(table))
+        columns = [np.asarray(c, dtype=float)
+                   for c in (self.t, *self.x.T, *self.x_star.T, self.u, self.V)]
+        rows = len(self.t)
+        if any(len(c) != rows for c in columns):
+            raise ValueError("every trajectory column needs one cell per grid time")
+        cells, varying = [], []
+        for c in columns:
+            bits = c.view(np.int64)
+            if rows and (bits == bits[0]).all():
+                cells.append(repr(float(c[0])))
+            else:
+                cells.append("%r")
+                varying.append(c)
+        row_format = ",".join(cells) + "\n"
         with open(path, "w") as fh:
             fh.write(header + "\n")
-            fh.writelines(map(row_format.__mod__, rows))
+            for start in range(0, rows, CSV_BLOCK_ROWS):
+                stop = min(start + CSV_BLOCK_ROWS, rows)
+                # zip of no varying columns would yield no rows at all
+                block = (zip(*(c[start:stop].tolist() for c in varying)) if varying
+                         else itertools.repeat((), stop - start))
+                fh.writelines(map(row_format.__mod__, block))
 
 
 # The laws of the SL, SLHG and MFC loops cancel the known drift f and gain g,
@@ -492,31 +512,32 @@ def simulate_closed_loop(
         comps = tuple(float(v) for v in x0_star) + comps
 
     rhs = loop.rhs
-    states = [comps]
+    record = array.array("d", comps)
     fail_time = None
     for k in range(steps):
         comps = _rk4_components(rhs, k * h, comps, h)
         if not all(map(math.isfinite, comps)):
             fail_time = (k + 1) * h
             break
-        states.append(comps)
+        record.extend(comps)
 
     # the input, V and the single-loop model slot are evaluated on the whole
     # grid at once; a diverging run may overflow there, and is reported below
-    t_grid = np.arange(len(states)) * h
-    rows = tuple(np.array(states).T)
+    table = np.frombuffer(record).reshape(-1, len(comps))
+    t_grid = np.arange(len(table)) * h
+    rows = tuple(table.T)
     if controller.kind == "MFC":
-        x_star, x = rows[:2], rows[2:]
+        x_star, x = table[:, :2], table[:, 2:]
     else:
-        x_star, x = x_d, rows
+        x_star, x = np.column_stack(np.broadcast_arrays(*x_d, t_grid)[:2]), table
     with np.errstate(all="ignore"):
         u = np.asarray(loop.control(t_grid, rows), dtype=float)
         V = np.asarray(v_of(t_grid, rows), dtype=float)
 
     traj = Trajectory(
         t=t_grid,
-        x=np.column_stack(x),
-        x_star=np.column_stack(np.broadcast_arrays(*x_star, t_grid)[:2]),
+        x=x,
+        x_star=x_star,
         u=u,
         V=V,
         metadata={

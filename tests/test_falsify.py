@@ -112,6 +112,14 @@ class TestFalsifyRoa:
             assert mode in ("diverged", "wrong-equilibrium", "V-increase")
             assert len(x0) == 2
 
+    def test_inflated_set_reports_v_increase(self, scenario1_estimates, plant, gains):
+        # 20x the SL level (15.03) lies above the set's first V' >= 0 level (13.78),
+        # yet every run converges: only the decrease test can flag the set
+        inflated = _inflated(scenario1_estimates["SL"], 20.0)
+        assert inflated.level == pytest.approx(15.03, abs=0.01)
+        rep = falsify_roa(inflated, plant, gains, count=500, horizon=10.0, h=1e-3, seed=0)
+        assert "V-increase" in {mode for _, mode, _ in rep.violations}
+
     def test_reports_are_deterministic(self, scenario1_estimates, plant, gains):
         def run():
             rep = falsify_roa(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from mfcert import (
 )
 from mfcert.plant import msd_f
 from mfcert import falsify
-from mfcert.simulate import Trajectory, _rk4_components, build_closed_loop
+from mfcert.simulate import CSV_BLOCK_ROWS, Trajectory, _rk4_components, build_closed_loop
 from mfcert.synthesis import solve_lyapunov
 from mfcert.steady_state import mfc_equilibria, single_loop_equilibria
 
@@ -578,6 +579,69 @@ class TestMetricsAndCsv:
         expected = self._reference_csv(traj)
         assert len(expected.splitlines()) == len(x1) + 1
         assert path.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                      CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1])
+    def test_csv_bytes_across_row_blocks(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        x1 = rng.standard_normal(rows)
+        x2 = np.zeros(rows)
+        x2[-1:] = -0.0  # equal to every other cell, but not the same bits
+        xs1 = np.full(rows, 0.75)
+        xs2 = np.full(rows, 0.75)
+        xs2[-1:] = 0.5  # changes only in its last row
+        u = np.full(rows, math.nan)  # constant: NaN has one bit pattern here
+        V = np.where(np.arange(rows) % 3 == 0, math.nan, rng.standard_normal(rows))
+        traj = Trajectory(t=np.arange(rows) * 1e-3, x=np.column_stack((x1, x2)),
+                          x_star=np.column_stack((xs1, xs2)), u=u, V=V)
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        assert path.read_bytes() == self._reference_csv(traj).encode()
+
+    def test_csv_bytes_of_all_constant_columns(self, tmp_path):
+        rows = 2 * CSV_BLOCK_ROWS + 1
+        const = np.full(rows, -0.0)
+        traj = Trajectory(t=const, x=np.column_stack((const, np.full(rows, 0.75))),
+                          x_star=np.column_stack((const, const)), u=np.full(rows, math.nan),
+                          V=np.full(rows, 12.81))
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        expected = self._reference_csv(traj)
+        assert len(expected.splitlines()) == rows + 1
+        assert path.read_bytes() == expected.encode()
+
+    def test_csv_refuses_columns_of_unequal_length(self, tmp_path):
+        traj = Trajectory(t=np.arange(3) * 1e-3, x=np.zeros((3, 2)), x_star=np.zeros((3, 2)),
+                          u=np.zeros(3), V=np.zeros(2))
+        with pytest.raises(ValueError):
+            traj.to_csv(tmp_path / "traj.csv")
+
+    def test_csv_peak_memory_does_not_grow_with_rows(self, tmp_path):
+        rows = 50_000
+        data = np.random.default_rng(0).standard_normal((rows, 6))
+        traj = Trajectory(t=np.arange(rows) * 1e-3, x=data[:, :2], x_star=data[:, 2:4],
+                          u=data[:, 4], V=data[:, 5])
+        tracemalloc.start()
+        try:
+            traj.to_csv(tmp_path / "traj.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000  # about 0.6 MB: one block of rows as Python floats
+
+    def test_run_peak_memory_per_step(self, plant, gains):
+        spec = ControllerSpec(kind="MFC", gains=gains, reference=SetPoint(0.75))
+        simulate_closed_loop(plant, spec, (0.1, -0.2), 0.1, 1e-3, vartheta=1000.0)  # warm up
+        tracemalloc.start()
+        try:
+            traj = simulate_closed_loop(plant, spec, (0.1, -0.2), 20.0, 1e-3, vartheta=1000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        steps = len(traj.t) - 1
+        assert steps == 20_000
+        # about 104 B: the packed record (32 B), t, u, V and the input's temporaries
+        assert peak < 150 * steps
 
     def test_csv_format(self, plant, gains, tmp_path):
         spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
