@@ -190,6 +190,7 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
             traj = err.trajectory
             entry = {"diverged": True, "fail_time": err.time,
                      "u0": float(traj.u[0]) if len(traj.u) else None}
+        entry["outcome"] = traj.metadata["outcome"]
         entry["x_s"] = list(traj.metadata["x_s"])
         all_metrics[kind] = entry
         trajectories[kind] = traj
@@ -289,6 +290,8 @@ def run_reproduce(
     steady, _ = _run_stage(cfg, "steady_state", out_dir)
     roa_report, _ = _run_stage(cfg, "roa", out_dir)
     metrics, trajectories = _run_stage(cfg, "simulate", out_dir)
+    mfc_final_output_gap = abs(float(trajectories["MFC"].x[-1, 0]) - cfg.y_d)
+    del trajectories  # the runs need not live through the falsify stage, which sets the peak
     fals = _run_stage(cfg, "falsify", out_dir)
 
     design = _design(cfg)  # the one the stages above built
@@ -320,7 +323,7 @@ def run_reproduce(
 
     computed["u_slhg_0"] = metrics["SLHG"]["u0"]
     computed["u_mfc_0"] = metrics["MFC"]["u0"]
-    computed["mfc_final_output_gap"] = abs(float(trajectories["MFC"].x[-1, 0]) - y_d)
+    computed["mfc_final_output_gap"] = mfc_final_output_gap
 
     if scenario == "scenario1":
         spec = design.controller("MFC")

@@ -4,9 +4,9 @@ Initial states are sampled uniformly inside each certified level set
 (slightly shrunk, since the certified sets are open).  The samples of every
 set of one design are integrated together as one stacked batch, and each run
 is classified: converged to the analytic equilibrium, diverged, settled
-elsewhere, or Lyapunov increase while inside its set.  Sampling uses a
-counter-based generator, so reports are byte-for-byte reproducible for a
-fixed seed.
+elsewhere (a single run's verdict too, ``simulate._run_outcome``), or
+Lyapunov increase while inside its set.  Sampling uses a counter-based
+generator, so reports are byte-for-byte reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .simulate import (
     ControllerSpec,
     SetPoint,
     _rk4_components,
+    _run_outcome,
     build_closed_loop,
     whole_steps,
 )
@@ -176,11 +177,10 @@ def falsify_sets(
     Each estimate runs under the loop it certifies (``RoaEstimate.controller``)
     and gets ``count`` samples drawn with ``seed``; all columns run under
     one law (see ``build_closed_loop``) with their set's level, and V is each
-    set's own ``lyapunov_value``.  A run converges when it has not diverged
-    and its final state lies within max(0.01 d0, 0.01) of the analytic
-    equilibrium, d0 being its initial distance to it: one percent of that
-    distance, and never less than 0.01.  Lyapunov increase is monitored
-    online while the state remains inside its set.  Violations are data, not
+    set's own ``lyapunov_value``.  A run's final verdict is a single run's,
+    ``simulate._run_outcome``: converged, diverged or wrong-equilibrium.
+    Lyapunov increase is monitored online while the state remains inside its
+    set and reported for a run that converged.  Violations are data, not
     errors.  Every run takes ``whole_steps(horizon, h)`` steps.  Returns one
     report per set, in order.
     """
@@ -191,7 +191,6 @@ def falsify_sets(
     if any(not (np.array_equal(est.x_d, first.x_d) and np.array_equal(est.P, first.P))
            for est in estimates):
         raise ValueError("a batch needs sets of one set-point and one Lyapunov matrix")
-    n = first.n
     x_d = np.asarray(first.x_d, dtype=float)
     x0, x0_star = [], []
     for est in estimates:
@@ -246,9 +245,7 @@ def falsify_sets(
             in_set &= inside
             v_prev = v_new
 
-        dist = np.linalg.norm(np.stack(comps[-n:], axis=1) - x_s, axis=1)
-    threshold = np.maximum(0.01 * np.linalg.norm(x0 - x_s, axis=1), 0.01)
-    near = alive & (dist <= threshold)
+    outcome = _run_outcome(alive, x0, np.stack(comps[-2:], axis=1), x_s)
 
     empirical = gamma_empirical(plant.params, plant.domain, LIPSCHITZ_PAIRS, seed + 1)
     analytic = phi_lipschitz_sup(plant.params, plant.domain)
@@ -256,9 +253,9 @@ def falsify_sets(
     for j, est in enumerate(estimates):
         violations = []
         for i in range(j * count, (j + 1) * count):
-            if not alive[i]:
+            if outcome[i] == "diverged":
                 violations.append((tuple(x0[i]), "diverged", float(fail_time[i])))
-            elif not near[i]:
+            elif outcome[i] == "wrong-equilibrium":
                 violations.append((tuple(x0[i]), "wrong-equilibrium", None))
             elif viol_v[i]:
                 violations.append((tuple(x0[i]), "V-increase", float(viol_v_time[i])))

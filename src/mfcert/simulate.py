@@ -433,6 +433,17 @@ def build_closed_loop(
     return _Loop(2, rhs, control, dref, make_v if columns is None else None)
 
 
+def _run_outcome(finite, x0, x_end, x_s) -> list[str]:
+    """Each run's verdict from (N, 2) rows of its start, end and rest state x_s:
+    "diverged" unless it stayed ``finite``, else "converged" if it ends within
+    max(0.01 d0, 0.01) of x_s, d0 = ||x0 - x_s||, else "wrong-equilibrium"."""
+    with np.errstate(all="ignore"):
+        dist = np.linalg.norm(x_end - x_s, axis=1)
+        near = dist <= np.maximum(0.01 * np.linalg.norm(x0 - x_s, axis=1), 0.01)
+    return np.where(finite, np.where(near, "converged", "wrong-equilibrium"),
+                    "diverged").tolist()
+
+
 def whole_steps(horizon: float, h: float) -> int:
     """Every integrator's step count: ValueError unless ``h > 0`` divides ``horizon``
     into a whole number of steps, at least one, to within 1e-9 of the horizon."""
@@ -490,9 +501,9 @@ def simulate_closed_loop(
     loop sees no uncertainty by construction.  Single-loop runs repeat the
     reference state in the model-state slot.  V is centred on
     ``steady_state_of``; ``vartheta`` weighs its model error.  The run ends at
-    the horizon, after ``whole_steps(horizon, h)`` steps.  Raises
-    IntegrationError when a state goes non-finite; the partial trajectory
-    rides on the exception.
+    the horizon, after ``whole_steps(horizon, h)`` steps, its ``outcome`` the
+    batch's verdict (``_run_outcome``).  Raises IntegrationError when a state
+    goes non-finite; the partial trajectory, "diverged", rides on the exception.
     """
     steps = whole_steps(horizon, h)
     if len(x0) != 2:
@@ -549,6 +560,7 @@ def simulate_closed_loop(
             "epsilon": controller.gains.epsilon,
             "vartheta": vartheta,
             "diverged": fail_time is not None,
+            "outcome": _run_outcome([fail_time is None], x[:1], x[-1:], [x_s])[0],
             "fail_time": fail_time,
         },
     )
@@ -567,7 +579,9 @@ def metrics(traj: Trajectory, x_s_expected: Sequence[float]) -> dict:
     The steady-state error compares the mean output over the final tenth of
     the horizon against the set-point.  The settling time is the first grid
     time after which the distance to the expected equilibrium stays below one
-    percent of the initial distance (0.01 absolute when starting on it).
+    percent of the initial distance (0.01 absolute when starting on it).  It
+    times the approach, so unlike the verdict's (``_run_outcome``) it has no
+    0.01 floor: a start within 1 of x_s is timed to a tighter band.
     """
     if len(traj.t) == 0:
         raise ValueError("trajectory is empty")

@@ -208,6 +208,8 @@ class TestSimulateCommand:
         assert metrics["SLHG"]["u0"] == pytest.approx(310.0, rel=0.02)
         assert metrics["MFC"]["u0"] == pytest.approx(13.0, abs=1.0)
         assert metrics["MFC"]["steady_state_error_pct"] < 0.1
+        assert {kind: m["outcome"] for kind, m in metrics.items()} == dict.fromkeys(
+            ("SL", "SLHG", "MFC"), "converged")
         header = (tmp_path / "traj_MFC.csv").read_text().splitlines()[0]
         assert header == "t,x1,x2,xstar1,xstar2,u,V"
 
@@ -218,6 +220,9 @@ class TestSimulateCommand:
         # the plain loop fails to settle at the set-point
         sl = metrics["SL"]
         assert sl["diverged"] or sl["steady_state_error_pct"] > 10.0
+        # its selected root is unstable: it stays finite and settles elsewhere
+        assert {kind: m["outcome"] for kind, m in metrics.items()} == {
+            "SL": "wrong-equilibrium", "SLHG": "converged", "MFC": "converged"}
 
 
 class TestSteadyStateConsistency:
@@ -707,6 +712,9 @@ class TestReproduce:
         rows = {row["name"]: row for row in _read_json(tmp_path / "summary.json")["rows"]}
         assert rows["mfc_reconverge_time_s"]["computed"] == float("inf")
         assert not rows["mfc_reconverge_time_s"]["pass"]
+        # the 10 s runs grow to x1 ~ 1e32 and stay finite: data, but not converged
+        for entry in _read_json(tmp_path / "metrics.json").values():
+            assert entry["diverged"] is False and entry["outcome"] == "wrong-equilibrium"
 
     def test_samples_and_seed_are_folded_into_a_copy_of_the_config(self, tmp_path):
         cfg = dataclasses.replace(preset("scenario2"), horizon=1.0)

@@ -180,19 +180,30 @@ class TestFalsifySets:
 
     def test_fail_time_is_the_single_run_fail_time(self, scenario1_estimates, plant, gains):
         # the batch finds a dead column through its non-finite V; the time must
-        # still be the first step at which one of its components went non-finite
+        # still be the first step at which one of its components went non-finite.
+        # Every start's final verdict is also its single run's: one rule decides both
         inflated = _inflated(scenario1_estimates["SL"], 200.0)
-        _, bad = falsify_sets(
-            [scenario1_estimates["MFC1"], inflated],
-            plant, gains, count=16, horizon=3.0, h=1e-3, seed=0,
-        )
-        diverged = [(x0, time) for x0, mode, time in bad.violations if mode == "diverged"]
-        assert diverged
-        spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
-        for x0, time in diverged:
-            with pytest.raises(IntegrationError) as err:
-                simulate_closed_loop(plant, spec, x0, 3.0, 1e-3, vartheta=1000.0)
-            assert err.value.time == time
+        sets = [scenario1_estimates["MFC1"], inflated]
+        reports = falsify_sets(sets, plant, gains, count=16, horizon=3.0, h=1e-3, seed=0)
+        seen = set()
+        for est, rep in zip(sets, reports):
+            modes = {x0: (mode, time) for x0, mode, time in rep.violations}
+            starts, model_starts = sample_in_set(est, 16, seed=0)
+            for i, x0 in enumerate(starts):
+                mode, time = modes.get(tuple(x0), ("converged", None))
+                mode = "converged" if mode == "V-increase" else mode  # a converged final state
+                seen.add(mode)
+                spec = ControllerSpec(kind=est.controller, gains=gains, reference=SetPoint(0.75),
+                                      model_initial=None if model_starts is None else model_starts[i])
+                if mode == "diverged":
+                    with pytest.raises(IntegrationError) as err:
+                        simulate_closed_loop(plant, spec, x0, 3.0, 1e-3, vartheta=1000.0)
+                    assert err.value.time == time
+                    traj = err.value.trajectory
+                else:
+                    traj = simulate_closed_loop(plant, spec, x0, 3.0, 1e-3, vartheta=1000.0)
+                assert traj.metadata["outcome"] == mode, (est.kind, tuple(x0))
+        assert seen == {"converged", "wrong-equilibrium", "diverged"}
 
     @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
     def test_batch_v_is_each_sets_lyapunov_value(self, scenario, monkeypatch):

@@ -101,6 +101,18 @@ def test_lipschitz_sup_matches_grid_oracle(table_params):
     assert float(np.max(norms)) == pytest.approx(sup, rel=1e-6)
 
 
+def test_lipschitz_sup_inside_a_box_straddling_zero():
+    # sigma1 = 0.129 > 0 and dk < 0: the gradient's x1 part, 3 sigma1 x1^2 + dk,
+    # is largest in size at x1 = 0 (0.1), not at the endpoints (0.06517)
+    p = MsdParams(k=1.5, c_d=0.3, alpha=0.5, m=1.0, g0=9.81, dk=-0.1, dc_d=0.0, dalpha=0.1)
+    region = Box((-0.3, -1.0), (0.3, 1.0))
+    assert sigma1(p) == pytest.approx(0.129, abs=1e-12)
+    sup = phi_lipschitz_sup(p, region)
+    xs = np.linspace(region.lo[0], region.hi[0], 20001)
+    d1, d2 = msd_phi_gradient(p, (xs, np.zeros_like(xs)))
+    assert sup == float(np.max(np.hypot(d1, d2))) == pytest.approx(0.1, abs=1e-15)
+
+
 def test_inverted_box_rejected():
     with pytest.raises(ValueError):
         Box((1.0, 0.0), (-1.0, 1.0))

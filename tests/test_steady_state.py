@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mfcert import (
+    GainSet,
     MsdParams,
     classify_stability,
     mfc_equilibria,
@@ -162,6 +163,11 @@ class TestClassifyStability:
     def test_unknown_kind_rejected(self, table_params, gains):
         with pytest.raises(ValueError):
             classify_stability(0.0, "XX", table_params, gains)
+
+    def test_small_real_parts_are_not_marginal(self, nominal_params):
+        # real parts -1e-6: far above the marginal band of rounding noise
+        gains = GainSet(k_star=(-1.0, -2e-6), k_tilde=(-100.0, -2e-5), epsilon=0.1)
+        assert classify_stability(0.0, "SL", nominal_params, gains) == "stable"
 
 
 class TestInvariants:
