@@ -7,11 +7,19 @@ is classified: converged to the analytic equilibrium, diverged, settled
 elsewhere (a single run's verdict too, ``simulate._run_outcome``), or
 Lyapunov increase while inside its set.  Sampling uses a counter-based
 generator, so reports are byte-for-byte reproducible for a fixed seed.
+
+Every ``RETIRE_EVERY`` steps the batch drops the columns whose report is
+decided, and no report byte moves: a dead column stays non-finite; a frozen
+one, whose last step kept its state bits, keeps them, as the loop is
+autonomous and its columns never interact; a merged one, equal in state bits,
+set, ``in_set`` and ``viol_v`` to a column that stays, shares its future.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +50,8 @@ BOUNDARY_MARGIN = 0.999
 DECREASE_TOLERANCE = 1e-9
 #: Point pairs behind the sampled Lipschitz constant of each report.
 LIPSCHITZ_PAIRS = 10_000
+#: Steps between two passes that retire the batch's decided columns.
+RETIRE_EVERY = 256
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -182,9 +192,21 @@ def falsify_sets(
     Lyapunov increase is monitored online while the state remains inside its
     set and reported for a run that converged.  Violations are data, not
     errors.  Every run takes ``whole_steps(horizon, h)`` steps.  Returns one
-    report per set, in order.
+    report per set, in order; ``count`` must be a positive integer.
+
+    Every ``RETIRE_EVERY`` steps a column whose report is decided leaves the
+    batch.  Dead: a non-finite component stays so; the run is ``diverged`` at
+    its fail time.  Frozen: a step that kept the state bits keeps them ever
+    after, so V is constant and ``_decrease_step`` counts no increase (a
+    rounding-negative V lies below the floor).  Merged: equal in state bits,
+    set, ``in_set`` and ``viol_v`` to a column that stays, it evolves bit for
+    bit alike, so it ends with that column's state, ``alive``, fail time and,
+    unless it had violated already, later ``V-increase``; its outcome still
+    weighs its own start.
     """
     steps = whole_steps(horizon, h)
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
     if not estimates:
         return []
     first = estimates[0]
@@ -203,49 +225,94 @@ def falsify_sets(
     def per_column(values):
         return np.repeat(np.asarray(values, dtype=float), count, axis=0)
 
+    set_of = np.repeat(np.arange(len(estimates), dtype=np.uint64), count)
     level = per_column([est.level for est in estimates])
     floor = 1e-12 * level
     x_s = per_column([est.x_s for est in estimates])
-    spec = ControllerSpec(kind="MFC", gains=gains, reference=SetPoint(float(x_d[0])))
-    loop = build_closed_loop(plant, spec, first.vartheta,
-                             columns=[(est.controller, count) for est in estimates])
-    two_loop = any(est.controller == "MFC" for est in estimates)
+    vartheta = per_column([est.vartheta for est in estimates])
     scale = per_column([np.diag(est.d_inv()) for est in estimates]).T.copy()
-    v_of = _frame_v(first.P, per_column([est.vartheta for est in estimates]), x_d[0],
-                    x_s[:, 0].copy(), scale, two_loop)
+    spec = ControllerSpec(kind="MFC", gains=gains, reference=SetPoint(float(x_d[0])))
+    two_loop = any(est.controller == "MFC" for est in estimates)
+
+    def batch(cols):
+        """The loop and V of the columns ``cols``; an MFC run of none keeps the two-loop law."""
+        runs = [(estimates[j].controller, len(list(run)))
+                for j, run in itertools.groupby(set_of[cols].tolist())]
+        loop = build_closed_loop(plant, spec, first.vartheta,
+                                 columns=runs + [("MFC", 0)] * two_loop)
+        return loop, _frame_v(first.P, vartheta[cols], x_d[0], x_s[cols, 0],
+                              scale[:, cols], two_loop)
+
+    cols = np.arange(total)  # each batch column's index among all runs
+    loop, v_of = batch(cols)
     comps = tuple(x0.T.copy())
     if two_loop:
         comps = tuple(np.concatenate(x0_star).T.copy()) + comps
+    end = np.empty((len(comps), total))
     alive = np.ones(total, dtype=bool)
     fail_time = np.full(total, np.nan)
-    viol_v = np.zeros(total, dtype=bool)
+    viol_v_all = np.zeros(total, dtype=bool)
+    viol_v = viol_v_all.copy()
     viol_v_time = np.full(total, np.nan)
+    merges = []  # (followers, their representatives, whether each inherits a V-increase)
 
     with np.errstate(all="ignore"):
         v_prev = v_of(0.0, comps)
         in_set = v_prev <= level * (1.0 + 1e-12)
         for k in range(steps):
             t = k * h
-            comps = _rk4_components(loop.rhs, t, comps, h)
+            before, comps = comps, _rk4_components(loop.rhs, t, comps, h)
             v_new = v_of(t + h, comps)
             # V is positive definite in every state component, so a state can
             # only have gone non-finite where V did
             if not np.isfinite(v_new).all():
                 finite = np.logical_and.reduce([np.isfinite(c) for c in comps])
-                newly_dead = alive & ~finite
+                newly_dead = alive[cols] & ~finite
                 if np.any(newly_dead):
-                    fail_time[newly_dead] = (k + 1) * h
-                    alive &= finite
+                    fail_time[cols[newly_dead]] = (k + 1) * h
+                    alive[cols[newly_dead]] = False
             increase, inside = _decrease_step(v_prev, v_new, level, floor)
             inc = in_set & increase
             fresh = inc & ~viol_v
             if np.any(fresh):
-                viol_v_time[fresh] = (k + 1) * h
+                viol_v_time[cols[fresh]] = (k + 1) * h
                 viol_v |= inc
             in_set &= inside
             v_prev = v_new
+            if (k + 1) % RETIRE_EVERY or k + 1 == steps:
+                continue
+            # retire the columns whose report is decided: dead, frozen, or merged
+            bits = [c.view(np.uint64) for c in comps]
+            frozen = np.logical_and.reduce([b == a.view(np.uint64) for a, b in zip(before, bits)])
+            live = alive[cols]
+            _, first_of, group = np.unique(np.column_stack(bits + [set_of[cols], in_set, viol_v]),
+                                           axis=0, return_index=True, return_inverse=True)
+            rep = first_of[group]
+            follows = live & (rep != np.arange(len(cols)))
+            keep = live & ~frozen & ~follows
+            if keep.all():
+                continue
+            merges.append((cols[follows], cols[rep[follows]], ~viol_v[follows]))
+            end[:, cols] = comps
+            viol_v_all[cols] = viol_v
+            cols = cols[keep]
+            comps = tuple(c[keep] for c in comps)
+            v_prev, in_set, viol_v, level, floor = (
+                a[keep] for a in (v_prev, in_set, viol_v, level, floor))
+            if not len(cols):
+                break
+            loop, v_of = batch(cols)
 
-    outcome = _run_outcome(alive, x0, np.stack(comps[-2:], axis=1), x_s)
+    end[:, cols] = comps
+    viol_v_all[cols] = viol_v
+    for followers, reps, inherits in reversed(merges):  # a representative may follow later
+        end[:, followers] = end[:, reps]
+        alive[followers] = alive[reps]
+        fail_time[followers] = fail_time[reps]
+        followers, reps = followers[inherits], reps[inherits]
+        viol_v_all[followers] = viol_v_all[reps]
+        viol_v_time[followers] = viol_v_time[reps]
+    outcome = _run_outcome(alive, x0, np.stack(end[-2:], axis=1), x_s)
 
     empirical = gamma_empirical(plant.params, plant.domain, LIPSCHITZ_PAIRS, seed + 1)
     analytic = phi_lipschitz_sup(plant.params, plant.domain)
@@ -257,7 +324,7 @@ def falsify_sets(
                 violations.append((tuple(x0[i]), "diverged", float(fail_time[i])))
             elif outcome[i] == "wrong-equilibrium":
                 violations.append((tuple(x0[i]), "wrong-equilibrium", None))
-            elif viol_v[i]:
+            elif viol_v_all[i]:
                 violations.append((tuple(x0[i]), "V-increase", float(viol_v_time[i])))
         violations.sort(key=lambda item: item[0])
         reports.append(FalsificationReport(

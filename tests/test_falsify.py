@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -229,6 +232,13 @@ class TestFalsifySets:
     def test_empty_batch(self, plant, gains):
         assert falsify_sets([], plant, gains, count=4, horizon=1.0, h=1e-3, seed=0) == []
 
+    @pytest.mark.parametrize("count", [0, -1, 2.5, 3.0, True, "3"])
+    def test_sample_count_must_be_a_positive_integer(self, scenario1_estimates, plant, gains,
+                                                     count):
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            falsify_sets([scenario1_estimates["SL"]], plant, gains, count=count,
+                         horizon=1.0, h=1e-3, seed=0)
+
     def test_each_set_runs_under_the_loop_it_certifies(self, scenario1_estimates):
         assert {kind: est.controller for kind, est in scenario1_estimates.items()} == {
             "MFC1": "MFC", "MFC2": "MFC", "SL": "SL", "SLHG": "SLHG"}
@@ -378,3 +388,88 @@ class TestStepCounters:
             falsify_sets([scenario1_estimates["SL"]], plant, gains, count=7,
                          horizon=horizon, h=h, seed=0)
         assert single == batch == []
+
+
+class TestRetirement:
+    """Dead, frozen and merged columns leave the batch; no report byte moves."""
+
+    KWARGS = dict(count=100, horizon=10.0, h=1e-3, seed=0)
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        design = cli._design(preset("scenario1"))
+        est = design.estimates
+        sets = [est["MFC1"], est["MFC2"], est["SLHG"],
+                _inflated(est["SL"], 20.0), _inflated(est["SL"], 200.0)]
+        return design, sets
+
+    @pytest.fixture(scope="class")
+    def retired(self, oracle):
+        design, sets = oracle
+        with pytest.MonkeyPatch.context() as patch:
+            widths = TestStepCounters._counting(patch, falsify)
+            reports = falsify_sets(sets, design.plant, design.gains, **self.KWARGS)
+        return reports, widths
+
+    def test_reports_keep_the_digest_of_the_unretired_batch(self, retired):
+        reports, _ = retired
+        text = json.dumps([r.to_dict() for r in reports], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "890956c5d38db83043ad2605baffeb603e7b0ba7a12a3f08018b242b6793039e")
+        assert Counter(mode for _, mode, _ in reports[-1].violations) == {
+            "diverged": 49, "V-increase": 3}
+
+    def test_the_batch_narrows(self, retired):
+        # frozen SLHG columns and the merged MFC2 columns leave; the rest run on
+        _, widths = retired
+        assert len(widths) == 10_000 and widths[0] == 500 and widths[-1] < 300
+
+    def test_reports_equal_those_without_retirement(self, monkeypatch, oracle, retired):
+        design, sets = oracle
+        monkeypatch.setattr(falsify, "RETIRE_EVERY", 10**9)
+        kept = falsify_sets(sets, design.plant, design.gains, **self.KWARGS)
+        assert [r.to_dict() for r in kept] == [r.to_dict() for r in retired[0]]
+
+    def test_merged_columns_keep_their_own_verdicts(self, monkeypatch):
+        # The samples of an MFC2 set share one model start, so they merge bit
+        # for bit by about 3 s.  A wrong P and a shifted centre make their
+        # reports differ anyway: some start outside the level, some increase V
+        # at once, and some only at 5.55 s, at 9e-5 of the level (so below the
+        # decrease floor's 1e-12, but not 1e-3), as the run nears the true rest
+        # state.  A centre 0.02 off splits converged from wrong-equilibrium by
+        # each start's own d0.
+        design = cli._design(preset("scenario1"))
+        m2 = design.estimates["MFC2"]
+        P = np.array([[1.125, -0.15], [-0.15, 0.15625]])
+
+        def off_centre(shift, level):
+            return dataclasses.replace(m2, P=P, vartheta=1.0, level=level,
+                                       x_s=(m2.x_s[0] + shift, 0.0))
+
+        sets = [off_centre(-0.002, 5.0), off_centre(-0.02, 10.0)]
+        kwargs = dict(count=50, horizon=6.0, h=1e-3, seed=0)
+        widths = TestStepCounters._counting(monkeypatch, falsify)
+        retired = falsify_sets(sets, design.plant, design.gains, **kwargs)
+        assert widths[0] == 100 and widths[-1] < 10
+        monkeypatch.setattr(falsify, "RETIRE_EVERY", 10**9)
+        kept = falsify_sets(sets, design.plant, design.gains, **kwargs)
+        assert [r.to_dict() for r in retired] == [r.to_dict() for r in kept]
+        x0, x0_star = sample_in_set(sets[0], 50, seed=0)
+        outside = np.sum(sets[0].lyapunov_value(x0, x0_star) > sets[0].level)
+        late = [t for rep in retired for _, mode, t in rep.violations
+                if mode == "V-increase" and t > 5.0]
+        assert outside > 0 and len(late) >= 2
+        assert {mode for _, mode, _ in retired[1].violations} == {
+            "V-increase", "wrong-equilibrium"}
+
+    def test_a_batch_that_retires_every_column_stops(self, monkeypatch, scenario1_estimates,
+                                                     plant, gains):
+        # every SLHG column reaches an exact fixed point by about 2.2 s
+        kwargs = dict(count=20, horizon=10.0, h=1e-3, seed=3)
+        widths = TestStepCounters._counting(monkeypatch, falsify)
+        retired = falsify_sets([scenario1_estimates["SLHG"]], plant, gains, **kwargs)
+        assert len(widths) < 3_000
+        monkeypatch.setattr(falsify, "RETIRE_EVERY", 10**9)
+        kept = falsify_sets([scenario1_estimates["SLHG"]], plant, gains, **kwargs)
+        assert retired[0].to_dict() == kept[0].to_dict()
+        assert retired[0].converged == 20
