@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from collections.abc import Iterable, Iterator
@@ -282,10 +281,7 @@ def run_reproduce(
     seed: int | None = None,
     tolerance_rows: list[dict] | None = None,
 ) -> dict:
-    if samples is not None or seed is not None:  # a copy of cfg carries both
-        cfg = dataclasses.replace(
-            cfg, falsify_samples=cfg.falsify_samples if samples is None else samples,
-            falsify_seed=cfg.falsify_seed if seed is None else seed)
+    cfg = _with_overrides(cfg, samples=samples, seed=seed)
     _run_stage(cfg, "analyze", out_dir)
     steady, _ = _run_stage(cfg, "steady_state", out_dir)
     roa_report, _ = _run_stage(cfg, "roa", out_dir)
@@ -426,16 +422,19 @@ def _resolve_config(args) -> ScenarioConfig:
         cfg = load_config(args.config)
     else:
         cfg = preset(scenario or args.preset or "scenario1")
+    return _with_overrides(cfg, **{name: getattr(args, name)
+                                    for name in ("step", "horizon", "samples", "seed")})
+
+
+def _with_overrides(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:
+    """``cfg`` with the given step, horizon, samples and seed (None keeps a value),
+    re-parsed by ``parse_config``, so a bad value is a ConfigError as in a file."""
+    updates = {name: value for name, value in overrides.items() if value is not None}
+    if not updates:
+        return cfg
     data = cfg.to_dict()
-    updates = {name: getattr(args, name) for name in ("step", "horizon")
-               if getattr(args, name) is not None}
-    falsify = {name: getattr(args, name) for name in ("samples", "seed")
-               if getattr(args, name) is not None}
-    if falsify:
-        updates["falsify"] = {**data["falsify"], **falsify}
-    if updates:
-        cfg = parse_config({**data, **updates})
-    return cfg
+    falsify = {name: updates.pop(name) for name in ("samples", "seed") if name in updates}
+    return parse_config({**data, **updates, "falsify": {**data["falsify"], **falsify}})
 
 
 class _Parser(argparse.ArgumentParser):

@@ -66,17 +66,26 @@ def _unit_ball(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return g / norms * radii[:, None]
 
 
+def _check_count(count) -> None:
+    """The sample-count rule of ``sample_in_set`` and ``falsify_sets``: a positive integer."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
+
+
 def sample_in_set(
     estimate: RoaEstimate, count: int, seed: int
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Uniform initial states inside a certified set, in physical coordinates.
 
     Unit-ball samples are pushed through the inverse symmetric square root of
     the set's shape matrix and mapped to physical coordinates through the
     set's frame (``RoaEstimate.to_physical``).  Returns the process states
-    (count, n) and, for the two-loop kinds, the matching model states;
-    single-loop kinds return None for the model part.
+    (count, n) and the matching model states (count, n): sampled for MFC1,
+    whose set draws model and process error together, and the set's own
+    ``x0_star`` in every row for the other kinds.  ``count`` must be a
+    positive integer.
     """
+    _check_count(count)
     if not estimate.valid:
         raise ValueError(f"cannot sample the invalid {estimate.kind} estimate "
                          f"({estimate.reason})")
@@ -87,15 +96,11 @@ def sample_in_set(
     z = math.sqrt(BOUNDARY_MARGIN * estimate.slice_level) * u[:, -n:] @ S.T
     if estimate.kind == "MFC1":
         scale = math.sqrt(BOUNDARY_MARGIN * estimate.level / estimate.vartheta)
-        e_star = scale * u[:, :n] @ S.T
-    else:  # the slice's own model error: zero without a model start
-        e_star = np.asarray(estimate.x0_star or estimate.x_d) - np.asarray(estimate.x_d)
-    x_star, x0 = estimate.to_physical(e_star, z)
-    if estimate.controller != "MFC":
-        return x0, None
-    if estimate.kind == "MFC2":  # the stored model start itself, for every sample
-        x_star = np.tile(np.asarray(estimate.x0_star), (count, 1))
-    return x0, x_star
+        x_star, x0 = estimate.to_physical(scale * u[:, :n] @ S.T, z)
+        return x0, x_star
+    x0_star = np.asarray(estimate.x0_star, dtype=float)
+    _, x0 = estimate.to_physical(x0_star - np.asarray(estimate.x_d), z)
+    return x0, np.tile(x0_star, (count, 1))
 
 
 def _decrease_step(v_prev, v_new, level, floor):
@@ -205,21 +210,15 @@ def falsify_sets(
     weighs its own start.
     """
     steps = whole_steps(horizon, h)
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
+    _check_count(count)
     if not estimates:
         return []
     first = estimates[0]
     if any(not (np.array_equal(est.x_d, first.x_d) and np.array_equal(est.P, first.P))
            for est in estimates):
         raise ValueError("a batch needs sets of one set-point and one Lyapunov matrix")
-    x_d = np.asarray(first.x_d, dtype=float)
-    x0, x0_star = [], []
-    for est in estimates:
-        x, star = sample_in_set(est, count, seed)
-        x0.append(x)
-        x0_star.append(np.tile(x_d, (count, 1)) if star is None else star)
-    x0 = np.concatenate(x0)
+    x0, x0_star = (np.concatenate(rows) for rows in
+                   zip(*(sample_in_set(est, count, seed) for est in estimates)))
     total = len(x0)
 
     def per_column(values):
@@ -231,7 +230,7 @@ def falsify_sets(
     x_s = per_column([est.x_s for est in estimates])
     vartheta = per_column([est.vartheta for est in estimates])
     scale = per_column([np.diag(est.d_inv()) for est in estimates]).T.copy()
-    spec = ControllerSpec(kind="MFC", gains=gains, reference=SetPoint(float(x_d[0])))
+    spec = ControllerSpec(kind="MFC", gains=gains, reference=SetPoint(float(first.x_d[0])))
     two_loop = any(est.controller == "MFC" for est in estimates)
 
     def batch(cols):
@@ -240,21 +239,21 @@ def falsify_sets(
                 for j, run in itertools.groupby(set_of[cols].tolist())]
         loop = build_closed_loop(plant, spec, first.vartheta,
                                  columns=runs + [("MFC", 0)] * two_loop)
-        return loop, _frame_v(first.P, vartheta[cols], x_d[0], x_s[cols, 0],
+        return loop, _frame_v(first.P, vartheta[cols], first.x_d[0], x_s[cols, 0],
                               scale[:, cols], two_loop)
 
     cols = np.arange(total)  # each batch column's index among all runs
     loop, v_of = batch(cols)
     comps = tuple(x0.T.copy())
     if two_loop:
-        comps = tuple(np.concatenate(x0_star).T.copy()) + comps
+        comps = tuple(x0_star.T.copy()) + comps
     end = np.empty((len(comps), total))
     alive = np.ones(total, dtype=bool)
     fail_time = np.full(total, np.nan)
     viol_v_all = np.zeros(total, dtype=bool)
     viol_v = viol_v_all.copy()
     viol_v_time = np.full(total, np.nan)
-    merges = []  # (followers, their representatives, whether each inherits a V-increase)
+    merges = []  # (followers, their representatives)
 
     with np.errstate(all="ignore"):
         v_prev = v_of(0.0, comps)
@@ -292,7 +291,7 @@ def falsify_sets(
             keep = live & ~frozen & ~follows
             if keep.all():
                 continue
-            merges.append((cols[follows], cols[rep[follows]], ~viol_v[follows]))
+            merges.append((cols[follows], cols[rep[follows]]))
             end[:, cols] = comps
             viol_v_all[cols] = viol_v
             cols = cols[keep]
@@ -305,7 +304,8 @@ def falsify_sets(
 
     end[:, cols] = comps
     viol_v_all[cols] = viol_v
-    for followers, reps, inherits in reversed(merges):  # a representative may follow later
+    for followers, reps in reversed(merges):  # a representative may follow later
+        inherits = ~viol_v_all[followers]  # as it was when they left the batch
         end[:, followers] = end[:, reps]
         alive[followers] = alive[reps]
         fail_time[followers] = fail_time[reps]

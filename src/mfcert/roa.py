@@ -272,9 +272,10 @@ class RoaEstimate:
     c_star + c_tilde.  Every kind lives in one frame: the model error
     e* = x* - x_d and the scaled process error z = D^-1 (x - x_s - e*), with
     V = vartheta e*' P e* + z' P z.  The single loops have e* = 0, and plain
-    SL also D = I.  Membership is evaluable through ``lyapunov_value``; the
-    drawable two-dimensional set is exposed through ``physical_shape`` and
-    ``boundary``.
+    SL also D = I.  ``x0_star`` is the set's model start, resolved here to
+    ``tuple(x_d)`` unless one is given; only MFC2's lies off x_d.  Membership
+    is evaluable through ``lyapunov_value``; the drawable two-dimensional set
+    is exposed through ``physical_shape`` and ``boundary``.
     """
 
     kind: str
@@ -295,6 +296,8 @@ class RoaEstimate:
             raise ValueError(f"unknown estimate kind {self.kind!r}")
         if self.x_d[1] != 0.0 or self.x_s[1] != 0.0:
             raise ValueError("a frame is centred on rest states: x_d[1] and x_s[1] must be 0")
+        start = self.x_d if self.x0_star is None else self.x0_star
+        object.__setattr__(self, "x0_star", tuple(start))
 
     @property
     def valid(self) -> bool:
@@ -331,8 +334,7 @@ class RoaEstimate:
         x_s = np.asarray(self.x_s)
         if self.controller != "MFC":
             return x_s
-        x0s = np.asarray(self.x0_star if self.x0_star is not None else self.x_d)
-        return x0s + (x_s - np.asarray(self.x_d))
+        return np.asarray(self.x0_star) + (x_s - np.asarray(self.x_d))
 
     def to_physical(self, e_star, z) -> tuple[np.ndarray, np.ndarray]:
         """Model and process states x* = x_d + e* and x = x_s + e* + D z of a frame point."""
@@ -422,7 +424,7 @@ def _estimate(
         epsilon=cert.epsilon,
         c_star=c_star,
         c_tilde=c_tilde,
-        x0_star=None if x0_star is None else tuple(x0_star),
+        x0_star=x0_star,
         reason=reason,
     )
 

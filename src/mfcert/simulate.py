@@ -82,8 +82,8 @@ class ControllerSpec:
 
     The plain single loop feeds back with k_star, the high-gain single loop
     and the feedforward-linearising law with k_tilde.  ``model_initial``
-    seeds the model loop (two-loop scheme only; defaults to the reference
-    state).
+    seeds the model loop of the two-loop scheme; it is resolved here, to the
+    reference state (y_d, 0) unless a start is given, and is a tuple of floats.
     """
 
     kind: str
@@ -96,10 +96,8 @@ class ControllerSpec:
             raise ValueError(f"controller kind must be one of {CONTROLLER_KINDS}")
         if not isinstance(self.reference, SetPoint):
             raise TypeError("the reference must be a SetPoint")
-        if self.model_initial is not None:
-            object.__setattr__(
-                self, "model_initial", tuple(float(v) for v in self.model_initial)
-            )
+        start = (self.reference.y_d, 0.0) if self.model_initial is None else self.model_initial
+        object.__setattr__(self, "model_initial", tuple(float(v) for v in start))
 
 
 @dataclass
@@ -497,13 +495,14 @@ def simulate_closed_loop(
 ) -> Trajectory:
     """Integrate one closed loop and record states, input and Lyapunov value.
 
-    The two-loop scheme integrates the coupled model/process pair; the model
-    loop sees no uncertainty by construction.  Single-loop runs repeat the
-    reference state in the model-state slot.  V is centred on
-    ``steady_state_of``; ``vartheta`` weighs its model error.  The run ends at
-    the horizon, after ``whole_steps(horizon, h)`` steps, its ``outcome`` the
-    batch's verdict (``_run_outcome``).  Raises IntegrationError when a state
-    goes non-finite; the partial trajectory, "diverged", rides on the exception.
+    The two-loop scheme integrates the coupled model/process pair from
+    ``controller.model_initial``; the model loop sees no uncertainty by
+    construction.  Single-loop runs repeat the reference state in the
+    model-state slot.  V is centred on ``steady_state_of``; ``vartheta``
+    weighs its model error.  The run ends at the horizon, after
+    ``whole_steps(horizon, h)`` steps, its ``outcome`` the batch's verdict
+    (``_run_outcome``).  Raises IntegrationError when a state goes
+    non-finite; the partial trajectory, "diverged", rides on the exception.
     """
     steps = whole_steps(horizon, h)
     if len(x0) != 2:
@@ -517,10 +516,7 @@ def simulate_closed_loop(
 
     comps = tuple(float(v) for v in x0)
     if controller.kind == "MFC":
-        x0_star = controller.model_initial
-        if x0_star is None:
-            x0_star = x_d
-        comps = tuple(float(v) for v in x0_star) + comps
+        comps = controller.model_initial + comps
 
     rhs = loop.rhs
     record = array.array("d", comps)

@@ -727,6 +727,15 @@ class TestReproduce:
         assert written == (tmp_path / "config" / "falsify.json").read_bytes()
         assert json.loads(written)["SLHG"]["samples"] == 3
 
+    @pytest.mark.parametrize("name, value", [("seed", 2.5), ("seed", True), ("seed", -1),
+                                             ("samples", 0)])
+    def test_bad_samples_or_seed_is_a_config_error_before_any_file(self, tmp_path, name, value):
+        # the keywords are checked as a configuration's falsify block, not copied in
+        with pytest.raises(ConfigError, match=f"falsify.{name}"):
+            cli.run_reproduce(preset("scenario1"), "scenario1", tmp_path / "out",
+                              **{name: value})
+        assert not (tmp_path / "out").exists()
+
     def test_zero_set_point_is_a_mismatch_not_a_failure(self, tmp_path, capsys):
         cfg = {**preset("scenario1").to_dict(), "y_d": 0.0, "horizon": 1.0,
                "falsify": {"samples": 4, "seed": 0}}

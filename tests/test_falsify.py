@@ -59,9 +59,16 @@ class TestSampleInSet:
     def test_samples_satisfy_membership(self, scenario1_estimates, kind):
         est = scenario1_estimates[kind]
         x0, x0_star = sample_in_set(est, 1000, seed=7)
-        star = x0_star if x0_star is not None else [None] * len(x0)
-        vals = np.array([est.lyapunov_value(x, s) for x, s in zip(x0, star)])
+        vals = np.array([est.lyapunov_value(x, s) for x, s in zip(x0, x0_star)])
         assert np.all(vals <= est.level)
+
+    @pytest.mark.parametrize("kind", ["MFC2", "SL", "SLHG"])
+    def test_model_rows_are_the_sets_own_start(self, scenario1_estimates, kind):
+        est = scenario1_estimates[kind]
+        _, model_starts = sample_in_set(est, 50, seed=7)
+        own = np.tile(np.asarray(est.x0_star, dtype=float), (50, 1))
+        assert model_starts.tobytes() == own.tobytes()
+        assert est.x0_star == ((0.0, 0.0) if kind == "MFC2" else est.x_d)
 
     def test_degenerate_level_collapses_to_center(self, scenario1_estimates):
         est = scenario1_estimates["SL"]
@@ -197,7 +204,7 @@ class TestFalsifySets:
                 mode = "converged" if mode == "V-increase" else mode  # a converged final state
                 seen.add(mode)
                 spec = ControllerSpec(kind=est.controller, gains=gains, reference=SetPoint(0.75),
-                                      model_initial=None if model_starts is None else model_starts[i])
+                                      model_initial=model_starts[i])
                 if mode == "diverged":
                     with pytest.raises(IntegrationError) as err:
                         simulate_closed_loop(plant, spec, x0, 3.0, 1e-3, vartheta=1000.0)
@@ -235,9 +242,12 @@ class TestFalsifySets:
     @pytest.mark.parametrize("count", [0, -1, 2.5, 3.0, True, "3"])
     def test_sample_count_must_be_a_positive_integer(self, scenario1_estimates, plant, gains,
                                                      count):
+        # one rule for the batch, an empty batch and a direct draw
+        for batch in ([scenario1_estimates["SL"]], []):
+            with pytest.raises(ValueError, match="count must be a positive integer"):
+                falsify_sets(batch, plant, gains, count=count, horizon=1.0, h=1e-3, seed=0)
         with pytest.raises(ValueError, match="count must be a positive integer"):
-            falsify_sets([scenario1_estimates["SL"]], plant, gains, count=count,
-                         horizon=1.0, h=1e-3, seed=0)
+            sample_in_set(scenario1_estimates["SL"], count, seed=0)
 
     def test_each_set_runs_under_the_loop_it_certifies(self, scenario1_estimates):
         assert {kind: est.controller for kind, est in scenario1_estimates.items()} == {

@@ -661,7 +661,6 @@ class TestOneLevelRule:
         xs, x_stars = [], []
         for est in sets.values():
             x, x_star = sample_in_set(est, 60, seed=1)
-            x_star = np.broadcast_to(est.x_d, x.shape) if x_star is None else x_star
             x_d, x_s = np.asarray(est.x_d), np.asarray(est.x_s)
             xs += [x, x_s + 1.5 * (x - x_s)]
             x_stars += [x_star, x_d + 1.5 * (x_star - x_d)]

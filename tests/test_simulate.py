@@ -389,6 +389,20 @@ class TestClosedLoopRuns:
         th = simulate_closed_loop(plant, spec_hg, (0.0, 0.0), 3.0, 1e-3, vartheta=1000.0)
         assert np.max(np.abs(tm.u - th.u)) <= 1e-9
 
+    def test_mfc_model_starts_on_the_reference_unless_a_start_is_given(self, plant, gains):
+        # the spec resolves the default model start once: (y_d, 0), not the origin
+        def run(**start):
+            spec = ControllerSpec(kind="MFC", gains=gains, reference=SetPoint(0.75), **start)
+            return simulate_closed_loop(plant, spec, (0.1, -0.2), 2.0, 1e-3, vartheta=1000.0)
+
+        default, on_reference = run(), run(model_initial=(0.75, 0.0))
+        origin = run(model_initial=(0.0, 0.0))
+        for column in ("t", "x", "x_star", "u", "V"):
+            assert getattr(default, column).tobytes() == getattr(on_reference, column).tobytes()
+        assert default.metadata == on_reference.metadata
+        assert default.x_star.tobytes() != origin.x_star.tobytes()
+        assert default.x.tobytes() != origin.x.tobytes()
+
     def test_nominal_plant_all_controllers_exact(self, nominal_params, gains):
         plant0 = msd_plant(nominal_params)
         for kind in ("SL", "SLHG", "MFC", "FFLIN"):
