@@ -216,22 +216,22 @@ def run_falsify(cfg: ScenarioConfig) -> dict:
     return reports
 
 
+#: Each reference-row kind's pass test of a computed value; ``max`` reads no expected value.
+_ROW_KINDS = {
+    "rel": lambda value, row: abs(value - row["expected"]) <= row["tol"] * abs(row["expected"]),
+    "abs": lambda value, row: abs(value - row["expected"]) <= row["tol"],
+    "max": lambda value, row: value < row["tol"],
+}
+
+
 def _evaluate_rows(rows: list[dict], computed: dict) -> tuple[list[dict], bool]:
     out = []
     all_pass = True
     for row in rows:
-        name = row["name"]
-        value = computed.get(name)
+        value = computed.get(row["name"])
         entry = dict(row)
         entry["computed"] = value
-        if value is None:
-            entry["pass"] = False
-        elif row["kind"] == "rel":
-            entry["pass"] = abs(value - row["expected"]) <= row["tol"] * abs(row["expected"])
-        elif row["kind"] == "abs":
-            entry["pass"] = abs(value - row["expected"]) <= row["tol"]
-        else:  # max
-            entry["pass"] = value < row["tol"]
+        entry["pass"] = value is not None and _ROW_KINDS[row["kind"]](value, row)
         all_pass &= entry["pass"]
         out.append(entry)
     return out, all_pass
@@ -282,6 +282,8 @@ def run_reproduce(
     tolerance_rows: list[dict] | None = None,
 ) -> dict:
     cfg = _with_overrides(cfg, samples=samples, seed=seed)
+    for i, row in enumerate(tolerance_rows or ()):
+        _check_row(row, f"tolerance_rows[{i}]")
     _run_stage(cfg, "analyze", out_dir)
     steady, _ = _run_stage(cfg, "steady_state", out_dir)
     roa_report, _ = _run_stage(cfg, "roa", out_dir)
@@ -383,9 +385,8 @@ def _load_tolerance_profile(path: str, scenario: str) -> list[dict]:
     """Reference rows of a scenario with a JSON list of per-row overrides applied.
 
     An entry whose name matches a reference row updates that row; any other
-    entry is a new row.  Every resulting row needs a name, a kind of rel, abs
-    or max, a finite nonnegative tol and, for rel and abs, a finite expected
-    value, each checked as a configuration's numbers are.
+    entry is a new row.  Every resulting row must pass ``_check_row``, as must
+    the rows given to ``run_reproduce``.
     """
     overrides = read_json(path, "tolerance-profile")
     if not isinstance(overrides, list):
@@ -394,21 +395,32 @@ def _load_tolerance_profile(path: str, scenario: str) -> list[dict]:
     by_name = {row["name"]: row for row in rows}
     for i, entry in enumerate(overrides):
         where = f"tolerance-profile[{i}]"
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise ConfigError(where, "must be an object with a name")
+        _check_name(entry, where)
         row = by_name.get(entry["name"])
         if row is None:
             row = dict(entry)
             rows.append(row)
         else:
             row.update(entry)
-        if row.get("kind") not in ("rel", "abs", "max"):
-            raise ConfigError(f"{where}.kind", "must be one of rel, abs, max")
-        if _as_float(row.get("tol"), f"{where}.tol") < 0:
-            raise ConfigError(f"{where}.tol", "must be nonnegative")
-        if row["kind"] != "max":
-            _as_float(row.get("expected"), f"{where}.expected")
+        _check_row(row, where)
     return rows
+
+
+def _check_name(row, where: str):
+    if not isinstance(row, dict) or not isinstance(row.get("name"), str):
+        raise ConfigError(where, "must be an object with a name")
+
+
+def _check_row(row, where: str):
+    """The one row rule: a name, a kind of ``_ROW_KINDS``, a finite nonnegative tol and,
+    for rel and abs, a finite expected value, each checked as a configuration's numbers are."""
+    _check_name(row, where)
+    if row.get("kind") not in _ROW_KINDS:
+        raise ConfigError(f"{where}.kind", f"must be one of {', '.join(_ROW_KINDS)}")
+    if _as_float(row.get("tol"), f"{where}.tol") < 0:
+        raise ConfigError(f"{where}.tol", "must be nonnegative")
+    if row["kind"] != "max":
+        _as_float(row.get("expected"), f"{where}.expected")
 
 
 def _resolve_config(args) -> ScenarioConfig:

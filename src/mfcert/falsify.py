@@ -17,7 +17,6 @@ set, ``in_set`` and ``viol_v`` to a column that stays, shares its future.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -66,10 +65,14 @@ def _unit_ball(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return g / norms * radii[:, None]
 
 
-def _check_count(count) -> None:
-    """The sample-count rule of ``sample_in_set`` and ``falsify_sets``: a positive integer."""
-    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
+def _check_draw(count, seed) -> tuple[int, int]:
+    """The count and seed rule of ``sample_in_set`` and ``falsify_sets``: a positive and a
+    nonnegative integer, neither a bool, returned as Python ints."""
+    for name, value, least in (("count", count, 1), ("seed", seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            sign = "positive" if least else "nonnegative"
+            raise ValueError(f"{name} must be a {sign} integer, got {value!r}")
+    return int(count), int(seed)
 
 
 def sample_in_set(
@@ -83,9 +86,9 @@ def sample_in_set(
     (count, n) and the matching model states (count, n): sampled for MFC1,
     whose set draws model and process error together, and the set's own
     ``x0_star`` in every row for the other kinds.  ``count`` must be a
-    positive integer.
+    positive integer and ``seed`` a nonnegative one (``_check_draw``).
     """
-    _check_count(count)
+    count, seed = _check_draw(count, seed)
     if not estimate.valid:
         raise ValueError(f"cannot sample the invalid {estimate.kind} estimate "
                          f"({estimate.reason})")
@@ -197,7 +200,9 @@ def falsify_sets(
     Lyapunov increase is monitored online while the state remains inside its
     set and reported for a run that converged.  Violations are data, not
     errors.  Every run takes ``whole_steps(horizon, h)`` steps.  Returns one
-    report per set, in order; ``count`` must be a positive integer.
+    report per set, in order.  The sets share one certificate: ``x_d``, ``P``
+    and ``vartheta``.  ``count`` must be a positive integer and ``seed`` a
+    nonnegative one; the reports hold both as Python ints.
 
     Every ``RETIRE_EVERY`` steps a column whose report is decided leaves the
     batch.  Dead: a non-finite component stays so; the run is ``diverged`` at
@@ -210,13 +215,13 @@ def falsify_sets(
     weighs its own start.
     """
     steps = whole_steps(horizon, h)
-    _check_count(count)
+    count, seed = _check_draw(count, seed)
     if not estimates:
         return []
     first = estimates[0]
-    if any(not (np.array_equal(est.x_d, first.x_d) and np.array_equal(est.P, first.P))
-           for est in estimates):
-        raise ValueError("a batch needs sets of one set-point and one Lyapunov matrix")
+    if any(not (np.array_equal(est.x_d, first.x_d) and np.array_equal(est.P, first.P)
+                and est.vartheta == first.vartheta) for est in estimates):
+        raise ValueError("a batch needs sets of one set-point, Lyapunov matrix and vartheta")
     x0, x0_star = (np.concatenate(rows) for rows in
                    zip(*(sample_in_set(est, count, seed) for est in estimates)))
     total = len(x0)
@@ -228,18 +233,16 @@ def falsify_sets(
     level = per_column([est.level for est in estimates])
     floor = 1e-12 * level
     x_s = per_column([est.x_s for est in estimates])
-    vartheta = per_column([est.vartheta for est in estimates])
     scale = per_column([np.diag(est.d_inv()) for est in estimates]).T.copy()
     spec = ControllerSpec(kind="MFC", gains=gains, reference=SetPoint(float(first.x_d[0])))
     two_loop = any(est.controller == "MFC" for est in estimates)
 
     def batch(cols):
-        """The loop and V of the columns ``cols``; an MFC run of none keeps the two-loop law."""
-        runs = [(estimates[j].controller, len(list(run)))
-                for j, run in itertools.groupby(set_of[cols].tolist())]
+        """The loop and V of ``cols``: each set a run of its count, so zeros keep the law."""
+        counts = np.bincount(set_of[cols], minlength=len(estimates)).tolist()
         loop = build_closed_loop(plant, spec, first.vartheta,
-                                 columns=runs + [("MFC", 0)] * two_loop)
-        return loop, _frame_v(first.P, vartheta[cols], first.x_d[0], x_s[cols, 0],
+                                 columns=[(est.controller, n) for est, n in zip(estimates, counts)])
+        return loop, _frame_v(first.P, first.vartheta, first.x_d[0], x_s[cols, 0],
                               scale[:, cols], two_loop)
 
     cols = np.arange(total)  # each batch column's index among all runs

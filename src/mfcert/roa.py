@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .plant import MsdParams, sigma1_bar
-from .synthesis import LyapunovCertificate, time_scaling
+from .synthesis import LyapunovCertificate, _check_vartheta, time_scaling
 
 __all__ = [
     "RoaEstimate",
@@ -98,8 +98,7 @@ def c_star(vartheta: float, P: np.ndarray, x_tilde_star_0) -> float | np.ndarray
     """Model-loop level vartheta e0' P e0 of one initial model error e0 (a float) or
     of a batch (..., 2) of them (an array): ``_frame_v``'s model term, so V =
     c_star(e*) + z' P z bit for bit.  A non-finite level raises naming its e0 row."""
-    if vartheta <= 0:
-        raise ValueError("vartheta must be positive")
+    _check_vartheta(vartheta)
     e0 = np.asarray(x_tilde_star_0, dtype=float)
     if e0.shape[-1:] != (2,):
         raise ValueError(f"a model error has 2 components, not shape {e0.shape}")
@@ -330,11 +329,8 @@ class RoaEstimate:
 
     @property
     def center(self) -> np.ndarray:
-        """Physical-frame center of the drawable set."""
-        x_s = np.asarray(self.x_s)
-        if self.controller != "MFC":
-            return x_s
-        return np.asarray(self.x0_star) + (x_s - np.asarray(self.x_d))
+        """x_s + (x0_star - x_d): the point to which ``to_physical`` adds D z at the start."""
+        return np.asarray(self.x_s) + (np.asarray(self.x0_star) - np.asarray(self.x_d))
 
     def to_physical(self, e_star, z) -> tuple[np.ndarray, np.ndarray]:
         """Model and process states x* = x_d + e* and x = x_s + e* + D z of a frame point."""

@@ -7,7 +7,7 @@ straight-line arithmetic on the state components (x1, x2), model components
 first for the two-loop scheme.  Components may be plain floats (single runs)
 or numpy arrays (batched runs) and share one code path.  The kernels that a
 batch runs every step accumulate each sum into a temporary they own, so arrays
-cost no allocation per operation; ``_input``, ``_fflin_law`` and the FFLIN
+cost no allocation per operation; ``_input`` and the FFLIN law and
 right-hand side, which see only floats per step, are plain expressions.  The
 Lyapunov value of a run is its certified frame's, ``roa._frame_v``.  The
 RK4 step is written out for the two state sizes a loop has, 2 components
@@ -203,11 +203,6 @@ def _input(f, g, v, x1, x2):
     return (v - f(x1, x2)) / g
 
 
-def _fflin_law(feedforward, g_d, v_fb):
-    """(y_d^(n) - f(x_d) + v_fb) / g(x_d), with feedforward = y_d^(n) - f(x_d) and g_d = g(x_d)."""
-    return (feedforward + v_fb) / g_d
-
-
 def _rk4_components(rhs, t, y, h):
     """One RK4 step on a tuple of 2 (single loop) or 4 (two-loop) components.
 
@@ -379,17 +374,17 @@ def build_closed_loop(
     f = msd_f_of(plant.params)
     g = msd_g(plant.params)
     phi = msd_phi_of(plant.params)
-    const = (y_d, 0.0, 0.0)
+    const = (y_d, 0.0)
 
     def dref(t):
         return const
 
     if kind == "FFLIN":  # f and g are taken at x_d, so nothing cancels
         v_fb = _single_loop_target(k, y_d)
-        feedforward = 0.0 - f(y_d, 0.0)
+        feedforward = 0.0 - f(y_d, 0.0)  # y_d'' - f(x_d)
 
         def control(t, y):
-            return _fflin_law(feedforward, g, v_fb(y[0], y[1]))
+            return (feedforward + v_fb(y[0], y[1])) / g
 
         def rhs(t, y):
             x1, x2 = y
@@ -512,7 +507,6 @@ def simulate_closed_loop(
     x_s = steady_state_of(plant, controller)
     P = solve_lyapunov(controller.gains.k_star)
     v_of = loop.make_v(P, tuple(float(v) for v in x_s))
-    x_d = loop.dref(0.0)[:2]
 
     comps = tuple(float(v) for v in x0)
     if controller.kind == "MFC":
@@ -536,7 +530,7 @@ def simulate_closed_loop(
     if controller.kind == "MFC":
         x_star, x = table[:, :2], table[:, 2:]
     else:
-        x_star, x = np.column_stack(np.broadcast_arrays(*x_d, t_grid)[:2]), table
+        x_star, x = np.column_stack(np.broadcast_arrays(*loop.dref(0.0), t_grid)[:2]), table
     with np.errstate(all="ignore"):
         u = np.asarray(loop.control(t_grid, rows), dtype=float)
         V = np.asarray(v_of(t_grid, rows), dtype=float)

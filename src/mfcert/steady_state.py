@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .plant import MsdParams, msd_phi_gradient, sigma1
-from .synthesis import GainSet
+from .synthesis import GainSet, _check_epsilon
 
 __all__ = [
     "EquilibriumSet",
@@ -125,8 +125,7 @@ def mfc_steady_polynomial(
 
     k1* eps^-2 e - [sigma1/m (y_d+e)^3 + dk/m (y_d+e)], expanded in e.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    _check_epsilon(epsilon)
     if k1_star >= 0:
         raise ValueError("k1_star must be negative (stabilising gain)")
     c3 = sigma1(p) / p.m

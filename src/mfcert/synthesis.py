@@ -42,6 +42,11 @@ def _check_epsilon(epsilon: float):
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
 
 
+def _check_vartheta(vartheta: float):
+    if not vartheta > 0:  # NaN too
+        raise ValueError("vartheta must be positive")
+
+
 def _check_symmetric(P: np.ndarray) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -193,8 +198,7 @@ def gamma_mfc(epsilon: float, vartheta: float, P: np.ndarray) -> float:
     Gamma = 1 / (eps (1 + sqrt(1 + 1/(vartheta eps))) |b'P|).
     """
     _check_epsilon(epsilon)
-    if vartheta <= 0:
-        raise ValueError("vartheta must be positive")
+    _check_vartheta(vartheta)
     return 1.0 / (
         epsilon * (1.0 + math.sqrt(1.0 + 1.0 / (vartheta * epsilon))) * bP_norm(P)
     )
@@ -259,8 +263,7 @@ def certify(gains: GainSet, vartheta: float) -> LyapunovCertificate:
     Raises ArithmeticError when the residual of the Lyapunov equation exceeds
     1e-10 or is not finite.
     """
-    if vartheta <= 0:
-        raise ValueError("vartheta must be positive")
+    _check_vartheta(vartheta)
     P = solve_lyapunov(gains.k_star)
     acl = closed_loop_matrix(gains.k_star)
     with np.errstate(all="ignore"):  # a non-finite residual is rejected below

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -505,6 +506,7 @@ class TestConfigErrors:
         ('[{"name": "extra", "kind": "max"}]', "tolerance-profile[0].tol"),
         ('[{"kind": "max", "tol": 1.0}]', "tolerance-profile[0]"),
         ('[{"name": "extra", "tol": 1.0}]', "tolerance-profile[0].kind"),
+        ('[{"name": "gamma_mfc", "kind": "rell"}]', "tolerance-profile[0].kind"),
         # a tol is a finite nonnegative number, so no row passes or fails whatever it computes
         ('[{"name": "gamma_mfc", "tol": Infinity, "expected": 1e9}]',
          "tolerance-profile[0].tol"),
@@ -513,7 +515,7 @@ class TestConfigErrors:
         # an integer beyond the float range is refused before any stage runs
         ('[{"name": "gamma_mfc", "expected": 1' + "0" * 400 + '}]',
          "tolerance-profile[0].expected"),
-    ], ids=["malformed-json", "not-a-list", "no-tol", "no-name", "no-kind",
+    ], ids=["malformed-json", "not-a-list", "no-tol", "no-name", "no-kind", "unknown-kind",
             "infinite-tol", "nan-tol", "negative-tol", "expected-beyond-float"])
     def test_bad_tolerance_profile(self, tmp_path, profile, field):
         path = tmp_path / "profile.json"
@@ -650,6 +652,33 @@ class TestNumericalFailures:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "KeyError" in err and "Traceback" not in err
+
+
+class TestRowKinds:
+    def test_rows_at_exact_equality(self):
+        # rel and abs bounds are closed, a max bound is open
+        rows = [{"name": "a", "kind": "rel", "expected": 2.0, "tol": 0.5},
+                {"name": "b", "kind": "abs", "expected": 2.0, "tol": 1.0},
+                {"name": "c", "kind": "max", "tol": 1.0},
+                {"name": "d", "kind": "max", "tol": 1.0}]
+        evaluated, passed = cli._evaluate_rows(rows, {"a": 3.0, "b": 3.0, "c": 1.0})
+        assert [row["pass"] for row in evaluated] == [True, True, False, False]
+        assert not passed
+        assert [row["computed"] for row in evaluated] == [3.0, 3.0, 1.0, None]
+
+    @pytest.mark.parametrize("row, field", [
+        ({"name": "gamma_mfc", "kind": "rell", "expected": 24.9256, "tol": 30.0}, "kind"),
+        ({"name": "gamma_mfc", "kind": "rel", "expected": 24.9256}, "tol"),
+        ({"name": "gamma_mfc", "kind": "abs", "tol": 1.0}, "expected"),
+        ({"kind": "max", "tol": 1.0}, None),
+    ])
+    def test_given_rows_are_checked_before_any_file(self, tmp_path, row, field):
+        # run_reproduce's rows follow the tolerance profile's row rule
+        where = "tolerance_rows[1]" + (f".{field}" if field else "")
+        with pytest.raises(ConfigError, match=f"^{re.escape(where)}: "):
+            cli.run_reproduce(preset("scenario1"), "scenario1", tmp_path / "out",
+                              tolerance_rows=[{"name": "c_sl", "kind": "max", "tol": 1.0}, row])
+        assert not (tmp_path / "out").exists()
 
 
 class TestReproduce:

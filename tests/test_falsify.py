@@ -249,6 +249,54 @@ class TestFalsifySets:
         with pytest.raises(ValueError, match="count must be a positive integer"):
             sample_in_set(scenario1_estimates["SL"], count, seed=0)
 
+    @pytest.mark.parametrize("seed", [2.5, True, "3", -1, None])
+    def test_seed_must_be_a_nonnegative_integer(self, monkeypatch, scenario1_estimates, plant,
+                                                gains, seed):
+        # refused before any step, by one rule for the batch, an empty batch and a direct draw
+        steps = TestStepCounters._counting(monkeypatch, falsify)
+        for batch in ([scenario1_estimates["SL"]], []):
+            with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+                falsify_sets(batch, plant, gains, count=4, horizon=1.0, h=1e-3, seed=seed)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            sample_in_set(scenario1_estimates["SL"], 4, seed=seed)
+        assert steps == []
+
+    def test_numpy_integers_give_the_bytes_of_plain_ints(self, scenario1_estimates, plant,
+                                                         gains):
+        est = scenario1_estimates["MFC1"]
+        kwargs = dict(horizon=0.5, h=1e-3)
+        plain = falsify_sets([est], plant, gains, count=8, seed=3, **kwargs)[0]
+        wide = falsify_sets([est], plant, gains, count=np.int64(8), seed=np.int64(3),
+                            **kwargs)[0]
+        assert type(wide.samples) is int and type(wide.seed) is int
+        assert json.dumps(wide.to_dict()) == json.dumps(plain.to_dict())
+        drawn = sample_in_set(est, np.int64(8), seed=np.uint32(3))
+        assert [a.tobytes() for a in drawn] == [a.tobytes() for a in sample_in_set(est, 8, 3)]
+
+    def test_a_batch_shares_one_vartheta(self, monkeypatch, scenario1_estimates, plant, gains):
+        sl = scenario1_estimates["SL"]
+        steps = TestStepCounters._counting(monkeypatch, falsify)
+        with pytest.raises(ValueError, match="one set-point, Lyapunov matrix and vartheta"):
+            falsify_sets([sl, dataclasses.replace(sl, vartheta=2.0 * sl.vartheta)], plant,
+                         gains, count=4, horizon=1.0, h=1e-3, seed=0)
+        assert steps == []
+
+    def test_every_set_keeps_its_run_in_the_batch_law(self, monkeypatch, scenario1_estimates,
+                                                      plant, gains):
+        # the SLHG columns all freeze and leave; the law still lists that set, with count 0
+        build, runs = falsify.build_closed_loop, []
+
+        def spy(plant, spec, vartheta, columns=None):
+            runs.append(list(columns))
+            return build(plant, spec, vartheta, columns)
+
+        monkeypatch.setattr(falsify, "build_closed_loop", spy)
+        sets = [scenario1_estimates[kind] for kind in ("MFC2", "SLHG", "SL")]
+        falsify_sets(sets, plant, gains, count=20, horizon=3.0, h=1e-3, seed=3)
+        assert runs[0] == [("MFC", 20), ("SLHG", 20), ("SL", 20)]
+        assert all([kind for kind, _ in run] == ["MFC", "SLHG", "SL"] for run in runs)
+        assert runs[-1][1] == ("SLHG", 0)
+
     def test_each_set_runs_under_the_loop_it_certifies(self, scenario1_estimates):
         assert {kind: est.controller for kind, est in scenario1_estimates.items()} == {
             "MFC1": "MFC", "MFC2": "MFC", "SL": "SL", "SLHG": "SLHG"}

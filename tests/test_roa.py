@@ -635,6 +635,28 @@ class TestSplitMembership:
         both = member.contains(np.stack([vertex, outward]), np.stack([start, start]))
         assert both.tolist() == [True, False]
 
+    @pytest.mark.parametrize("name", ["scenario1", "scenario2"])
+    def test_a_set_on_its_budget_contains_its_centre(self, name):
+        # c_tilde is 0, so the slice is one point: z = 0 at the set's own model start
+        p, cert, est = _sweep_case(name)
+        at = _at_budget(p, cert, est)
+        assert at.valid and at.c_tilde == 0.0
+        assert at._value(0.0, at.center, at.x0_star) == 0.0
+        assert at.contains(at.center, at.x0_star)
+        assert at.contains(at.center[None], np.array([at.x0_star])).tolist() == [True]
+
+
+class TestCentre:
+    def test_centre_is_the_point_the_sampler_adds_d_z_to(self):
+        # x0_star + (x_s - x_d) and x_s + (x0_star - x_d) differ in x1's last bit here
+        cfg = config.parse_config({**config.preset("scenario1").to_dict(),
+                                   "x0_star": [-0.9, 0.0]})
+        est = cli._design(cfg).estimates["MFC2"]
+        assert est.valid
+        e_star = np.subtract(est.x0_star, est.x_d)
+        assert est.center.tobytes() == est.to_physical(e_star, np.zeros(2))[1].tobytes()
+        assert est.boundary().mean(axis=0) == pytest.approx(est.center, abs=1e-12)
+
 
 def _preset_sets(name):
     return {k: est for k, est in cli._design(config.preset(name)).estimates.items() if est.valid}

@@ -20,7 +20,8 @@ from mfcert import (
 )
 from mfcert.plant import msd_f
 from mfcert import falsify
-from mfcert.simulate import CSV_BLOCK_ROWS, Trajectory, _rk4_components, build_closed_loop
+from mfcert.simulate import (CSV_BLOCK_ROWS, Trajectory, _rk4_components, build_closed_loop,
+                             whole_steps)
 from mfcert.synthesis import solve_lyapunov
 from mfcert.steady_state import mfc_equilibria, single_loop_equilibria
 
@@ -354,6 +355,13 @@ class TestStepKernel:
     def test_other_component_counts_are_rejected(self, dim):
         with pytest.raises(ValueError, match="2 or 4 components"):
             _rk4_components(lambda t, y: y, 0.0, (1.0,) * dim, 0.1)
+
+
+class TestWholeSteps:
+    def test_steps_must_meet_the_horizon_to_within_1e_9_of_it(self):
+        assert whole_steps(1.0, 0.25) == 4 and whole_steps(1.0, 1.0 / 3.0) == 3
+        with pytest.raises(ValueError, match="whole number of steps"):
+            whole_steps(1.0, 0.3333333)  # 3 steps end 1e-7 short
 
 
 class TestClosedLoopRuns:

@@ -7,6 +7,7 @@ import pytest
 from mfcert import (
     GainSet,
     bP_norm,
+    c_star,
     certify,
     design_gains,
     gamma_mfc,
@@ -178,6 +179,16 @@ class TestRobustnessBounds:
         expected = 24.92564280633679 * (1 + math.sqrt(1.01)) / (1 + math.sqrt(2))
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(20.77, rel=0.01)
+
+    @pytest.mark.parametrize("vartheta", [0.0, -1.0, math.nan])
+    def test_vartheta_must_be_positive(self, p_expected, vartheta):
+        # one check for the bound, the certificate and the model-loop level
+        gains = design_gains([-1.0, -2.0], 0.1)
+        for call in (lambda: gamma_mfc(0.1, vartheta, p_expected),
+                     lambda: certify(gains, vartheta),
+                     lambda: c_star(vartheta, p_expected, (1.0, 0.0))):
+            with pytest.raises(ValueError, match="^vartheta must be positive$"):
+                call()
 
     def test_gamma_sl_and_slhg_benchmark(self, p_expected):
         assert gamma_sl(p_expected) == pytest.approx(2.4988, abs=1e-3)
