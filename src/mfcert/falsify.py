@@ -65,10 +65,11 @@ def _unit_ball(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     return g / norms * radii[:, None]
 
 
-def _check_draw(count, seed) -> tuple[int, int]:
-    """The count and seed rule of ``sample_in_set`` and ``falsify_sets``: a positive and a
-    nonnegative integer, neither a bool, returned as Python ints."""
-    for name, value, least in (("count", count, 1), ("seed", seed, 0)):
+def _check_draw(count, seed, count_name: str = "count") -> tuple[int, int]:
+    """The count and seed rule of every draw (``sample_in_set``, ``falsify_sets`` and
+    ``gamma_empirical``, whose count is ``pairs``): a positive and a nonnegative
+    integer, neither a bool, returned as Python ints."""
+    for name, value, least in ((count_name, count, 1), ("seed", seed, 0)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             sign = "positive" if least else "nonnegative"
             raise ValueError(f"{name} must be a {sign} integer, got {value!r}")
@@ -124,10 +125,10 @@ def gamma_empirical(p: MsdParams, region: Box, pairs: int, seed: int) -> float:
     other half pair a uniform base point with a nearby second point, which
     resolves the local gradient so the maximum converges to the analytic
     gradient supremum from below.  A degenerate point region yields 0 by
-    convention.
+    convention.  ``pairs`` must be a positive integer and ``seed`` a
+    nonnegative one (``_check_draw``).
     """
-    if pairs < 1:
-        raise ValueError("need at least one pair")
+    pairs, seed = _check_draw(pairs, seed, "pairs")
     rng = _rng(seed)
     a = region.sample(rng, pairs)
     b = region.sample(rng, pairs)

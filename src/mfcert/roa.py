@@ -186,9 +186,16 @@ def _inv_sqrt(P: np.ndarray) -> np.ndarray:
 
 
 def _unit_circle(points: int) -> np.ndarray:
-    """Unit vectors at ``points`` equally spaced angles, shape (points, 2)."""
+    """Unit vectors at ``points`` equally spaced angles, shape (points, 2), read-only."""
     theta = 2.0 * math.pi * np.arange(points) / points
-    return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    circle.flags.writeable = False
+    return circle
+
+
+#: The circles of every drawn boundary and of every region sweep, each built once.
+_BOUNDARY_CIRCLE = _unit_circle(BOUNDARY_POINTS)
+_SWEEP_CIRCLE = _unit_circle(SWEEP_RAYS)
 
 
 def _on_ellipse(S: np.ndarray, circle: np.ndarray, level: float, center) -> np.ndarray:
@@ -378,7 +385,7 @@ class RoaEstimate:
     def boundary(self) -> np.ndarray:
         """Drawable boundary; a zero slice level (c_tilde of a split set) draws the centre."""
         Q, level, center = self.physical_shape()
-        return _on_ellipse(_inv_sqrt(Q), _unit_circle(BOUNDARY_POINTS), level, center)
+        return _on_ellipse(_inv_sqrt(Q), _BOUNDARY_CIRCLE, level, center)
 
     def to_dict(self) -> dict:
         return {
@@ -546,7 +553,7 @@ def mfc2_region_sweep(
     c_max = c_star_budget(p, cert.gamma_mfc, float(np.linalg.norm(x_s)), vth, cert.lambda_min)
     P, D = np.asarray(estimate.P, dtype=float), estimate.d_matrix()
     P_inv = np.linalg.inv(P)
-    dirs = _unit_circle(SWEEP_RAYS)
+    dirs = _SWEEP_CIRCLE
     w1, w2 = dirs @ P_inv, dirs @ (D @ P_inv @ D)  # P^-1 u and D P^-1 D u, as rows
     h1 = np.sqrt(np.einsum("ri,ri->r", dirs, w1))[:, None]
     h2 = np.sqrt(np.einsum("ri,ri->r", dirs, w2))[:, None]

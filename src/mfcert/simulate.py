@@ -438,8 +438,11 @@ def _run_outcome(finite, x0, x_end, x_s) -> list[str]:
 
 
 def whole_steps(horizon: float, h: float) -> int:
-    """Every integrator's step count: ValueError unless ``h > 0`` divides ``horizon``
-    into a whole number of steps, at least one, to within 1e-9 of the horizon."""
+    """Every integrator's step count: ValueError unless ``horizon`` is positive and
+    finite and ``h > 0`` divides it into a whole number of steps, at least one, to
+    within 1e-9 of the horizon."""
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     if not h > 0:
         raise ValueError("step size must be positive")
     ratio = horizon / h

@@ -303,6 +303,23 @@ class TestFalsifySets:
 
 
 class TestGammaEmpirical:
+    @pytest.mark.parametrize("bad", [2.5, True, "3", -1, None])
+    def test_pairs_and_seed_are_checked_before_any_draw(self, monkeypatch, table_params, bad):
+        draws = []
+        monkeypatch.setattr(falsify, "_rng", draws.append)
+        region = Box((-1.0, -1.0), (1.0, 1.0))
+        with pytest.raises(ValueError, match="pairs must be a positive integer"):
+            gamma_empirical(table_params, region, bad, seed=0)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            gamma_empirical(table_params, region, 100, seed=bad)
+        assert draws == []
+
+    def test_numpy_integers_give_the_plain_ints_value(self, table_params):
+        region = Box((-1.0, -1.0), (1.0, 1.0))
+        plain = gamma_empirical(table_params, region, 1000, seed=7)
+        wide = gamma_empirical(table_params, region, np.int64(1000), seed=np.uint32(7))
+        assert type(wide) is float and wide == plain
+
     def test_zero_uncertainty(self, nominal_params):
         assert gamma_empirical(nominal_params, Box((-2, -2), (2, 2)), 1000, seed=0) == 0.0
 

@@ -23,7 +23,9 @@ from mfcert import (
     single_loop_equilibria,
 )
 from mfcert.roa import (
+    BOUNDARY_POINTS,
     REASON_CSTAR,
+    REASON_DAMPING,
     REASON_RADICAND,
     SWEEP_RAYS,
     RoaEstimate,
@@ -155,6 +157,16 @@ class TestRadii:
         assert reason is None
         assert cert.lambda_min * r * r == pytest.approx(14.74, rel=0.01)
 
+    @pytest.mark.parametrize("dk, gamma, ref_norm, expected", [
+        (1.0, 0.75, 0.0, (None, REASON_DAMPING)),  # inner = 0.75^2 - 0.75^2 = 0
+        (1.0, 1.25, 0.0, (0.0, None)),  # core = (sqrt(1) - 1) / 1 - 0 = 0
+        (0.25, 1.25, 1.0, (0.0, None)),  # r = sqrt((1 - 0.25) / 0.25 - 0.75) - 1.5 = 0
+    ], ids=["inner", "core", "radius"])
+    def test_each_comparison_at_exactly_zero(self, dk, gamma, ref_norm, expected):
+        # a zero inner radicand has no radius; a zero radicand or radius is a point set
+        p = MsdParams(k=1, c_d=1, alpha=1, m=1, g0=0, dk=dk, dc_d=0.75)
+        assert aux_radius(p, gamma, ref_norm) == expected
+
     def test_sl_invalid_for_far_steady_state(self, table_params, cert):
         # scenario-2 single-loop equilibrium is too far out for the plain bound
         r, reason = aux_radius(table_params, cert.gamma_sl, 5.983)
@@ -215,6 +227,15 @@ class TestEllipseGeometry:
         assert pts == pytest.approx(
             np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), abs=1e-12
         )
+
+    @pytest.mark.parametrize("name, points", [("_BOUNDARY_CIRCLE", BOUNDARY_POINTS),
+                                              ("_SWEEP_CIRCLE", SWEEP_RAYS)])
+    def test_fixed_circles_are_read_only_fresh_builds(self, name, points):
+        circle = getattr(roa, name)
+        assert circle.shape == (points, 2)
+        assert circle.tobytes() == _unit_circle(points).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            circle[0, 0] = 2.0
 
     def test_boundary_satisfies_quadratic_form(self, cert, table_params, scenario1):
         est = estimate_sl(table_params, cert, scenario1["x_s_sl"], scenario1["x_d"])

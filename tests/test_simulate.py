@@ -363,6 +363,18 @@ class TestWholeSteps:
         with pytest.raises(ValueError, match="whole number of steps"):
             whole_steps(1.0, 0.3333333)  # 3 steps end 1e-7 short
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_horizon_must_be_positive_and_finite(self, plant, gains, horizon):
+        # checked before the step, so neither the step nor the step count is blamed
+        message = "^horizon must be positive and finite$"
+        with pytest.raises(ValueError, match=message):
+            whole_steps(horizon, 1e-3)
+        spec = ControllerSpec(kind="SL", gains=gains, reference=SetPoint(0.75))
+        with pytest.raises(ValueError, match=message):
+            simulate_closed_loop(plant, spec, (0.0, 0.0), horizon, 1e-3, vartheta=1000.0)
+        with pytest.raises(ValueError, match=message):
+            falsify.falsify_sets([], plant, gains, count=4, horizon=horizon, h=1e-3, seed=0)
+
 
 class TestClosedLoopRuns:
     def test_mfc_setpoint_endpoint(self, plant, gains):

@@ -20,7 +20,7 @@ from mfcert import (
     solve_lyapunov,
 )
 from mfcert.config import parse_config, preset
-from mfcert.synthesis import closed_loop_matrix, real_poly
+from mfcert.synthesis import _lyapunov_system, closed_loop_matrix, real_poly
 
 
 def _random_stable_roots(rng, n):
@@ -112,7 +112,34 @@ class TestHighGain:
                 high_gain([-4.0, -4.0], eps)
 
 
+def _kron_system(acl):
+    """The reference Lyapunov system, by generic Kronecker products."""
+    eye = np.eye(len(acl))
+    return np.kron(eye, acl.T) + np.kron(acl.T, eye)
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestSolveLyapunov:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_system_is_the_kronecker_sum_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(25):
+            acl = rng.standard_normal((n, n))
+            pick = rng.random((n, n))
+            acl[pick < 0.25] = 0.0
+            acl[pick > 0.75] = -0.0
+            assert _same_bytes(_lyapunov_system(acl), _kron_system(acl))
+
+    def test_scenario1_system_keeps_its_signed_zeros(self):
+        cfg = preset("scenario1")
+        acl = closed_loop_matrix(design_gains(cfg.poles, cfg.epsilon).k_star)
+        system = _lyapunov_system(acl)
+        assert _same_bytes(system, _kron_system(acl))
+        assert system[0, 3] == 0.0 and np.signbit(system[0, 3])
+
     def test_benchmark_matrix(self, p_expected):
         P = solve_lyapunov([-4.0, -4.0])
         assert np.max(np.abs(P - p_expected)) <= 1e-10
