@@ -68,15 +68,15 @@ class _Design:
 
     @cached_property
     def estimates(self) -> dict:
-        """The MFC1, MFC2, SL and SLHG sets, each on its loop's rest state, the one
+        """The MFC1, MFC2, SL and SLHG sets, each on its loop's ``rest_state``, the one
         ``simulate.steady_state_of`` gives that loop."""
         cfg, cert, x_d = self.cfg, self.cert, self.x_d
-        x_s_mfc = x_d + (self.mfc.selected, 0.0)
+        x_s_mfc = self.mfc.rest_state
         return {
             "MFC1": roa_mod.estimate_mfc1(cfg.plant, cert, x_s_mfc, x_d),
             "MFC2": roa_mod.estimate_mfc2(cfg.plant, cert, x_s_mfc, x_d, cfg.x0_star),
-            "SL": roa_mod.estimate_sl(cfg.plant, cert, (self.sl.selected, 0.0), x_d),
-            "SLHG": roa_mod.estimate_slhg(cfg.plant, cert, (self.slhg.selected, 0.0), x_d),
+            "SL": roa_mod.estimate_sl(cfg.plant, cert, self.sl.rest_state, x_d),
+            "SLHG": roa_mod.estimate_slhg(cfg.plant, cert, self.slhg.rest_state, x_d),
         }
 
     def controller(self, kind: str) -> sim_mod.ControllerSpec:
@@ -163,13 +163,8 @@ def run_roa(cfg: ScenarioConfig) -> tuple[dict, list[tuple[str, np.ndarray]]]:
     est = estimates["MFC2"]
     if est.valid:
         region = roa_mod.mfc2_region_sweep(cfg.plant, design.cert, est)
-        report["MFC2_sweep"] = {
-            "c_star_level": region.c_star_level,
-            "c_tilde_level": region.c_tilde_level,
-            "c_star_max": region.c_star_max,
-            "green_area": region.green_area,
-            "grey_area": region.grey_area,
-        }
+        # the sweep's fields but its polygons, which go to the CSV
+        report["MFC2_sweep"] = {k: v for k, v in vars(region).items() if k not in ("green", "grey")}
         polylines += [("MFC2_SWEEP_GREEN", region.green), ("MFC2_SWEEP_GREY", region.grey)]
     return report, polylines
 
@@ -328,9 +323,12 @@ def run_reproduce(
         times = []
         horizon = max(1, round(2.0 / cfg.step)) * cfg.step  # 2 s on the step grid, 1 step or more
         for label, x0 in (("a", (0.1, -8.0)), ("b", (-0.25, 6.0))):
-            traj = sim_mod.simulate_closed_loop(
-                design.plant, spec, x0, horizon, cfg.step, vartheta=cfg.vartheta
-            )
+            try:
+                traj = sim_mod.simulate_closed_loop(
+                    design.plant, spec, x0, horizon, cfg.step, vartheta=cfg.vartheta
+                )
+            except sim_mod.IntegrationError as err:  # a diverging run is data, never tracks
+                traj = err.trajectory
             computed[f"u_mfc_0_perturbed_{label}"] = float(traj.u[0])
             times.append(sim_mod.time_to_track(traj))
         computed["mfc_reconverge_time_s"] = max(

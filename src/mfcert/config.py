@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .plant import Box, DEFAULT_DOMAIN, MsdParams
+from .plant import Box, DEFAULT_DOMAIN, MsdParams, _OPTIONAL_KEYS, _PLANT_KEYS
 from .simulate import whole_steps
 from .synthesis import real_poly
 
@@ -120,12 +120,10 @@ def parse_config(data: Mapping) -> ScenarioConfig:
     _expect("plant" in data, "plant", "is required")
     _expect(isinstance(data["plant"], Mapping), "plant", "must be an object")
     plant_raw = data["plant"]
-    for name in ("k", "c_d", "alpha", "m", "g0"):
-        _expect(name in plant_raw, f"plant.{name}", "is required")
-        _as_float(plant_raw[name], f"plant.{name}")
-    for name in ("delta_k", "delta_c_d", "delta_alpha"):
-        if name in plant_raw:
-            _as_float(plant_raw[name], f"plant.{name}")
+    for key in _PLANT_KEYS.values():  # the required keys come first
+        _expect(key in plant_raw or key in _OPTIONAL_KEYS, f"plant.{key}", "is required")
+        if key in plant_raw:
+            _as_float(plant_raw[key], f"plant.{key}")
     try:
         plant = MsdParams.from_dict(plant_raw)
     except ValueError as exc:

@@ -14,7 +14,7 @@ vectorised batches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -98,29 +98,21 @@ class MsdParams:
                 raise ValueError(f"MsdParams.{name} must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "c_d": self.c_d,
-            "alpha": self.alpha,
-            "m": self.m,
-            "g0": self.g0,
-            "delta_k": self.dk,
-            "delta_c_d": self.dc_d,
-            "delta_alpha": self.dalpha,
-        }
+        return {key: getattr(self, name) for name, key in _PLANT_KEYS.items()}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "MsdParams":
-        return cls(
-            k=float(data["k"]),
-            c_d=float(data["c_d"]),
-            alpha=float(data["alpha"]),
-            m=float(data["m"]),
-            g0=float(data["g0"]),
-            dk=float(data.get("delta_k", 0.0)),
-            dc_d=float(data.get("delta_c_d", 0.0)),
-            dalpha=float(data.get("delta_alpha", 0.0)),
-        )
+        """Parameters from their JSON keys; a missing optional key takes its field's default."""
+        return cls(**{name: float(data[key]) for name, key in _PLANT_KEYS.items()
+                      if key in data or key not in _OPTIONAL_KEYS})
+
+
+#: Each ``MsdParams`` field's JSON key, the one spelling of the plant's schema.
+_PLANT_KEYS = {"k": "k", "c_d": "c_d", "alpha": "alpha", "m": "m", "g0": "g0",
+               "dk": "delta_k", "dc_d": "delta_c_d", "dalpha": "delta_alpha"}
+#: The JSON keys a plant may leave out: those of the fields with a default.
+_OPTIONAL_KEYS = frozenset(_PLANT_KEYS[f.name] for f in fields(MsdParams)
+                           if f.default is not MISSING)
 
 
 def msd_f_of(p: MsdParams) -> Callable:

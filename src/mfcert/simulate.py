@@ -20,16 +20,15 @@ finished trajectory keeps 56 B per step: t, u, V and four state columns.
 
 ``Trajectory.to_csv`` writes each cell as the Python ``repr`` of its float,
 so parsing a cell gives back the recorded float, NaN payloads aside.  A
-column whose cells all share one bit pattern (the model-state columns of a
-single-loop run, say) is formatted once, into the row format; the others are
-formatted in blocks of ``CSV_BLOCK_ROWS`` rows, so the writer's memory does
-not grow with the run.
+column other than ``t`` whose cells all share one bit pattern (the model-state
+columns of a single-loop run, say) is formatted once, into the row format; the
+others are formatted in blocks of ``CSV_BLOCK_ROWS`` rows, so the writer's
+memory does not grow with the run.
 """
 
 from __future__ import annotations
 
 import array
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -114,11 +113,11 @@ class Trajectory:
     def to_csv(self, path) -> None:
         """Write one row per grid time, each cell the ``repr`` of its float.
 
-        A column whose cells all have the same bits is formatted once, into
-        the row format; bits, not values, because 0.0 == -0.0 and NaN != NaN.
-        The other columns are formatted ``CSV_BLOCK_ROWS`` rows at a time,
-        read from this trajectory's own arrays, so the writer's memory does
-        not grow with the run's length.
+        A column other than ``t`` whose cells all have the same bits is
+        formatted once, into the row format; bits, not values, because
+        0.0 == -0.0 and NaN != NaN.  The other columns are formatted
+        ``CSV_BLOCK_ROWS`` rows at a time, read from this trajectory's own
+        arrays, so the writer's memory does not grow with the run's length.
         """
         n = self.x.shape[1]
         header = (
@@ -133,8 +132,8 @@ class Trajectory:
         rows = len(self.t)
         if any(len(c) != rows for c in columns):
             raise ValueError("every trajectory column needs one cell per grid time")
-        cells, varying = [], []
-        for c in columns:
+        cells, varying = ["%r"], columns[:1]  # t per row, so every row has a varying cell
+        for c in columns[1:]:
             bits = c.view(np.int64)
             if rows and (bits == bits[0]).all():
                 cells.append(repr(float(c[0])))
@@ -146,9 +145,7 @@ class Trajectory:
             fh.write(header + "\n")
             for start in range(0, rows, CSV_BLOCK_ROWS):
                 stop = min(start + CSV_BLOCK_ROWS, rows)
-                # zip of no varying columns would yield no rows at all
-                block = (zip(*(c[start:stop].tolist() for c in varying)) if varying
-                         else itertools.repeat((), stop - start))
+                block = zip(*(c[start:stop].tolist() for c in varying))
                 fh.writelines(map(row_format.__mod__, block))
 
 
@@ -459,12 +456,11 @@ def steady_state_of(
 ) -> np.ndarray:
     """Steady state of the chosen closed loop.
 
-    The equilibrium output is the selected root of the loop's closed-form
-    steady-state cubic, built from the parameters of an ``MsdPlant``: for the
-    two-loop scheme the output error closest to zero, for the other kinds the
-    output closest to the set-point.  The state rests, so every other
-    component is zero.  The CLI's design solves the same cubics alike, so its
-    certified set of the loop sits on this rest state, bit for bit.
+    The equilibrium is that of the loop's closed-form steady-state cubic,
+    built from the parameters of an ``MsdPlant``: for the two-loop scheme the
+    output error closest to zero, for the other kinds the output closest to
+    the set-point.  The SL, SLHG and MFC loops rest at their equilibrium
+    set's ``rest_state``, which the CLI's certified sets are centred on too.
     ``vartheta`` is unused: the equilibrium does not depend on it.
     """
     if not isinstance(plant, MsdPlant):
@@ -473,14 +469,13 @@ def steady_state_of(
     y_d = controller.reference.y_d
     gains = controller.gains
     kind = controller.kind
-    x_s = np.zeros(2)
+    if kind == "FFLIN":
+        return np.array([fflin_equilibrium(params, gains, y_d), 0.0])
     if kind == "MFC":
-        x_s[0] = y_d + mfc_equilibria(params, gains, y_d).selected
-    elif kind == "FFLIN":
-        x_s[0] = fflin_equilibrium(params, gains, y_d)
+        eq = mfc_equilibria(params, gains, y_d)
     else:
-        x_s[0] = single_loop_equilibria(params, gains, y_d, high_gain=kind == "SLHG").selected
-    return x_s
+        eq = single_loop_equilibria(params, gains, y_d, high_gain=kind == "SLHG")
+    return np.array(eq.rest_state)
 
 
 def simulate_closed_loop(
@@ -613,4 +608,6 @@ def _settle_time(t: np.ndarray, dist: np.ndarray, threshold: float) -> float | N
 
 def time_to_track(traj: Trajectory) -> float | None:
     """First grid time after which the process stays within TRACK_GAP of the model."""
-    return _settle_time(traj.t, np.linalg.norm(traj.x - traj.x_star, axis=1), TRACK_GAP)
+    with np.errstate(over="ignore"):  # a diverging run's gap may overflow to inf, silently
+        gap = np.linalg.norm(traj.x - traj.x_star, axis=1)
+    return _settle_time(traj.t, gap, TRACK_GAP)

@@ -170,9 +170,8 @@ def classify_stability(
     J = A + b k_star' + eps b grad_phi(x_s)' D, whose eigenvalue signs match
     the physical linearisation (the model subsystem is linear and Hurwitz by
     construction and decouples).  For the two-loop kind ``root`` is the output
-    error, so the equilibrium sits at y_d + root.
+    error, so the equilibrium sits at y_d + root.  Kinds are spelt as in ``ControllerSpec``.
     """
-    kind = closed_loop_kind.upper()
     if gains.n != 2:
         raise ValueError("stability classification is implemented for n = 2")
     eps = gains.epsilon
@@ -182,9 +181,9 @@ def classify_stability(
         "SLHG": (gains.k_tilde, 1.0, 1.0, float(root)),
         "MFC": (gains.k_star, eps * eps, eps, float(y_d) + float(root)),
     }
-    if kind not in rows:
+    if closed_loop_kind not in rows:
         raise ValueError(f"unknown closed-loop kind {closed_loop_kind!r}")
-    k, s1, s2, x_s1 = rows[kind]
+    k, s1, s2, x_s1 = rows[closed_loop_kind]
     d1, d2 = msd_phi_gradient(p, (x_s1, 0.0))
     row = (k[0] + s1 * d1, k[1] + s2 * d2)
 
@@ -209,7 +208,7 @@ class EquilibriumSet:
     two-loop scheme, the physical output for the single-loop designs.
     ``selected`` is the root closest to the frame's reference (zero error or
     the set-point); equidistant pairs resolve to the smaller root with
-    ``tie`` set.
+    ``tie`` set.  ``rest_state`` alone turns a root of either frame into a state.
     """
 
     coefficients: tuple
@@ -222,16 +221,13 @@ class EquilibriumSet:
     tie: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "coefficients": list(self.coefficients),
-            "roots": list(self.roots),
-            "stability": list(self.stability),
-            "selected": self.selected,
-            "selected_index": self.selected_index,
-            "frame": self.frame,
-            "y_d": self.y_d,
-            "tie": self.tie,
-        }
+        """The fields, tuples as lists."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
+
+    @property
+    def rest_state(self) -> tuple:
+        """(x_s1, 0.0), x_s1 being y_d + selected in the error frame, selected in the output's."""
+        return (self.y_d + self.selected if self.frame == "x_tilde_1" else self.selected, 0.0)
 
 
 def _real_roots(coeffs) -> list[float]:

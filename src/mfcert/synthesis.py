@@ -259,16 +259,8 @@ class LyapunovCertificate:
     residual: float  # max |Acl' P + P Acl + I|; left out of to_dict
 
     def to_dict(self) -> dict:
-        return {
-            "P": self.P.tolist(),
-            "lambda_min": self.lambda_min,
-            "bP_norm": self.bP_norm,
-            "vartheta": self.vartheta,
-            "epsilon": self.epsilon,
-            "gamma_mfc": self.gamma_mfc,
-            "gamma_sl": self.gamma_sl,
-            "gamma_slhg": self.gamma_slhg,
-        }
+        """The fields but ``residual``, ``P`` as a list."""
+        return {**{k: v for k, v in vars(self).items() if k != "residual"}, "P": self.P.tolist()}
 
 
 def certify(gains: GainSet, vartheta: float) -> LyapunovCertificate:

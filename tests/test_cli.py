@@ -202,6 +202,51 @@ class TestDesign:
         assert cli._design(preset("scenario1")) is not design
 
 
+@pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
+class TestReportKeys:
+    """Each report against its key list written out by hand."""
+
+    def test_equilibrium_sets(self, scenario):
+        design = cli._design(preset(scenario))
+        for eq in (design.mfc, design.sl, design.slhg):
+            assert eq.to_dict() == {
+                "coefficients": list(eq.coefficients),
+                "roots": list(eq.roots),
+                "stability": list(eq.stability),
+                "selected": eq.selected,
+                "selected_index": eq.selected_index,
+                "frame": eq.frame,
+                "y_d": eq.y_d,
+                "tie": eq.tie,
+            }
+
+    def test_certificate(self, scenario):
+        cert = cli._design(preset(scenario)).cert
+        assert cert.to_dict() == {
+            "P": cert.P.tolist(),
+            "lambda_min": cert.lambda_min,
+            "bP_norm": cert.bP_norm,
+            "vartheta": cert.vartheta,
+            "epsilon": cert.epsilon,
+            "gamma_mfc": cert.gamma_mfc,
+            "gamma_sl": cert.gamma_sl,
+            "gamma_slhg": cert.gamma_slhg,
+        }
+
+    def test_region_sweep(self, scenario):
+        cfg = preset(scenario)
+        report, _ = cli.run_roa(cfg)
+        design = cli._design(cfg)
+        region = roa.mfc2_region_sweep(cfg.plant, design.cert, design.estimates["MFC2"])
+        assert report["MFC2_sweep"] == {
+            "c_star_level": region.c_star_level,
+            "c_tilde_level": region.c_tilde_level,
+            "c_star_max": region.c_star_max,
+            "green_area": region.green_area,
+            "grey_area": region.grey_area,
+        }
+
+
 class TestSimulateCommand:
     def test_trajectories_and_metrics(self, tmp_path):
         assert main(["simulate", "--preset", "scenario1", "--out", str(tmp_path)]) == 0
@@ -235,6 +280,15 @@ class TestSteadyStateConsistency:
         assert metrics["SL"]["x_s"][0] == steady["SL"]["selected"]
         assert metrics["SLHG"]["x_s"][0] == steady["SLHG"]["selected"]
         assert metrics["MFC"]["x_s"][0] == cfg.y_d + steady["MFC"]["selected"]
+
+    @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
+    def test_sets_are_centred_on_their_loops_rest_states(self, scenario):
+        cfg = preset(scenario)
+        design = cli._design(cfg)
+        x_s = {"MFC1": cfg.y_d + design.mfc.selected, "MFC2": cfg.y_d + design.mfc.selected,
+               "SL": design.sl.selected, "SLHG": design.slhg.selected}
+        for kind, est in design.estimates.items():
+            assert [float(v).hex() for v in est.x_s] == [x_s[kind].hex(), (0.0).hex()]
 
     @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
     def test_slhg_rest_state_is_one_float(self, tmp_path, scenario):
@@ -314,6 +368,44 @@ class TestFalsifyCommand:
             assert report[kind]["valid"]
             assert report[kind]["violations"] == []
             assert report[kind]["converged"] == 50
+
+
+def _plant_error(**changes):
+    """The message of the ConfigError of the scenario1 plant with ``changes``; None deletes."""
+    plant = preset("scenario1").to_dict()["plant"]
+    for key, value in changes.items():
+        if value is None:
+            del plant[key]
+        else:
+            plant[key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config({**preset("scenario1").to_dict(), "plant": plant})
+    return str(err.value)
+
+
+class TestPlantKeys:
+    def test_plant_without_deviations_has_zero_deviations(self):
+        raw = preset("scenario1").to_dict()
+        for key in ("delta_k", "delta_c_d", "delta_alpha"):
+            del raw["plant"][key]
+        p = parse_config(raw).plant
+        assert (p.dk, p.dc_d, p.dalpha) == (0.0, 0.0, 0.0)
+
+    def test_missing_mass_is_required(self):
+        assert _plant_error(m=None) == "plant.m: is required"
+
+    def test_string_deviation_is_not_a_number(self):
+        assert _plant_error(delta_k="0.1") == "plant.delta_k: must be a number"
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"k": None, "c_d": None}, "plant.k: is required"),
+        ({"k": "1", "c_d": None}, "plant.k: must be a number"),
+        ({"g0": None, "delta_k": "0.1"}, "plant.g0: is required"),
+        ({"delta_alpha": True, "delta_k": float("nan")}, "plant.delta_k: must be finite"),
+        ({"m": -1.0, "delta_c_d": "x"}, "plant.delta_c_d: must be a number"),
+    ])
+    def test_first_fault_in_key_order_is_named(self, changes, message):
+        assert _plant_error(**changes) == message
 
 
 class TestConfigErrors:
@@ -744,6 +836,15 @@ class TestReproduce:
         # the 10 s runs grow to x1 ~ 1e32 and stay finite: data, but not converged
         for entry in _read_json(tmp_path / "metrics.json").values():
             assert entry["diverged"] is False and entry["outcome"] == "wrong-equilibrium"
+
+    def test_diverging_reconvergence_run_is_data(self, tmp_path):
+        # at a 0.2 s step the first re-convergence run goes non-finite at t = 1 s
+        code = main(["reproduce", "scenario1", "--horizon", "10", "--samples", "2",
+                     "--step", "0.2", "--out", str(tmp_path)])
+        assert code == 3
+        rows = {row["name"]: row for row in _read_json(tmp_path / "summary.json")["rows"]}
+        assert rows["mfc_reconverge_time_s"]["computed"] == float("inf")
+        assert not rows["mfc_reconverge_time_s"]["pass"]
 
     def test_samples_and_seed_are_folded_into_a_copy_of_the_config(self, tmp_path):
         cfg = dataclasses.replace(preset("scenario2"), horizon=1.0)

@@ -146,3 +146,13 @@ def test_params_roundtrip_serialisation(table_params):
         "k", "c_d", "alpha", "m", "g0", "delta_k", "delta_c_d", "delta_alpha",
     }
     assert MsdParams.from_dict(data) == table_params
+    p = table_params
+    assert data == {
+        "k": p.k, "c_d": p.c_d, "alpha": p.alpha, "m": p.m, "g0": p.g0,
+        "delta_k": p.dk, "delta_c_d": p.dc_d, "delta_alpha": p.dalpha,
+    }
+
+
+def test_params_without_a_required_key_raise_key_error():
+    with pytest.raises(KeyError, match="m"):
+        MsdParams.from_dict({"k": 1.5, "c_d": 0.3, "alpha": 0.5, "g0": 9.81})

@@ -7,6 +7,7 @@ from mfcert import (
     GainSet,
     MsdParams,
     classify_stability,
+    design_gains,
     mfc_equilibria,
     mfc_steady_polynomial,
     msd_phi,
@@ -164,10 +165,34 @@ class TestClassifyStability:
         with pytest.raises(ValueError):
             classify_stability(0.0, "XX", table_params, gains)
 
+    @pytest.mark.parametrize("kind", ["sl", "Sl", "slhg", "mfc"])
+    def test_kinds_are_not_case_folded(self, table_params, gains, kind):
+        # ControllerSpec refuses these spellings, and so does the classification
+        with pytest.raises(ValueError, match="unknown closed-loop kind"):
+            classify_stability(0.0, kind, table_params, gains)
+
     def test_small_real_parts_are_not_marginal(self, nominal_params):
         # real parts -1e-6: far above the marginal band of rounding noise
         gains = GainSet(k_star=(-1.0, -2e-6), k_tilde=(-100.0, -2e-5), epsilon=0.1)
         assert classify_stability(0.0, "SL", nominal_params, gains) == "stable"
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestRestState:
+    @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
+    def test_each_frame_turns_its_root_into_the_rest_state(self, scenario):
+        cfg = preset(scenario)
+        gains = design_gains(cfg.poles, cfg.epsilon)
+        mfc = mfc_equilibria(cfg.plant, gains, cfg.y_d)
+        assert mfc.frame == "x_tilde_1"
+        assert _hex(mfc.rest_state) == _hex((cfg.y_d + mfc.selected, 0.0))
+        for high_gain in (False, True):
+            eq = single_loop_equilibria(cfg.plant, gains, cfg.y_d, high_gain=high_gain)
+            assert eq.frame == "x_1"
+            assert _hex(eq.rest_state) == _hex((eq.selected, 0.0))
 
 
 class TestInvariants:

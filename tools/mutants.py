@@ -90,6 +90,10 @@ MUTANTS = [
      "if r < 0.0:\n        return None, REASON_RADIUS",
      "if r <= 0.0:\n        return None, REASON_RADIUS",
      "aux_radius' radius test < -> <="),
+    ("steady_state.py",
+     'if self.frame == "x_tilde_1"',
+     'if self.frame != "x_tilde_1"',
+     "EquilibriumSet.rest_state's frame test == -> !="),
 ]
 
 
