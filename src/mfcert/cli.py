@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable, Iterator
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -36,68 +35,13 @@ from .config import (
     read_json,
     reference_rows,
 )
-from .plant import msd_plant, phi_lipschitz_sup
+from .plant import phi_lipschitz_sup
 
 __all__ = ["main"]
 
 
-class _Design:
-    """One configuration's design, read by every stage: gains, certificate, plant
-    and x_d at once; the MFC, SL and SLHG equilibria and certified sets on first use."""
-
-    def __init__(self, cfg: ScenarioConfig):
-        self.cfg = cfg
-        self.gains = synthesis.design_gains(cfg.poles, cfg.epsilon)
-        self.cert = synthesis.certify(self.gains, cfg.vartheta)
-        self.plant = msd_plant(cfg.plant, cfg.domain)
-        self.x_d = np.array([cfg.y_d, 0.0])
-
-    @cached_property
-    def mfc(self) -> ss_mod.EquilibriumSet:
-        return ss_mod.mfc_equilibria(self.cfg.plant, self.gains, self.cfg.y_d)
-
-    @cached_property
-    def sl(self) -> ss_mod.EquilibriumSet:
-        return ss_mod.single_loop_equilibria(self.cfg.plant, self.gains, self.cfg.y_d,
-                                             high_gain=False)
-
-    @cached_property
-    def slhg(self) -> ss_mod.EquilibriumSet:
-        return ss_mod.single_loop_equilibria(self.cfg.plant, self.gains, self.cfg.y_d,
-                                             high_gain=True)
-
-    @cached_property
-    def estimates(self) -> dict:
-        """The MFC1, MFC2, SL and SLHG sets, each on its loop's ``rest_state``, the one
-        ``simulate.steady_state_of`` gives that loop."""
-        cfg, cert, x_d = self.cfg, self.cert, self.x_d
-        x_s_mfc = self.mfc.rest_state
-        return {
-            "MFC1": roa_mod.estimate_mfc1(cfg.plant, cert, x_s_mfc, x_d),
-            "MFC2": roa_mod.estimate_mfc2(cfg.plant, cert, x_s_mfc, x_d, cfg.x0_star),
-            "SL": roa_mod.estimate_sl(cfg.plant, cert, self.sl.rest_state, x_d),
-            "SLHG": roa_mod.estimate_slhg(cfg.plant, cert, self.slhg.rest_state, x_d),
-        }
-
-    def controller(self, kind: str) -> sim_mod.ControllerSpec:
-        x0_star = self.cfg.x0_star if kind == "MFC" else None
-        return sim_mod.ControllerSpec(kind, self.gains, sim_mod.SetPoint(self.cfg.y_d), x0_star)
-
-
-_last_design: _Design | None = None
-
-
-def _design(cfg: ScenarioConfig) -> _Design:
-    """The design of ``cfg``, kept for the last config object (by identity, since
-    equal configs may still differ in the sign of a zero)."""
-    global _last_design
-    if getattr(_last_design, "cfg", None) is not cfg:
-        _last_design = _Design(cfg)
-    return _last_design
-
-
 def run_analyze(cfg: ScenarioConfig) -> dict:
-    design = _design(cfg)
+    design = cfg.design
     gains, cert = design.gains, design.cert
     domain_gamma = phi_lipschitz_sup(cfg.plant, cfg.domain)
     positive, M = synthesis.m_matrix_positive(
@@ -133,7 +77,7 @@ def run_steady_state(cfg: ScenarioConfig) -> tuple[dict, Iterator[dict]]:
     ``_run_stage`` does once, by the CSV writer, before the stage writes any
     file.  A caller that reads only the report solves no sweep.
     """
-    design = _design(cfg)
+    design = cfg.design
     k1 = design.gains.k_star[0]
     report = {
         "MFC": design.mfc.to_dict(),
@@ -156,7 +100,7 @@ def run_roa(cfg: ScenarioConfig) -> tuple[dict, list[tuple[str, np.ndarray]]]:
     green and grey regions when MFC2 is valid.  ``_write_boundaries_csv``
     formats their rows; a caller that reads only the report formats none.
     """
-    design = _design(cfg)
+    design = cfg.design
     estimates = design.estimates
     report = {kind: est.to_dict() for kind, est in estimates.items()}
     polylines = [(kind, est.boundary()) for kind, est in estimates.items() if est.valid]
@@ -170,7 +114,7 @@ def run_roa(cfg: ScenarioConfig) -> tuple[dict, list[tuple[str, np.ndarray]]]:
 
 
 def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
-    design = _design(cfg)
+    design = cfg.design
     all_metrics: dict = {}
     trajectories: dict = {}
     for kind in ("SL", "SLHG", "MFC"):
@@ -192,7 +136,7 @@ def run_simulate(cfg: ScenarioConfig) -> tuple[dict, dict]:
 
 
 def run_falsify(cfg: ScenarioConfig) -> dict:
-    design = _design(cfg)
+    design = cfg.design
     estimates = design.estimates
     valid = [kind for kind, est in estimates.items() if est.valid]
     batch = falsify_mod.falsify_sets(
@@ -277,8 +221,12 @@ def run_reproduce(
     tolerance_rows: list[dict] | None = None,
 ) -> dict:
     cfg = _with_overrides(cfg, samples=samples, seed=seed)
+    names = set()
     for i, row in enumerate(tolerance_rows or ()):
         _check_row(row, f"tolerance_rows[{i}]")
+        if row["name"] in names:
+            raise ConfigError(f"tolerance_rows[{i}].name", f"repeats {row['name']!r}")
+        names.add(row["name"])
     _run_stage(cfg, "analyze", out_dir)
     steady, _ = _run_stage(cfg, "steady_state", out_dir)
     roa_report, _ = _run_stage(cfg, "roa", out_dir)
@@ -287,7 +235,7 @@ def run_reproduce(
     del trajectories  # the runs need not live through the falsify stage, which sets the peak
     fals = _run_stage(cfg, "falsify", out_dir)
 
-    design = _design(cfg)  # the one the stages above built
+    design = cfg.design  # the one the stages above built
     cert, sl, y_d = design.cert, design.sl, cfg.y_d
     computed: dict = {
         "lyapunov_residual": cert.residual,
@@ -382,9 +330,9 @@ def _write_violations_csv(path: Path, reports: dict):
 def _load_tolerance_profile(path: str, scenario: str) -> list[dict]:
     """Reference rows of a scenario with a JSON list of per-row overrides applied.
 
-    An entry whose name matches a reference row updates that row; any other
-    entry is a new row.  Every resulting row must pass ``_check_row``, as must
-    the rows given to ``run_reproduce``.
+    An entry whose name matches a reference row, or an earlier entry's new row,
+    updates that row; any other entry is a new row.  Every resulting row must
+    pass ``_check_row``, as must the rows given to ``run_reproduce``.
     """
     overrides = read_json(path, "tolerance-profile")
     if not isinstance(overrides, list):
@@ -396,7 +344,7 @@ def _load_tolerance_profile(path: str, scenario: str) -> list[dict]:
         _check_name(entry, where)
         row = by_name.get(entry["name"])
         if row is None:
-            row = dict(entry)
+            row = by_name[entry["name"]] = dict(entry)
             rows.append(row)
         else:
             row.update(entry)
@@ -491,6 +439,10 @@ def main(argv=None) -> int:
         tolerance_rows = None
         if args.command == "reproduce" and args.tolerance_profile:
             tolerance_rows = _load_tolerance_profile(args.tolerance_profile, args.scenario)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("out", f"cannot create {out_dir}: {exc.strerror or exc}") from None
         _write_json(out_dir / "config.json", cfg.to_dict())
         if args.command == "reproduce":
             summary = run_reproduce(cfg, args.scenario, out_dir, tolerance_rows=tolerance_rows)

@@ -15,8 +15,10 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
+from .design import Design
 from .plant import Box, DEFAULT_DOMAIN, MsdParams, _OPTIONAL_KEYS, _PLANT_KEYS
 from .simulate import whole_steps
 from .synthesis import real_poly
@@ -111,6 +113,11 @@ class ScenarioConfig:
             "domain": {"lo": list(self.domain.lo), "hi": list(self.domain.hi)},
             "falsify": {"samples": self.falsify_samples, "seed": self.falsify_seed},
         }
+
+    @cached_property
+    def design(self) -> Design:
+        """This config's design, built on first use and collected with the config (a cycle)."""
+        return Design(self)
 
 
 def parse_config(data: Mapping) -> ScenarioConfig:

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -197,9 +199,26 @@ class TestOneStageRunner:
 class TestDesign:
     def test_kept_for_the_same_config_object_only(self):
         cfg = preset("scenario1")
-        design = cli._design(cfg)
-        assert cli._design(cfg) is design
-        assert cli._design(preset("scenario1")) is not design
+        design = cfg.design
+        assert cfg.design is design
+        assert preset("scenario1").design is not design
+        assert dataclasses.replace(cfg).design is not design
+
+    def test_released_with_its_config(self):
+        cfg = preset("scenario1")
+        design = weakref.ref(cfg.design)
+        assert design().estimates["MFC2"].valid
+        del cfg
+        gc.collect()
+        assert design() is None
+
+    def test_leaves_equality_hash_and_keys_alone(self):
+        cfg = preset("scenario2")
+        keys = cfg.to_dict()
+        assert cfg.design.cfg is cfg
+        assert cfg == parse_config(cfg.to_dict())
+        assert hash(cfg) == hash(parse_config(cfg.to_dict()))
+        assert cfg.to_dict() == keys
 
 
 @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
@@ -207,7 +226,7 @@ class TestReportKeys:
     """Each report against its key list written out by hand."""
 
     def test_equilibrium_sets(self, scenario):
-        design = cli._design(preset(scenario))
+        design = preset(scenario).design
         for eq in (design.mfc, design.sl, design.slhg):
             assert eq.to_dict() == {
                 "coefficients": list(eq.coefficients),
@@ -221,7 +240,7 @@ class TestReportKeys:
             }
 
     def test_certificate(self, scenario):
-        cert = cli._design(preset(scenario)).cert
+        cert = preset(scenario).design.cert
         assert cert.to_dict() == {
             "P": cert.P.tolist(),
             "lambda_min": cert.lambda_min,
@@ -236,7 +255,7 @@ class TestReportKeys:
     def test_region_sweep(self, scenario):
         cfg = preset(scenario)
         report, _ = cli.run_roa(cfg)
-        design = cli._design(cfg)
+        design = cfg.design
         region = roa.mfc2_region_sweep(cfg.plant, design.cert, design.estimates["MFC2"])
         assert report["MFC2_sweep"] == {
             "c_star_level": region.c_star_level,
@@ -284,7 +303,7 @@ class TestSteadyStateConsistency:
     @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])
     def test_sets_are_centred_on_their_loops_rest_states(self, scenario):
         cfg = preset(scenario)
-        design = cli._design(cfg)
+        design = cfg.design
         x_s = {"MFC1": cfg.y_d + design.mfc.selected, "MFC2": cfg.y_d + design.mfc.selected,
                "SL": design.sl.selected, "SLHG": design.slhg.selected}
         for kind, est in design.estimates.items():
@@ -618,6 +637,23 @@ class TestConfigErrors:
         assert f"config error: {field}:" in run.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_profile_name_updates_its_row(self, tmp_path):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps([{"name": "extra", "kind": "max", "tol": 1},
+                                    {"name": "extra", "kind": "max", "tol": 2}]))
+        rows = cli._load_tolerance_profile(str(path), "scenario1")
+        assert [row for row in rows if row["name"] == "extra"] == [
+            {"name": "extra", "kind": "max", "tol": 2}]
+        assert len(rows) == len(config.reference_rows("scenario1")) + 1
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("")
+        assert main(["analyze", "--preset", "scenario1", "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and err.startswith("config error: out: ")
+        assert "Traceback" not in err and (tmp_path / "file").read_text() == ""
+
     def test_reproduce_rejects_a_different_preset(self, tmp_path, capsys):
         code = main(["reproduce", "scenario1", "--preset", "scenario2", "--out", str(tmp_path)])
         assert code == 1
@@ -770,6 +806,13 @@ class TestRowKinds:
         with pytest.raises(ConfigError, match=f"^{re.escape(where)}: "):
             cli.run_reproduce(preset("scenario1"), "scenario1", tmp_path / "out",
                               tolerance_rows=[{"name": "c_sl", "kind": "max", "tol": 1.0}, row])
+        assert not (tmp_path / "out").exists()
+
+    def test_given_rows_may_not_repeat_a_name(self, tmp_path):
+        row = {"name": "c_sl", "kind": "max", "tol": 1.0}
+        with pytest.raises(ConfigError, match=r"^tolerance_rows\[1\]\.name: "):
+            cli.run_reproduce(preset("scenario1"), "scenario1", tmp_path / "out",
+                              tolerance_rows=[row, dict(row, tol=2.0)])
         assert not (tmp_path / "out").exists()
 
 

@@ -29,7 +29,7 @@ from mfcert import (
     simulate_closed_loop,
     single_loop_equilibria,
 )
-from mfcert import cli, falsify, simulate
+from mfcert import falsify, simulate
 from mfcert.roa import RoaEstimate
 
 def _inflated(est, factor):
@@ -219,7 +219,7 @@ class TestFalsifySets:
     def test_batch_v_is_each_sets_lyapunov_value(self, scenario, monkeypatch):
         # the V that the batch watches, at the starts, bit for bit that of each set's frame
         cfg = preset(scenario)
-        design = cli._design(cfg)
+        design = cfg.design
         sets = [est for est in design.estimates.values() if est.valid]
         assert len(sets) >= 3
         step, first_v = falsify._decrease_step, []
@@ -472,7 +472,7 @@ class TestRetirement:
 
     @pytest.fixture(scope="class")
     def oracle(self):
-        design = cli._design(preset("scenario1"))
+        design = preset("scenario1").design
         est = design.estimates
         sets = [est["MFC1"], est["MFC2"], est["SLHG"],
                 _inflated(est["SL"], 20.0), _inflated(est["SL"], 200.0)]
@@ -513,7 +513,7 @@ class TestRetirement:
         # decrease floor's 1e-12, but not 1e-3), as the run nears the true rest
         # state.  A centre 0.02 off splits converged from wrong-equilibrium by
         # each start's own d0.
-        design = cli._design(preset("scenario1"))
+        design = preset("scenario1").design
         m2 = design.estimates["MFC2"]
         P = np.array([[1.125, -0.15], [-0.15, 0.15625]])
 

@@ -84,7 +84,7 @@ def _short(name):
 def test_trajectory_csv_bytes(tmp_path, name):
     cfg = _short(name)
     cli._run_stage(cfg, "simulate", tmp_path)
-    design = cli._design(cfg)
+    design = cfg.design
     simulate_closed_loop(design.plant, design.controller("FFLIN"), cfg.x0, cfg.horizon,
                          cfg.step, vartheta=cfg.vartheta).to_csv(tmp_path / "traj_FFLIN.csv")
     digests = {kind: _sha256(tmp_path / f"traj_{kind}.csv") for kind in KINDS}
@@ -97,7 +97,7 @@ def test_run_v_is_its_sets_lyapunov_value(name):
     bit, scenario2's invalid SL set included: the loops and the sets scale by one D^-1."""
     cfg = _short(name)
     _, trajectories = cli.run_simulate(cfg)
-    estimates = cli._design(cfg).estimates
+    estimates = cfg.design.estimates
     for kind, sets in (("SL", ("SL",)), ("SLHG", ("SLHG",)), ("MFC", ("MFC1", "MFC2"))):
         traj = trajectories[kind]
         for set_kind in sets:
@@ -157,7 +157,7 @@ def test_seeded_rest_states_are_one_float():
     """Each loop's certified sets and its runs sit on one rest state: the design's
     selected root of that loop's own cubic."""
     for cfg in _seeded_designs():
-        design = cli._design(cfg)
+        design = cfg.design
         estimates = design.estimates
         for kind, rest, sets in (("SL", design.sl.selected, ("SL",)),
                                  ("SLHG", design.slhg.selected, ("SLHG",)),
@@ -174,7 +174,7 @@ def test_root_sweeps_are_per_row_solve_cubic():
     ys = np.arange(Y_D_MIN, Y_D_MAX + 1e-9, SWEEP_STEP).tolist()
     differ = []
     for cfg in [preset(name) for name in sorted(REPORT_SHA256)] + _seeded_designs():
-        gains = cli._design(cfg).gains
+        gains = cfg.design.gains
         for k1 in (gains.k_star[0], gains.k_tilde[0]):
             rows = [{"y_d": y, "roots": solve_cubic(sl_steady_polynomial(cfg.plant, k1, y))}
                     for y in ys]
@@ -198,7 +198,7 @@ def test_sweep_split_levels_are_the_estimates():
             assert "MFC2_sweep" not in report
             continue
         swept += 1
-        design = cli._design(cfg)
+        design = cfg.design
         cert, est = design.cert, design.estimates["MFC2"]
         ref = float(np.linalg.norm(est.x_s))
         lam, vth = cert.lambda_min, cert.vartheta

@@ -9,7 +9,6 @@ from mfcert import (
     MsdParams,
     aux_radius,
     c_star,
-    cli,
     compare_levels,
     config,
     estimate_mfc1,
@@ -443,7 +442,7 @@ class TestRegionSweep:
 def _sweep_case(name):
     """Plant, certificate and MFC2 estimate of a preset."""
     cfg = config.preset(name)
-    design = cli._design(cfg)
+    design = cfg.design
     return cfg.plant, design.cert, design.estimates["MFC2"]
 
 
@@ -672,7 +671,7 @@ class TestCentre:
         # x0_star + (x_s - x_d) and x_s + (x0_star - x_d) differ in x1's last bit here
         cfg = config.parse_config({**config.preset("scenario1").to_dict(),
                                    "x0_star": [-0.9, 0.0]})
-        est = cli._design(cfg).estimates["MFC2"]
+        est = cfg.design.estimates["MFC2"]
         assert est.valid
         e_star = np.subtract(est.x0_star, est.x_d)
         assert est.center.tobytes() == est.to_physical(e_star, np.zeros(2))[1].tobytes()
@@ -680,7 +679,7 @@ class TestCentre:
 
 
 def _preset_sets(name):
-    return {k: est for k, est in cli._design(config.preset(name)).estimates.items() if est.valid}
+    return {k: est for k, est in config.preset(name).design.estimates.items() if est.valid}
 
 
 class TestOneLevelRule:

@@ -8,7 +8,8 @@ fresh temporary copy of the repository (without ``.git``), and runs tier-1
 there with ``-x``: ``python -m pytest -q -x --continue-on-collection-errors``
 with ``src`` on ``PYTHONPATH``.  The mutant is killed when tier-1 fails and
 survives when it passes.  A mutant whose string is missing or repeated is
-stale: the code it names has moved, and the list must follow it.  Tier-1
+stale: the code it names has moved, and the list must follow it
+(``tests/test_mutants.py`` checks this in tier-1, without running a mutant).  Tier-1
 runs once unmutated first, since a failing suite would kill every mutant.
 The exit status is 0 when every mutant is killed, 1 when one survives or is
 stale, and 2 when tier-1 fails unmutated.
@@ -94,6 +95,10 @@ MUTANTS = [
      'if self.frame == "x_tilde_1"',
      'if self.frame != "x_tilde_1"',
      "EquilibriumSet.rest_state's frame test == -> !="),
+    ("design.py",
+     "roa_mod.estimate_slhg(cfg.plant, cert, self.slhg.rest_state, x_d)",
+     "roa_mod.estimate_slhg(cfg.plant, cert, self.sl.rest_state, x_d)",
+     "the SLHG set centred on the SL loop's rest state"),
 ]
 
 
@@ -114,9 +119,11 @@ def _tier1(mutant=None) -> str:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             ["src"] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        # tests/test_mutants.py checks the unmutated source, so a mutant always fails it
+        ignore = [] if mutant is None else ["--ignore=tests/test_mutants.py"]
         run = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "--continue-on-collection-errors",
-             "-p", "no:cacheprovider"],
+             "-p", "no:cacheprovider", *ignore],
             cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         return "passed" if run.returncode == 0 else "failed"
 
